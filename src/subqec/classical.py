@@ -11,10 +11,24 @@ the length-n bit space:
 The two complements are what make the code usable as one axis of a grid
 code: ``check_complement`` rows play the role of encoded-Z operators and
 ``generator_complement`` rows the role of pure errors.
+
+For n <= 20 a code also carries two lazily built, read-only lookup tables,
+each filled by a vectorised pass over all 2**n words:
+
+    decode_table  (2**(n-k), n)  row s is the coset leader of syndrome int s
+                                 (syndrome bit r has weight 2**r), chosen by
+                                 (weight, lexicographic) order
+    fail          (2**n,)        fail[v] is True when decoding word v leaves
+                                 a logical error: C_c (v xor leader(P v)) != 0
+
+``fail`` is indexed by the word read as a binary numeral, position 0 being
+the most significant bit.  It is all a grid code's Monte Carlo kernel needs
+from the code (see :mod:`subqec.simulate`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional
 
@@ -24,21 +38,29 @@ from . import gf2
 
 # Syndrome decoding uses a full coset-leader table when the block length
 # allows one; above this the decoder falls back to bounded-weight search.
-_TABLE_MAX_N = 16
+# The tables' build enumerates all 2**n words.
+_TABLE_MAX_N = 20
 _DISTANCE_MAX_K = 24
 DEFAULT_DECODE_WEIGHT_CAP = 4
 
 
-def _weight_lex_order(n: int) -> np.ndarray:
-    """All length-n bit vectors ordered by (weight, lexicographic).
+def _span_words(images: np.ndarray, dtype) -> np.ndarray:
+    """XOR of ``images[i]`` over the positions i set in each n-bit word.
 
-    Vectors are compared as tuples, i.e. position 0 is most significant.
-    Returns an array of shape (2**n, n).
+    Word v has position i at bit n-1-i.  Built by doubling: the words with
+    top bit b are the words below 2**b with position n-1-b added.
     """
-    ints = np.arange(1 << n, dtype=np.int64)
-    bits = ((ints[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-    order = np.lexsort((ints, bits.sum(axis=1)))
-    return bits[order]
+    n = images.shape[0]
+    images = images.astype(dtype)
+    out = np.zeros(1 << n, dtype)
+    for b in range(n):
+        out[1 << b:2 << b] = out[:1 << b] ^ images[n - 1 - b]
+    return out
+
+
+def _bit_weights(rows: np.ndarray) -> np.ndarray:
+    """Per-column integer ``sum_r rows[r, i] << r`` of a 0/1 matrix."""
+    return rows.T.astype(np.int64) @ (1 << np.arange(rows.shape[0], dtype=np.int64))
 
 
 class LinearCode:
@@ -88,7 +110,6 @@ class LinearCode:
                   self.generator_complement):
             m.setflags(write=False)
         self._distance: Optional[int] = None
-        self._table: Optional[dict] = None
         if distance is not None:
             if self.min_distance() != distance:
                 raise ValueError(
@@ -155,38 +176,58 @@ class LinearCode:
         """Coset-leader decoding: a minimum-weight error matching syndrome s.
 
         Deterministic; ties inside a weight class go to the
-        lexicographically smallest vector.  For n <= 16 a full table over
-        all 2**(n-k) syndromes is built once and reused.  For larger n the
-        decoder searches weights 0..decode_weight_cap and raises if no error
-        within the cap matches.
+        lexicographically smallest vector.  For n <= 20 this is a row of
+        :attr:`decode_table`.  For larger n the decoder searches weights
+        0..decode_weight_cap and raises if no error within the cap matches.
         """
         s = np.asarray(s, dtype=np.uint8).reshape(-1)
         if s.shape[0] != self.n - self.k:
             raise ValueError(
                 f"syndrome length {s.shape[0]} != n-k={self.n - self.k}")
         if self.n <= _TABLE_MAX_N:
-            if self._table is None:
-                self._table = self._build_table()
-            return self._table[self._syndrome_key(s)].copy()
+            return self.decode_table[self._syndrome_key(s)].copy()
         return self._bounded_search(s)
 
     def _syndrome_key(self, s: np.ndarray) -> int:
         return int(s @ (1 << np.arange(s.shape[0], dtype=np.int64)))
 
-    def _build_table(self) -> dict:
-        ordered = _weight_lex_order(self.n)
-        syndromes = (ordered @ self.check.T.astype(np.int64)) & 1
-        keys = syndromes @ (1 << np.arange(self.n - self.k, dtype=np.int64))
-        table: dict = {}
-        want = 1 << (self.n - self.k)
-        for v, key in zip(ordered, keys):
-            key = int(key)
-            if key not in table:
-                v = v.copy()
-                v.setflags(write=False)
-                table[key] = v
-                if len(table) == want:
-                    break
+    def _coset_leaders(self) -> tuple:
+        """Syndrome int of every n-bit word, and the leader word of every
+        syndrome int, both as int arrays (words as in :attr:`fail`)."""
+        n, m = self.n, self.n - self.k
+        if n > _TABLE_MAX_N:
+            raise ValueError(
+                f"no lookup table for n={n} > {_TABLE_MAX_N}; it would have "
+                f"2**{n} entries")
+        syndromes = _span_words(_bit_weights(self.check), np.int32)
+        weights = np.zeros(1 << n, np.int64)
+        for b in range(n):
+            weights[1 << b:2 << b] = weights[:1 << b] + 1
+        # (weight, word) order is (weight, lexicographic) order, since a
+        # word's numeral puts position 0 first.
+        keys = (weights << n) | np.arange(1 << n, dtype=np.int64)
+        best = np.full(1 << m, np.iinfo(np.int64).max)
+        np.minimum.at(best, syndromes, keys)
+        return syndromes, best & ((1 << n) - 1)
+
+    @functools.cached_property
+    def decode_table(self) -> np.ndarray:
+        """Coset leaders as rows, indexed by syndrome int; n <= 20 only."""
+        _, leaders = self._coset_leaders()
+        table = np.empty((leaders.shape[0], self.n), np.uint8)
+        for i in range(self.n):
+            table[:, i] = (leaders >> (self.n - 1 - i)) & 1
+        table.setflags(write=False)
+        return table
+
+    @functools.cached_property
+    def fail(self) -> np.ndarray:
+        """Per n-bit word v: does coset-leader decoding of v leave a logical
+        error (``C_c (v xor leader(P v)) != 0``)?  n <= 20 only."""
+        syndromes, leaders = self._coset_leaders()
+        logical = _span_words(_bit_weights(self.check_complement), np.int32)
+        table = logical != logical[leaders[syndromes]]
+        table.setflags(write=False)
         return table
 
     def _bounded_search(self, s: np.ndarray) -> np.ndarray:

@@ -255,6 +255,8 @@ def _cmd_simulate(args) -> int:
         "logical_failures": report.logical_failures,
         "rate": report.rate,
         "std_error": report.std_error,
+        "ci_low": float(f"{report.ci_low:.6g}"),
+        "ci_high": float(f"{report.ci_high:.6g}"),
         "seed": report.seed,
         "code": {"n": n, "k": k, "gauge_qubits": gauge,
                  "stabilizer_count": stabs},

@@ -20,14 +20,15 @@ class PauliGrid:
     __slots__ = ("z", "x", "phase")
 
     def __init__(self, z, x, phase: int = 0):
-        z = np.asarray(z, dtype=np.uint8)
-        x = np.asarray(x, dtype=np.uint8)
+        z = np.asarray(z)
+        x = np.asarray(x)
         if z.ndim != 2 or z.shape != x.shape:
             raise ValueError(f"z/x shapes {z.shape} and {x.shape} must match")
-        if (z.size and z.max() > 1) or (x.size and x.max() > 1):
+        # Checked before the cast, which would wrap or reject other values.
+        if not (((z == 0) | (z == 1)).all() and ((x == 0) | (x == 1)).all()):
             raise ValueError("exponent matrices must be 0/1")
-        self.z = z.copy()
-        self.x = x.copy()
+        self.z = z.astype(np.uint8)
+        self.x = x.astype(np.uint8)
         self.z.setflags(write=False)
         self.x.setflags(write=False)
         self.phase = int(phase) % 4

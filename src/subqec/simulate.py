@@ -6,6 +6,19 @@ uniforms from a Philox stream keyed by s at block offset t * blocks_per_trial.
 A trial's error pattern is therefore a pure function of (seed, trial index),
 so results are identical no matter how trials are batched or spread over
 workers.
+
+Whether a trial fails reduces to one table lookup per classical word.  The
+bit-flip stage decodes column b of the syndrome ``s_z = P1 x G2^T`` with
+code 1 and spreads the estimate along row b of ``C2`` (code 2's
+check_complement).  Since ``C2 G2^T = I``, the logical residual's column b is
+``C1 (y_b xor leader1(P1 y_b))`` with ``y_b = x G2[b]^T``, the XOR of the
+grid's columns over the support of row b of ``G2``.  So the stage fails iff
+``c1.fail[y_b]`` is set for some b.  The phase-flip stage mirrors this
+through ``G1 C1^T = I``: with ``w_a = G1[a] z``, the XOR of the grid's rows
+over the support of row a of ``G1``, it fails iff ``c2.fail[w_a]`` is set
+for some a.  The batch kernel packs each column and row of the grid into an
+integer word, XORs the words and looks them up; :func:`subqec.recovery.recover`
+stays the independent reference it is tested against.
 """
 
 from __future__ import annotations
@@ -16,14 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import LinearCode
+from .classical import _TABLE_MAX_N, LinearCode
 from .builder import SubsystemCode
 from .pauli import PauliGrid
 from .recovery import recover
 
 _MAX_SEED = (1 << 64) - 1
 _EXACT_MAX_N = 20
-_TABLE_ARRAY_MAX_BITS = 20
+_EXACT_CHUNK = 1 << 14  # patterns per kernel call in exact enumeration
+_NOISE_KINDS = ("depolarizing", "x_only", "z_only", "independent_xz")
+_WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 
 @dataclass(frozen=True)
@@ -40,31 +55,30 @@ class NoiseModel:
     p_x: float = 0.0
     p_z: float = 0.0
 
-    @staticmethod
-    def _check(p: float, label: str = "p"):
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"{label}={p} is not a probability")
+    def __post_init__(self):
+        if self.kind not in _NOISE_KINDS:
+            raise ValueError(f"unknown noise kind {self.kind!r}; expected one "
+                             f"of {', '.join(_NOISE_KINDS)}")
+        for label in ("p", "p_x", "p_z"):
+            value = getattr(self, label)
+            if not (0.0 <= value <= 1.0):
+                raise ValueError(f"{label}={value} is not a probability")
 
     @classmethod
     def depolarizing(cls, p: float) -> "NoiseModel":
         """X, Y, Z each with probability p/3."""
-        cls._check(p)
         return cls("depolarizing", p=p)
 
     @classmethod
     def x_only(cls, p: float) -> "NoiseModel":
-        cls._check(p)
         return cls("x_only", p=p)
 
     @classmethod
     def z_only(cls, p: float) -> "NoiseModel":
-        cls._check(p)
         return cls("z_only", p=p)
 
     @classmethod
     def independent_xz(cls, p_x: float, p_z: float) -> "NoiseModel":
-        cls._check(p_x, "p_x")
-        cls._check(p_z, "p_z")
         return cls("independent_xz", p_x=p_x, p_z=p_z)
 
     @property
@@ -81,12 +95,10 @@ class NoiseModel:
             x = (u[:, :n] < self.p_x).astype(np.uint8)
             z = (u[:, n:] < self.p_z).astype(np.uint8)
             return z, x
-        if self.kind == "depolarizing":
-            # [0,p/3) -> X, [p/3,2p/3) -> Y, [2p/3,p) -> Z
-            x = (u < 2 * self.p / 3).astype(np.uint8)
-            z = ((u >= self.p / 3) & (u < self.p)).astype(np.uint8)
-            return z, x
-        raise ValueError(f"unknown noise kind {self.kind!r}")
+        # depolarizing: [0,p/3) -> X, [p/3,2p/3) -> Y, [2p/3,p) -> Z
+        x = (u < 2 * self.p / 3).astype(np.uint8)
+        z = ((u >= self.p / 3) & (u < self.p)).astype(np.uint8)
+        return z, x
 
     def describe(self) -> dict:
         if self.kind == "independent_xz":
@@ -96,12 +108,33 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class TrialReport:
+    """Outcome of :func:`run_trials`.
+
+    ``std_error`` is the plug-in binomial standard error, which is 0 when
+    no trial fails; ``ci_low``/``ci_high`` bound a 95% Wilson score
+    interval for the failure rate, which stays informative there.
+    """
+
     trials: int
     logical_failures: int
     rate: float
     std_error: float
     seed: int
     code_params: tuple  # (n, k, gauge_qubits, stabilizer_count)
+    ci_low: float
+    ci_high: float
+
+
+def _wilson_interval(failures: int, trials: int) -> tuple:
+    z2 = _WILSON_Z ** 2
+    rate = failures / trials
+    centre = (rate + z2 / (2 * trials)) / (1 + z2 / trials)
+    half = (_WILSON_Z / (1 + z2 / trials)
+            * math.sqrt(rate * (1 - rate) / trials + z2 / (4 * trials ** 2)))
+    # The endpoints at 0 and 1 are exact; the formula would round near them.
+    low = 0.0 if failures == 0 else centre - half
+    high = 1.0 if failures == trials else centre + half
+    return low, high
 
 
 def _trial_uniforms(seed: int, t0: int, t1: int, draws: int) -> np.ndarray:
@@ -117,48 +150,52 @@ def _trial_uniforms(seed: int, t0: int, t1: int, draws: int) -> np.ndarray:
     return u.reshape(t1 - t0, blocks * 4)[:, :draws]
 
 
-def _decode_array(code: LinearCode) -> np.ndarray:
-    """Dense decode table: row s is the coset leader for syndrome int s."""
-    cached = getattr(code, "_decode_array_cache", None)
-    if cached is not None:
-        return cached
-    m = code.n - code.k
-    if m > _TABLE_ARRAY_MAX_BITS:
-        raise ValueError(f"decode table for {m} syndrome bits is too large")
-    table = np.zeros((1 << m, code.n), dtype=np.uint8)
-    for key in range(1 << m):
-        bits = (key >> np.arange(m, dtype=np.int64)) & 1
-        table[key] = code.decode(bits.astype(np.uint8))
-    code._decode_array_cache = table
-    return table
+def _line_words(bits: np.ndarray, columns: bool) -> np.ndarray:
+    """Pack each column (or each row) of a batch of (t, n1, n2) bit grids
+    into one integer word per trial: shape (n2, t) (or (n1, t)).
+
+    A word reads its bits as a binary numeral, first site most significant,
+    which is how :attr:`LinearCode.fail` is indexed.
+    """
+    planes = np.ascontiguousarray(bits.transpose((1, 2, 0) if columns
+                                                 else (2, 1, 0)))
+    words = np.zeros(planes.shape[1:], np.int32)
+    for plane in planes:
+        words <<= 1
+        words |= plane
+    return words
+
+
+def _stage_failures(code: LinearCode, words: np.ndarray,
+                    combine: np.ndarray) -> np.ndarray:
+    """True for each trial where decoding with ``code`` leaves a logical
+    error.  ``words`` holds one packed word of ``code`` per grid line and
+    trial (shape (lines, t)); row b of ``combine`` selects the lines whose
+    XOR is the b-th decoded word."""
+    combined = np.empty((combine.shape[0], words.shape[1]), words.dtype)
+    for b, row in enumerate(combine):
+        support = np.flatnonzero(row)
+        acc = words[support[0]].copy()
+        for j in support[1:]:
+            acc ^= words[j]
+        combined[b] = acc
+    return code.fail[combined].any(axis=0)
 
 
 def _batch_failures(code: SubsystemCode, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorized recovery over a batch of errors; True where recovery
-    leaves a logical error.  Exactly matches :func:`subqec.recovery.recover`
-    trial for trial (pinned by tests)."""
+    """Vectorized recovery over a batch of (t, n1, n2) errors; True where
+    recovery leaves a logical error.  Exactly matches
+    :func:`subqec.recovery.recover` trial for trial (pinned by tests).
+
+    Uses the factors' ``fail`` tables (see the module docstring).  A factor
+    longer than 20 bits has no table; such batches replay ``recover``.
+    """
     c1, c2 = code.c1, code.c2
-    t1 = _decode_array(c1)
-    t2 = _decode_array(c2)
-    m1, m2 = c1.n - c1.k, c2.n - c2.k
-    p1, g1 = c1.check, c1.generator
-    p1c = c1.check_complement
-    p2, g2 = c2.check, c2.generator
-    p2c = c2.check_complement
-
-    s_z = np.einsum("ai,tij,bj->tab", p1, x, g2) & 1
-    idx = np.tensordot(s_z, 1 << np.arange(m1, dtype=np.int64), axes=([1], [0]))
-    chat = t1[idx].transpose(0, 2, 1)
-    bx = np.einsum("tik,kj->tij", chat, p2c) & 1
-    resid_x = np.einsum("ai,tij,bj->tab", p1c, x ^ bx, g2) & 1
-
-    s_x = np.einsum("ai,tij,bj->tab", g1, z, p2) & 1
-    idx2 = np.tensordot(s_x, 1 << np.arange(m2, dtype=np.int64), axes=([2], [0]))
-    fhat = t2[idx2]
-    az = np.einsum("ai,taj->tij", p1c, fhat) & 1
-    resid_z = np.einsum("ai,tij,bj->tab", g1, z ^ az, p2c) & 1
-
-    return resid_x.any(axis=(1, 2)) | resid_z.any(axis=(1, 2))
+    if max(c1.n, c2.n) > _TABLE_MAX_N:
+        return np.array([not recover(code, PauliGrid(zt, xt)).logical_ok
+                         for zt, xt in zip(z, x)], dtype=bool)
+    return (_stage_failures(c1, _line_words(x, columns=True), c2.generator)
+            | _stage_failures(c2, _line_words(z, columns=False), c1.generator))
 
 
 def _count_chunk(code: SubsystemCode, noise: NoiseModel, seed: int,
@@ -190,9 +227,12 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
         raise ValueError("seed must fit in 64 bits")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    # Touch the decode tables before fanning out so threads share them.
-    _decode_array(code.c1)
-    _decode_array(code.c2)
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    # A zero-trial batch builds the factors' tables before threads fan out,
+    # so they share one copy.
+    empty = np.zeros((0, code.n1, code.n2), np.uint8)
+    _batch_failures(code, empty, empty)
 
     bounds = np.linspace(0, trials, workers + 1).astype(int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
@@ -207,6 +247,7 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
     failures = int(sum(counts))
     rate = failures / trials
     std_error = math.sqrt(rate * (1.0 - rate) / trials)
+    ci_low, ci_high = _wilson_interval(failures, trials)
     return TrialReport(
         trials=trials,
         logical_failures=failures,
@@ -214,36 +255,41 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
         std_error=std_error,
         seed=seed,
         code_params=(code.n, code.k, code.gauge_qubits, len(code.stabilizers)),
+        ci_low=ci_low,
+        ci_high=ci_high,
     )
 
 
 def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
-    """Exact logical failure rate for a single-axis channel by enumerating
-    all 2**n error patterns through the reference recovery path.
+    """Exact logical failure rate for a single-axis channel by pushing all
+    2**n error patterns through the batch kernel.
 
-    Only ``x_only`` and ``z_only`` channels factorize this way; the grid is
-    capped at 20 sites (2**20 patterns).
+    Failing patterns are counted by weight w and the rate is
+    ``sum_w count_w p**w (1-p)**(n-w)``.  Only ``x_only`` and ``z_only``
+    channels factorize this way; the grid is capped at 20 sites (2**20
+    patterns, run in chunks of 2**14).
     """
     if noise.kind not in ("x_only", "z_only"):
         raise ValueError("exact enumeration needs an x_only or z_only channel")
     n = code.n
     if n > _EXACT_MAX_N:
         raise ValueError(f"{n} sites would mean 2**{n} patterns; too many")
-    p = noise.p
-    zero = np.zeros((code.n1, code.n2), np.uint8)
     shifts = np.arange(n, dtype=np.int64)
-    rate = 0.0
-    for pattern in range(1 << n):
-        bits = ((pattern >> shifts) & 1).astype(np.uint8)
-        grid = bits.reshape(code.n1, code.n2)
+    failing = np.zeros(n + 1, np.int64)
+    for start in range(0, 1 << n, _EXACT_CHUNK):
+        patterns = np.arange(start, min(start + _EXACT_CHUNK, 1 << n),
+                             dtype=np.int64)
+        bits = ((patterns[:, None] >> shifts) & 1).astype(np.uint8)
+        grids = bits.reshape(-1, code.n1, code.n2)
+        zero = np.zeros_like(grids)
         if noise.kind == "x_only":
-            err = PauliGrid(zero, grid)
+            failed = _batch_failures(code, zero, grids)
         else:
-            err = PauliGrid(grid, zero)
-        if not recover(code, err).logical_ok:
-            w = int(bits.sum())
-            rate += (p ** w) * ((1.0 - p) ** (n - w))
-    return rate
+            failed = _batch_failures(code, grids, zero)
+        failing += np.bincount(bits[failed].sum(axis=1), minlength=n + 1)
+    p = noise.p
+    return math.fsum(int(count) * p ** w * (1.0 - p) ** (n - w)
+                     for w, count in enumerate(failing) if count)
 
 
 def _subsystem_stab_count(n1: int, k1: int, n2: int, k2: int) -> int:

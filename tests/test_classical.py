@@ -187,6 +187,82 @@ def test_decode_bounded_search_matches_table():
             assert np.array_equal(code._bounded_search(s), expect)
 
 
+def weight_lex_leader(code, s):
+    """Oracle: the (weight, lexicographic) smallest vector with syndrome s,
+    by scanning all 2^n vectors."""
+    return min(
+        (v for v in itertools.product((0, 1), repeat=code.n)
+         if np.array_equal(code.syndrome(np.array(v, np.uint8)), s)),
+        key=lambda v: (sum(v), v))
+
+
+def word_bits(v, n):
+    """Bits of an n-bit word, position 0 first (the tables' numeral order)."""
+    return np.array([(v >> (n - 1 - i)) & 1 for i in range(n)], np.uint8)
+
+
+TABLE_CODES = {
+    "rep6": lambda: repetition(6),
+    "hamming": hamming_7_4,
+    "random63": lambda: LinearCode.from_generator(
+        [[1, 1, 0, 1, 0, 0], [0, 1, 1, 0, 1, 0], [1, 0, 1, 0, 0, 1]]),
+    "rep1": lambda: repetition(1),
+}
+
+
+@pytest.mark.parametrize("codename", sorted(TABLE_CODES))
+def test_decode_table_matches_weight_lex_scan(codename):
+    code = TABLE_CODES[codename]()
+    m = code.n - code.k
+    assert code.decode_table.shape == (1 << m, code.n)
+    for s_int in range(1 << m):
+        s = np.array([(s_int >> i) & 1 for i in range(m)], np.uint8)
+        assert tuple(code.decode_table[s_int]) == weight_lex_leader(code, s)
+
+
+@pytest.mark.parametrize("codename", sorted(TABLE_CODES))
+def test_fail_table_matches_decode(codename):
+    code = TABLE_CODES[codename]()
+    assert code.fail.shape == (1 << code.n,)
+    for v in range(1 << code.n):
+        bits = word_bits(v, code.n)
+        residual = bits ^ code.decode(code.syndrome(bits))
+        logical = (code.check_complement @ residual) & 1
+        assert code.fail[v] == bool(logical.any())
+
+
+def test_tables_are_read_only(ham):
+    with pytest.raises(ValueError):
+        ham.decode_table[0, 0] = 1
+    with pytest.raises(ValueError):
+        ham.fail[0] = True
+
+
+def test_tables_refused_above_twenty_bits():
+    code = repetition(21)
+    with pytest.raises(ValueError):
+        code.fail
+    with pytest.raises(ValueError):
+        code.decode_table
+
+
+def test_decode_rep17_uses_table_and_matches_bounded_search():
+    # n = 17 is above the old 16-bit table limit; syndromes whose leader
+    # needs more than decode_weight_cap flips used to raise.
+    code = repetition(17)
+    far = np.zeros(code.n, np.uint8)
+    far[:8] = 1
+    assert np.array_equal(code.decode(code.syndrome(far)), far)
+    rng = np.random.default_rng(170)
+    for _ in range(30):
+        w = int(rng.integers(0, code.decode_weight_cap + 1))
+        e = np.zeros(code.n, np.uint8)
+        e[rng.choice(code.n, size=w, replace=False)] = 1
+        s = code.syndrome(e)
+        assert np.array_equal(code.decode(s), e)
+        assert np.array_equal(code._bounded_search(s), e)
+
+
 def test_decode_length_check(rep3):
     with pytest.raises(ValueError):
         rep3.decode([1, 0, 1])

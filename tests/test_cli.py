@@ -171,6 +171,18 @@ def test_simulate_golden_and_stable(capsys):
     assert out2 == out
 
 
+def test_simulate_zero_failures_reports_interval(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--c1", "rep:3", "--c2", "rep:3",
+                           "--noise", "x_only", "--p", "0",
+                           "--trials", "1000", "--seed", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["logical_failures"] == 0
+    assert payload["std_error"] == 0.0
+    assert payload["ci_low"] == 0.0
+    assert 0.0038 < payload["ci_high"] < 0.0039
+
+
 # -- matrix files -------------------------------------------------------------
 
 def test_matrix_round_trip():

@@ -156,5 +156,10 @@ def test_equality_includes_phase():
 
 
 def test_rejects_non_binary_entries():
-    with pytest.raises(ValueError):
-        PauliGrid([[2]], [[0]])
+    # 256 and -1 must not wrap to a valid uint8 exponent, and 0.5 must not
+    # truncate to 0.
+    for bad in ([[2]], [[256]], [[-1]], [[0.5]], np.array([[256]])):
+        with pytest.raises(ValueError):
+            PauliGrid(bad, [[0]])
+        with pytest.raises(ValueError):
+            PauliGrid([[0]], bad)

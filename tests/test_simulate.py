@@ -7,17 +7,19 @@ import numpy as np
 import pytest
 
 from subqec import (
+    LinearCode,
     NoiseModel,
     PauliGrid,
     ShorCode,
     SubsystemCode,
     compare_report,
     exact_rate_enumeration,
+    hamming_7_4,
     recover,
     repetition,
     run_trials,
 )
-from subqec.simulate import _batch_failures, _trial_uniforms
+from subqec.simulate import _WILSON_Z, _batch_failures, _trial_uniforms
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +47,35 @@ def analytic_rep_grid_rate(n, p):
     raise NotImplementedError
 
 
+def majority_failure(n, q):
+    """Failure rate of coset-leader decoding of rep(n) when each bit flips
+    independently with probability q.  For even n exactly one of the two
+    weight-n/2 patterns sharing a syndrome is its coset leader, so half of
+    them fail."""
+    rate = sum(comb(n, w) * q ** w * (1 - q) ** (n - w)
+               for w in range(n // 2 + 1, n + 1))
+    if n % 2 == 0:
+        rate += 0.5 * comb(n, n // 2) * (q * (1 - q)) ** (n // 2)
+    return rate
+
+
+def reference_exact_rate(code, noise):
+    """Exact single-axis failure rate by sending every pattern through the
+    reference recovery path."""
+    n = code.n
+    zero = np.zeros((code.n1, code.n2), np.uint8)
+    rate = 0.0
+    for pattern in range(1 << n):
+        bits = ((pattern >> np.arange(n)) & 1).astype(np.uint8)
+        grid = bits.reshape(code.n1, code.n2)
+        err = (PauliGrid(zero, grid) if noise.kind == "x_only"
+               else PauliGrid(grid, zero))
+        if not recover(code, err).logical_ok:
+            w = int(bits.sum())
+            rate += noise.p ** w * (1 - noise.p) ** (n - w)
+    return rate
+
+
 # -- noise models ------------------------------------------------------------
 
 def test_noise_validation():
@@ -52,6 +83,10 @@ def test_noise_validation():
         NoiseModel.depolarizing(1.5)
     with pytest.raises(ValueError):
         NoiseModel.independent_xz(0.1, -0.2)
+    with pytest.raises(ValueError, match="unknown noise kind"):
+        NoiseModel("bogus")
+    with pytest.raises(ValueError, match="p=1.5"):
+        NoiseModel("x_only", p=1.5)
 
 
 def test_depolarizing_splits_evenly():
@@ -161,6 +196,61 @@ def test_run_trials_validation(code9):
         run_trials(code9, noise, 10, seed=1 << 64)
     with pytest.raises(ValueError):
         run_trials(code9, noise, 10, seed=1, workers=0)
+    for batch_size in (0, -5):
+        with pytest.raises(ValueError, match="batch_size"):
+            run_trials(code9, noise, 10, seed=1, batch_size=batch_size)
+
+
+def test_wilson_interval(code9):
+    # Each endpoint e of the Wilson interval solves
+    # (rate - e)^2 = z^2 e (1 - e) / trials.
+    report = run_trials(code9, NoiseModel.depolarizing(0.3), 1000, seed=3)
+    assert report.ci_low < report.rate < report.ci_high
+    for e in (report.ci_low, report.ci_high):
+        lhs = (report.rate - e) ** 2
+        rhs = _WILSON_Z ** 2 * e * (1 - e) / report.trials
+        assert lhs == pytest.approx(rhs, rel=1e-9)
+    # No failures: std_error claims certainty, the interval does not.
+    zero = run_trials(code9, NoiseModel.x_only(0.0), 1000, seed=3)
+    assert zero.std_error == 0.0
+    assert zero.ci_low == 0.0
+    z2 = _WILSON_Z ** 2
+    assert zero.ci_high == pytest.approx(z2 / (1000 + z2), rel=1e-12)
+    # Every trial fails at p = 1 (see test_exact_rate_zero_and_one).
+    full = run_trials(code9, NoiseModel.x_only(1.0), 1000, seed=3)
+    assert full.ci_high == 1.0
+    assert full.ci_low == pytest.approx(1000 / (1000 + z2), rel=1e-12)
+
+
+def test_batch_replays_recover_above_table_limit():
+    # A [21,18] code: three copies of the Hamming check columns, so every
+    # syndrome has a weight-1 leader, but no 2^21-word table is built.
+    check = np.tile(hamming_7_4().check, 3)
+    code = SubsystemCode(LinearCode.from_parity(check), repetition(1))
+    noise = NoiseModel.x_only(0.05)
+    report = run_trials(code, noise, 60, seed=4)
+    xbits = noise.errors_from_uniforms(_trial_uniforms(4, 0, 60, 21), 21)[1]
+    zero = np.zeros((21, 1), np.uint8)
+    expect = sum(not recover(code, PauliGrid(zero, x.reshape(21, 1))).logical_ok
+                 for x in xbits)
+    assert report.logical_failures == expect
+
+
+def test_run_trials_above_sixteen_bits(rep3):
+    # rep17 has syndromes whose leaders weigh up to 8; the coset-leader
+    # table now covers them.  The first trials are replayed through recover.
+    code = SubsystemCode(repetition(17), rep3)
+    noise = NoiseModel.depolarizing(0.2)
+    report = run_trials(code, noise, 3000, seed=8)
+    assert report.trials == 3000
+    assert 0 < report.logical_failures < 3000
+    u = _trial_uniforms(8, 0, 40, noise.draws_per_site * code.n)
+    zbits, xbits = noise.errors_from_uniforms(u, code.n)
+    z = zbits.reshape(-1, 17, 3)
+    x = xbits.reshape(-1, 17, 3)
+    batch = _batch_failures(code, z, x)
+    for i in range(40):
+        assert batch[i] == (not recover(code, PauliGrid(z[i], x[i])).logical_ok)
 
 
 # -- exact enumeration ---------------------------------------------------------
@@ -181,6 +271,29 @@ def test_exact_rate_matches_closed_form(code9, code4, p):
         # The construction is symmetric, so z_only matches too.
         got_z = exact_rate_enumeration(code, NoiseModel.z_only(p))
         assert got_z == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("pair,kind", [
+    ((3, 3), "x_only"), ((3, 3), "z_only"),
+    ((2, 4), "x_only"), ((2, 4), "z_only"),
+    (("ham", 1), "x_only"), ((1, "ham"), "z_only"),
+])
+def test_exact_rate_matches_reference_enumeration(pair, kind):
+    c1, c2 = (hamming_7_4() if c == "ham" else repetition(c) for c in pair)
+    code = SubsystemCode(c1, c2)
+    for p in (0.05, 0.3):
+        noise = getattr(NoiseModel, kind)(p)
+        assert exact_rate_enumeration(code, noise) == pytest.approx(
+            reference_exact_rate(code, noise), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_exact_rate_long_repetition_matches_majority(n):
+    # rep(n) x rep1 under x_only is majority decoding of one rep(n) word;
+    # for n = 18 the coset-leader tie-break makes half the ties fail.
+    code = SubsystemCode(repetition(n), repetition(1))
+    got = exact_rate_enumeration(code, NoiseModel.x_only(0.3))
+    assert got == pytest.approx(majority_failure(n, 0.3), rel=1e-12)
 
 
 def test_exact_rate_agrees_with_monte_carlo(code9):

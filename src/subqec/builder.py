@@ -13,6 +13,10 @@ products:
     logical X    (i,j):  x = outer(G1[i],  P2_c[j])   i < k1,    j < k2
     logical Z    (i,j):  z = outer(P1_c[i], G2[j])    same index range
 
+Each family is built as one stack of outer products, and the constructors
+check the whole group structure with one symplectic Gram matrix over all
+generators plus one rank computation (see :meth:`SubsystemCode._verify`).
+
 Every Pauli on the grid splits into eight coefficient blocks along this
 double dual basis (:class:`PauliDecomposition`); the stabilizer and gauge
 blocks act trivially on the encoded qubits, the detect blocks are what the
@@ -20,8 +24,8 @@ stabilizers can see, and the logical blocks are encoded errors.
 
 The Shor-style variant measures a column-local Z check for every column
 instead of spreading checks over codewords of code 2; it encodes the same
-logical qubits with the same logical operators but needs
-(n1-k1)*n2 + k1*(n2-k2) stabilizers instead of (n1-k1)*k2 + k1*(n2-k2).
+logical qubits with the same logical operators and no gauge qubits, but
+needs (n1-k1)*n2 + k1*(n2-k2) stabilizers instead of (n1-k1)*k2 + k1*(n2-k2).
 """
 
 from __future__ import annotations
@@ -68,64 +72,59 @@ class PauliDecomposition:
 
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.outer(u, v).astype(np.uint8)
+    """Every outer product of a row of ``u`` with a row of ``v``, stacked as
+    (rows(u), rows(v), n1, n2) bit grids."""
+    return np.einsum("ai,bj->abij", u, v)
+
+
+def _paulis(grids: np.ndarray, x_type: bool) -> list:
+    """One Z-type (or X-type) PauliGrid per grid of a (..., n1, n2) stack,
+    in C order."""
+    zero = np.zeros(grids.shape[-2:], np.uint8)
+    flat = grids.reshape(-1, *grids.shape[-2:])
+    return [PauliGrid(zero, g) if x_type else PauliGrid(g, zero) for g in flat]
 
 
 class SubsystemCode:
     """Subsystem code on an n1 x n2 grid built from two classical codes.
 
-    The constructor verifies the group structure exhaustively: generator
-    counts, the counting identity, linear independence, and every
-    commutation relation between stabilizer, gauge, and logical generators.
+    The constructor verifies the group structure with one symplectic Gram
+    matrix (see :meth:`_verify`): the generators must be independent and
+    form a symplectic basis of the grid's Paulis, with the stabilizers
+    commuting with everything and the gauge and logical operators in
+    canonically conjugate (Z, X) pairs.
     """
 
     shor = False
 
     def __init__(self, c1: LinearCode, c2: LinearCode):
+        self._init_shared(c1, c2)
+        p1, p2 = c1.check, c2.check
+        self.gauge_qubits = (c1.n - c1.k) * (c2.n - c2.k)
+        self.z_stabilizers = _paulis(_outer(p1, c2.generator), x_type=False)
+        self.z_gauges = _paulis(_outer(p1, c2.generator_complement),
+                                x_type=False)
+        self.x_gauges = _paulis(_outer(c1.generator_complement, p2),
+                                x_type=True)
+        self._verify()
+
+    def _init_shared(self, c1: LinearCode, c2: LinearCode) -> None:
+        """Parameters, X stabilizers and logical operators, which the
+        subsystem and Shor-style codes share."""
         self.c1 = c1
         self.c2 = c2
         self.n1, self.n2 = c1.n, c2.n
         self.n = c1.n * c2.n
         self.k = c1.k * c2.k
-        self.gauge_qubits = (c1.n - c1.k) * (c2.n - c2.k)
         self.distance: Optional[int] = None
         if c1.d is not None and c2.d is not None:
             self.distance = min(c1.d, c2.d)
-
-        p1, g1 = c1.check, c1.generator
-        p1c, g1c = c1.check_complement, c1.generator_complement
-        p2, g2 = c2.check, c2.generator
-        p2c, g2c = c2.check_complement, c2.generator_complement
-
-        def grid(z=None, x=None):
-            zero = np.zeros((self.n1, self.n2), np.uint8)
-            return PauliGrid(zero if z is None else z, zero if x is None else x)
-
-        self.z_stabilizers = [
-            grid(z=_outer(p1[a], g2[b]))
-            for a in range(c1.n - c1.k) for b in range(c2.k)
-        ]
-        self.x_stabilizers = [
-            grid(x=_outer(g1[a], p2[b]))
-            for a in range(c1.k) for b in range(c2.n - c2.k)
-        ]
-        self.z_gauges = [
-            grid(z=_outer(p1[a], g2c[b]))
-            for a in range(c1.n - c1.k) for b in range(c2.n - c2.k)
-        ]
-        self.x_gauges = [
-            grid(x=_outer(g1c[a], p2[b]))
-            for a in range(c1.n - c1.k) for b in range(c2.n - c2.k)
-        ]
-        self.logical_x = [
-            [grid(x=_outer(g1[i], p2c[j])) for j in range(c2.k)]
-            for i in range(c1.k)
-        ]
-        self.logical_z = [
-            [grid(z=_outer(p1c[i], g2[j])) for j in range(c2.k)]
-            for i in range(c1.k)
-        ]
-        self._verify()
+        g1 = c1.generator
+        self.x_stabilizers = _paulis(_outer(g1, c2.check), x_type=True)
+        self.logical_x = [_paulis(row, x_type=True)
+                          for row in _outer(g1, c2.check_complement)]
+        self.logical_z = [_paulis(row, x_type=False)
+                          for row in _outer(c1.check_complement, c2.generator)]
 
     # -- generator access ------------------------------------------------
 
@@ -211,94 +210,50 @@ class SubsystemCode:
             dtype=np.uint8).reshape(len(ops), 2 * self.n)
 
     def _verify(self):
-        c1, c2 = self.c1, self.c2
-        n_stab = len(self.z_stabilizers) + len(self.x_stabilizers)
-        expect_stab = (c1.n - c1.k) * c2.k + c1.k * (c2.n - c2.k)
-        if n_stab != expect_stab:
-            raise ValueError("internal error: stabilizer count mismatch")
-        if self.gauge_qubits + n_stab + self.k != self.n:
-            raise ValueError(
-                "internal error: gauge + stabilizer + logical counts do not "
-                "fill the grid")
+        """Check the generators with one symplectic Gram matrix.
+
+        Rows are the stabilizers, then the Z partners (Z gauges, then the
+        logical Z operators), then the X partners (X gauges, then the
+        logical X operators, in the same order).  With ``M = Z X^T`` over
+        the rows' Z and X parts, ``M xor M^T`` is the commutation matrix;
+        it must be ``[[0,0,0],[0,0,I],[0,I,0]]``.  The stabilizers and the
+        Z partners must number ``n`` and all rows must be independent, so
+        the rows form a symplectic basis of the grid's Paulis.
+        """
         stab = self.stabilizers
-        flat_logicals = self.logicals
-        gens = stab + self.gauges + flat_logicals
-        if gf2.rank(self._symplectic_rows(gens)) != len(gens):
+        z_partners = self.z_gauges + [op for row in self.logical_z for op in row]
+        x_partners = self.x_gauges + [op for row in self.logical_x for op in row]
+        s, p = len(stab), len(z_partners)
+        if s + p != self.n:
+            raise ValueError(
+                "internal error: stabilizer and partner counts do not fill "
+                "the grid")
+        rows = self._symplectic_rows(stab + z_partners + x_partners)
+        m = gf2.mat_mul(rows[:, :self.n], rows[:, self.n:].T)
+        want = np.zeros((s + 2 * p, s + 2 * p), np.uint8)
+        want[s:s + p, s + p:] = want[s + p:, s:s + p] = np.eye(p, dtype=np.uint8)
+        if not np.array_equal(m ^ m.T, want):
+            raise ValueError(
+                "internal error: commutation relations break the stabilizer "
+                "/ conjugate-pair pattern")
+        if gf2.rank(rows) != len(rows):
             raise ValueError("internal error: generators are dependent")
-        for s in stab:
-            for other in gens:
-                if not s.commutes(other):
-                    raise ValueError(
-                        "internal error: a stabilizer fails to commute")
-        pairs = self.gauge_pairs
-        for i, (zg, xg) in enumerate(pairs):
-            for j, (zh, xh) in enumerate(pairs):
-                if zg.commutes(xh) != (i != j):
-                    raise ValueError(
-                        "internal error: gauge pairs are not canonical")
-                if not zg.commutes(zh) or not xg.commutes(xh):
-                    raise ValueError(
-                        "internal error: same-type gauge generators clash")
-        for g in self.gauges:
-            for l in flat_logicals:
-                if not g.commutes(l):
-                    raise ValueError(
-                        "internal error: gauge disturbs a logical operator")
-        for i in range(c1.k):
-            for j in range(c2.k):
-                for m in range(c1.k):
-                    for l in range(c2.k):
-                        want_anticommute = (i, j) == (m, l)
-                        lx, lz = self.logical_x[i][j], self.logical_z[m][l]
-                        if lx.commutes(lz) == want_anticommute:
-                            raise ValueError(
-                                "internal error: logical pairing is wrong")
-                        if not self.logical_x[i][j].commutes(
-                                self.logical_x[m][l]):
-                            raise ValueError(
-                                "internal error: logical X operators clash")
-                        if not self.logical_z[i][j].commutes(
-                                self.logical_z[m][l]):
-                            raise ValueError(
-                                "internal error: logical Z operators clash")
 
 
 class ShorCode(SubsystemCode):
-    """Shor-style subspace code: same grid, same logicals, column-local
-    Z checks for every column of the grid."""
+    """Shor-style subspace code: same grid, same X stabilizers and logicals,
+    column-local Z checks for every column of the grid and no gauge
+    qubits."""
 
     shor = True
 
     def __init__(self, c1: LinearCode, c2: LinearCode):
-        super().__init__(c1, c2)
-        p1 = c1.check
-        zero = np.zeros((self.n1, self.n2), np.uint8)
-        z_stabs = []
-        for j in range(self.n2):
-            e_j = np.zeros(self.n2, np.uint8)
-            e_j[j] = 1
-            for a in range(c1.n - c1.k):
-                z_stabs.append(PauliGrid(_outer(p1[a], e_j), zero))
-        self.z_stabilizers = z_stabs
-        # X stabilizers and logical operators are inherited unchanged; the
-        # subsystem gauge generators play no role here.
+        self._init_shared(c1, c2)
+        self.gauge_qubits = 0
+        # Column j, then check row a: z = outer(P1[a], e_j).
+        self.z_stabilizers = _paulis(
+            _outer(c1.check, np.eye(c2.n, dtype=np.uint8)).swapaxes(0, 1),
+            x_type=False)
         self.z_gauges = []
         self.x_gauges = []
-        self.gauge_qubits = 0
-        self._verify_shor()
-
-    def _verify_shor(self):
-        c1, c2 = self.c1, self.c2
-        expect = (c1.n - c1.k) * c2.n + c1.k * (c2.n - c2.k)
-        if len(self.z_stabilizers) + len(self.x_stabilizers) != expect:
-            raise ValueError("internal error: Shor stabilizer count mismatch")
-        if self.n - expect != self.k:
-            raise ValueError("internal error: Shor code encodes wrong k")
-        gens = self.stabilizers + self.logicals
-        if gf2.rank(self._symplectic_rows(gens)) != len(gens):
-            raise ValueError("internal error: Shor generators are dependent")
-        for s in self.stabilizers:
-            for other in gens:
-                if not s.commutes(other):
-                    raise ValueError(
-                        "internal error: a Shor stabilizer fails to commute")
+        self._verify()

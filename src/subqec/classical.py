@@ -165,6 +165,14 @@ class LinearCode:
         self._distance = best
         return best
 
+    def distance_if_enumerable(self) -> Optional[int]:
+        """:meth:`min_distance` (cached like it), or None when the code is
+        too large to enumerate."""
+        try:
+            return self.min_distance()
+        except ValueError:
+            return None
+
     def syndrome(self, e) -> np.ndarray:
         """Syndrome ``check @ e`` of an error vector of length n."""
         e = np.asarray(e, dtype=np.uint8).reshape(-1)

@@ -148,17 +148,11 @@ def _round_rates(payload, keys=("rate", "std_error")):
 
 def _cmd_info(args) -> int:
     code = load_code(args.codespec)
-    d = code.d
-    if d is None:
-        try:
-            d = code.min_distance()
-        except ValueError:
-            d = None
     _emit({
         "name": code.name,
         "n": code.n,
         "k": code.k,
-        "d": d,
+        "d": code.distance_if_enumerable(),
         "generator": ["".join(str(int(b)) for b in r) for r in code.generator],
         "check": ["".join(str(int(b)) for b in r) for r in code.check],
         "check_complement": ["".join(str(int(b)) for b in r)
@@ -173,11 +167,7 @@ def _build(args):
     c1 = load_code(args.c1)
     c2 = load_code(args.c2)
     for c in (c1, c2):
-        if c.d is None:
-            try:
-                c.min_distance()
-            except ValueError:
-                pass  # block too large to enumerate; leave d unknown
+        c.distance_if_enumerable()  # fills in d, which the grid code reads
     return ShorCode(c1, c2) if getattr(args, "shor", False) else SubsystemCode(c1, c2)
 
 

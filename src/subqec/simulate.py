@@ -262,7 +262,7 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
 
 def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
     """Exact logical failure rate for a single-axis channel by pushing all
-    2**n error patterns through the batch kernel.
+    2**n error patterns through the one kernel stage the channel can trip.
 
     Failing patterns are counted by weight w and the rate is
     ``sum_w count_w p**w (1-p)**(n-w)``.  Only ``x_only`` and ``z_only``
@@ -274,6 +274,11 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
     n = code.n
     if n > _EXACT_MAX_N:
         raise ValueError(f"{n} sites would mean 2**{n} patterns; too many")
+    # Only one stage can fail: bit flips are decoded down the columns with
+    # code 1, phase flips along the rows with code 2.
+    bit_flip = noise.kind == "x_only"
+    decoder, combine = ((code.c1, code.c2.generator) if bit_flip
+                        else (code.c2, code.c1.generator))
     shifts = np.arange(n, dtype=np.int64)
     failing = np.zeros(n + 1, np.int64)
     for start in range(0, 1 << n, _EXACT_CHUNK):
@@ -281,11 +286,8 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
                              dtype=np.int64)
         bits = ((patterns[:, None] >> shifts) & 1).astype(np.uint8)
         grids = bits.reshape(-1, code.n1, code.n2)
-        zero = np.zeros_like(grids)
-        if noise.kind == "x_only":
-            failed = _batch_failures(code, zero, grids)
-        else:
-            failed = _batch_failures(code, grids, zero)
+        failed = _stage_failures(decoder, _line_words(grids, columns=bit_flip),
+                                 combine)
         failing += np.bincount(bits[failed].sum(axis=1), minlength=n + 1)
     p = noise.p
     return math.fsum(int(count) * p ** w * (1.0 - p) ** (n - w)
@@ -301,13 +303,7 @@ def _shor_stab_count(n1: int, k1: int, n2: int, k2: int) -> int:
 
 
 def _classical_summary(c: LinearCode) -> dict:
-    d = c.d
-    if d is None:
-        try:
-            d = c.min_distance()
-        except ValueError:
-            d = None
-    return {"n": c.n, "k": c.k, "d": d}
+    return {"n": c.n, "k": c.k, "d": c.distance_if_enumerable()}
 
 
 def compare_report(c1: LinearCode, c2: LinearCode) -> dict:

@@ -175,12 +175,54 @@ def test_shor_group_strictly_larger(code9, shor9):
     assert not all(in_group)
 
 
-def test_verification_catches_corruption(rep3):
+def replace_last_z_stabilizer(rep3):
     code = SubsystemCode(rep3, rep3)
     code.z_stabilizers = code.z_stabilizers[:-1] + [
         PauliGrid.single(3, 3, 0, 0, "Z")]
-    with pytest.raises(ValueError):
+    return code
+
+
+def duplicate_z_stabilizer(rep3):
+    code = SubsystemCode(rep3, rep3)
+    code.z_stabilizers = [code.z_stabilizers[0]] * len(code.z_stabilizers)
+    return code
+
+
+def reverse_x_gauges(rep3):
+    code = SubsystemCode(rep3, rep3)
+    code.x_gauges = code.x_gauges[::-1]
+    return code
+
+
+def logical_x_hits_gauge(rep3):
+    """Logical X times an X gauge anticommutes with that gauge's Z partner."""
+    code = SubsystemCode(rep3, rep3)
+    code.logical_x = [[code.logical_x[0][0] * code.x_gauges[0]]]
+    return code
+
+
+def shor_stabilizer_is_logical(rep3):
+    code = ShorCode(rep3, rep3)
+    code.x_stabilizers = code.x_stabilizers[:-1] + [code.logical_x[0][0]]
+    return code
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (replace_last_z_stabilizer, None),
+    (duplicate_z_stabilizer, "dependent"),
+    (reverse_x_gauges, "commutation"),
+    (logical_x_hits_gauge, "commutation"),
+    (shor_stabilizer_is_logical, "commutation"),
+], ids=["replaced_stabilizer", "duplicated_stabilizer", "reversed_x_gauges",
+        "logical_x_hits_gauge", "shor_stabilizer_is_logical"])
+def test_verification_catches_corruption(rep3, corrupt, message):
+    code = corrupt(rep3)
+    with pytest.raises(ValueError, match=message):
         code._verify()
+
+
+def test_shor_verify_accepts_intact_code(rep3):
+    ShorCode(rep3, rep3)._verify()
 
 
 # -- decomposition -------------------------------------------------------------

@@ -2,25 +2,27 @@
 
 Qubits live on an n1 x n2 grid.  Code 1 runs down the columns and protects
 against bit flips; code 2 runs along the rows and protects against phase
-flips.  Writing P/G for check/generator matrices and P_c/G_c for their dual
-complements (see :mod:`subqec.classical`), the generating sets are outer
-products:
+flips.  Each code carries a basis E = [G_c; G] and its dual D = [P; C_c],
+D E^T = I, where P/G are its check/generator matrices and C_c/G_c their
+dual complements (see :mod:`subqec.classical`).  Their outer products are the
+grid's Z-type basis outer(D1[a], E2[b]) and X-type basis outer(E1[a], D2[b]).
+A grid Pauli (z, x) has the coordinates Zc = E1 z D2^T and Xc = D1 x E2^T
+along them, and z = D1^T Zc E2, x = E1^T Xc D2.  With r = n - k, each index
+quadrant holds at most one generator family of each type, and the
+coordinates in it are one block of :class:`PauliDecomposition`:
 
-    Z stabilizer (a,b):  z = outer(P1[a],  G2[b])     a < n1-k1, b < k2
-    X stabilizer (a,b):  x = outer(G1[a],  P2[b])     a < k1,    b < n2-k2
-    Z gauge      (a,b):  z = outer(P1[a],  G2_c[b])   a < n1-k1, b < n2-k2
-    X gauge      (a,b):  x = outer(G1_c[a], P2[b])    same index range
-    logical X    (i,j):  x = outer(G1[i],  P2_c[j])   i < k1,    j < k2
-    logical Z    (i,j):  z = outer(P1_c[i], G2[j])    same index range
+    quadrant     Z-type basis    Zc block     X-type basis    Xc block
+    [:r1, :r2]   Z gauges        z_gauge      X gauges        x_gauge
+    [:r1, r2:]   Z stabilizers   z_stab       -               x_detect
+    [r1:, :r2]   -               z_detect     X stabilizers   x_stab
+    [r1:, r2:]   logical Z       z_logical    logical X       x_logical
 
-Each family is built as one stack of outer products, and the constructors
-check the whole group structure with one symplectic Gram matrix over all
-generators plus one rank computation (see :meth:`SubsystemCode._verify`).
-
-Every Pauli on the grid splits into eight coefficient blocks along this
-double dual basis (:class:`PauliDecomposition`); the stabilizer and gauge
-blocks act trivially on the encoded qubits, the detect blocks are what the
-stabilizers can see, and the logical blocks are encoded errors.
+Z-type element (a,b) anticommutes only with X-type element (a,b).  So
+``z_detect`` / ``x_detect`` are the X- / Z-stabilizer syndromes, the
+stabilizer and gauge blocks act trivially on the encoded qubits, and the
+logical blocks are encoded errors.  The constructors check the group
+structure without this algebra: one symplectic Gram matrix over the
+generators' bits plus one rank (see :meth:`SubsystemCode._verify`).
 
 The Shor-style variant measures a column-local Z check for every column
 instead of spreading checks over codewords of code 2; it encodes the same
@@ -42,17 +44,11 @@ from .pauli import PauliGrid
 
 @dataclass(frozen=True, eq=False)
 class PauliDecomposition:
-    """Coefficient blocks of a grid Pauli along the double dual basis.
-
-    Block shapes (k1, k2 from code 1/2):
-
-        z_stab    (n1-k1, k2)      z_gauge   (n1-k1, n2-k2)
-        z_logical (k1, k2)         z_detect  (k1, n2-k2)
-        x_stab    (k1, n2-k2)      x_gauge   (n1-k1, n2-k2)
-        x_logical (k1, k2)         x_detect  (n1-k1, k2)
-
-    ``z_detect`` is exactly the X-stabilizer syndrome of the operator and
-    ``x_detect`` the Z-stabilizer syndrome.
+    """Coefficient blocks of a grid Pauli along the grid's two bases: the
+    quadrants of its coordinates (module docstring), so ``z_stab`` is
+    (n1-k1) x k2, ``z_detect`` k1 x (n2-k2), ``x_detect`` (n1-k1) x k2,
+    ``x_stab`` k1 x (n2-k2), both gauge blocks (n1-k1) x (n2-k2) and both
+    logical blocks k1 x k2.
     """
 
     z_stab: np.ndarray
@@ -98,19 +94,18 @@ class SubsystemCode:
     shor = False
 
     def __init__(self, c1: LinearCode, c2: LinearCode):
-        self._init_shared(c1, c2)
-        p1, p2 = c1.check, c2.check
-        self.gauge_qubits = (c1.n - c1.k) * (c2.n - c2.k)
-        self.z_stabilizers = _paulis(_outer(p1, c2.generator), x_type=False)
-        self.z_gauges = _paulis(_outer(p1, c2.generator_complement),
-                                x_type=False)
-        self.x_gauges = _paulis(_outer(c1.generator_complement, p2),
-                                x_type=True)
+        z_basis, x_basis = self._init_shared(c1, c2)
+        r1, r2 = c1.n - c1.k, c2.n - c2.k
+        self.gauge_qubits = r1 * r2
+        self.z_stabilizers = _paulis(z_basis[:r1, r2:], x_type=False)
+        self.z_gauges = _paulis(z_basis[:r1, :r2], x_type=False)
+        self.x_gauges = _paulis(x_basis[:r1, :r2], x_type=True)
         self._verify()
 
-    def _init_shared(self, c1: LinearCode, c2: LinearCode) -> None:
+    def _init_shared(self, c1: LinearCode, c2: LinearCode) -> tuple:
         """Parameters, X stabilizers and logical operators, which the
-        subsystem and Shor-style codes share."""
+        subsystem and Shor-style codes share.  Returns the Z-type and X-type
+        basis stacks."""
         self.c1 = c1
         self.c2 = c2
         self.n1, self.n2 = c1.n, c2.n
@@ -119,12 +114,15 @@ class SubsystemCode:
         self.distance: Optional[int] = None
         if c1.d is not None and c2.d is not None:
             self.distance = min(c1.d, c2.d)
-        g1 = c1.generator
-        self.x_stabilizers = _paulis(_outer(g1, c2.check), x_type=True)
+        r1, r2 = c1.n - c1.k, c2.n - c2.k
+        z_basis = _outer(c1.dual_basis, c2.basis)
+        x_basis = _outer(c1.basis, c2.dual_basis)
+        self.x_stabilizers = _paulis(x_basis[r1:, :r2], x_type=True)
         self.logical_x = [_paulis(row, x_type=True)
-                          for row in _outer(g1, c2.check_complement)]
+                          for row in x_basis[r1:, r2:]]
         self.logical_z = [_paulis(row, x_type=False)
-                          for row in _outer(c1.check_complement, c2.generator)]
+                          for row in z_basis[r1:, r2:]]
+        return z_basis, x_basis
 
     # -- generator access ------------------------------------------------
 
@@ -163,22 +161,21 @@ class SubsystemCode:
     # -- decomposition ---------------------------------------------------
 
     def decompose(self, op: PauliGrid) -> PauliDecomposition:
-        """Split ``op`` into its eight coefficient blocks."""
+        """Split ``op`` into its eight coefficient blocks: the quadrants of
+        its coordinates ``E1 z D2^T`` and ``D1 x E2^T``."""
         if op.shape != (self.n1, self.n2):
             raise ValueError(f"operator shape {op.shape} is not "
                              f"({self.n1},{self.n2})")
         c1, c2 = self.c1, self.c2
-        a, b = op.z, op.x
+        r1, r2 = c1.n - c1.k, c2.n - c2.k
         mm = gf2.mat_mul
+        zc = mm(mm(c1.basis, op.z), c2.dual_basis.T)
+        xc = mm(mm(c1.dual_basis, op.x), c2.basis.T)
         return PauliDecomposition(
-            z_stab=mm(mm(c1.generator_complement, a), c2.check_complement.T),
-            z_gauge=mm(mm(c1.generator_complement, a), c2.check.T),
-            z_logical=mm(mm(c1.generator, a), c2.check_complement.T),
-            z_detect=mm(mm(c1.generator, a), c2.check.T),
-            x_stab=mm(mm(c1.check_complement, b), c2.generator_complement.T),
-            x_gauge=mm(mm(c1.check, b), c2.generator_complement.T),
-            x_logical=mm(mm(c1.check_complement, b), c2.generator.T),
-            x_detect=mm(mm(c1.check, b), c2.generator.T),
+            z_stab=zc[:r1, r2:], z_gauge=zc[:r1, :r2],
+            z_logical=zc[r1:, r2:], z_detect=zc[r1:, :r2],
+            x_stab=xc[r1:, :r2], x_gauge=xc[:r1, :r2],
+            x_logical=xc[r1:, r2:], x_detect=xc[:r1, r2:],
             phase=op.phase,
         )
 
@@ -186,16 +183,10 @@ class SubsystemCode:
         """Rebuild the grid Pauli from its coefficient blocks."""
         c1, c2 = self.c1, self.c2
         mm = gf2.mat_mul
-        z = (mm(mm(c1.check.T, dec.z_stab), c2.generator)
-             ^ mm(mm(c1.check.T, dec.z_gauge), c2.generator_complement)
-             ^ mm(mm(c1.check_complement.T, dec.z_logical), c2.generator)
-             ^ mm(mm(c1.check_complement.T, dec.z_detect),
-                  c2.generator_complement))
-        x = (mm(mm(c1.generator.T, dec.x_stab), c2.check)
-             ^ mm(mm(c1.generator_complement.T, dec.x_gauge), c2.check)
-             ^ mm(mm(c1.generator.T, dec.x_logical), c2.check_complement)
-             ^ mm(mm(c1.generator_complement.T, dec.x_detect),
-                  c2.check_complement))
+        zc = np.block([[dec.z_gauge, dec.z_stab], [dec.z_detect, dec.z_logical]])
+        xc = np.block([[dec.x_gauge, dec.x_detect], [dec.x_stab, dec.x_logical]])
+        z = mm(mm(c1.dual_basis.T, zc), c2.basis)
+        x = mm(mm(c1.basis.T, xc), c2.dual_basis)
         return PauliGrid(z, x, dec.phase)
 
     def contains_gauge(self, op: PauliGrid) -> bool:

@@ -10,7 +10,9 @@ the length-n bit space:
 
 The two complements are what make the code usable as one axis of a grid
 code: ``check_complement`` rows play the role of encoded-Z operators and
-``generator_complement`` rows the role of pure errors.
+``generator_complement`` rows the role of pure errors.  Stacked, they form
+two n x n bases, ``basis`` E = [generator_complement; generator] and
+``dual_basis`` D = [check; check_complement], with D E^T = I.
 
 For n <= 20 a code also carries two lazily built, read-only lookup tables,
 each filled by a vectorised pass over all 2**n words:
@@ -37,11 +39,11 @@ import numpy as np
 from . import gf2
 
 # Syndrome decoding uses a full coset-leader table when the block length
-# allows one; above this the decoder falls back to bounded-weight search.
-# The tables' build enumerates all 2**n words.
+# allows one; above this the decoder searches errors of weight at most
+# DECODE_WEIGHT_CAP.  The tables' build enumerates all 2**n words.
 _TABLE_MAX_N = 20
 _DISTANCE_MAX_K = 24
-DEFAULT_DECODE_WEIGHT_CAP = 4
+DECODE_WEIGHT_CAP = 4
 
 
 def _span_words(images: np.ndarray, dtype) -> np.ndarray:
@@ -72,8 +74,7 @@ class LinearCode:
     """
 
     def __init__(self, generator=None, check=None, distance: Optional[int] = None,
-                 name: Optional[str] = None,
-                 decode_weight_cap: int = DEFAULT_DECODE_WEIGHT_CAP):
+                 name: Optional[str] = None):
         if generator is None and check is None:
             raise ValueError("need a generator or a check matrix")
         if generator is not None:
@@ -105,9 +106,10 @@ class LinearCode:
         self.check_complement, self.generator_complement = gf2.dual_complete(
             check, generator)
         self.name = name
-        self.decode_weight_cap = decode_weight_cap
+        self.basis = np.vstack([self.generator_complement, self.generator])
+        self.dual_basis = np.vstack([self.check, self.check_complement])
         for m in (self.generator, self.check, self.check_complement,
-                  self.generator_complement):
+                  self.generator_complement, self.basis, self.dual_basis):
             m.setflags(write=False)
         self._distance: Optional[int] = None
         if distance is not None:
@@ -186,7 +188,7 @@ class LinearCode:
         Deterministic; ties inside a weight class go to the
         lexicographically smallest vector.  For n <= 20 this is a row of
         :attr:`decode_table`.  For larger n the decoder searches weights
-        0..decode_weight_cap and raises if no error within the cap matches.
+        0..DECODE_WEIGHT_CAP and raises if no error within the cap matches.
         """
         s = np.asarray(s, dtype=np.uint8).reshape(-1)
         if s.shape[0] != self.n - self.k:
@@ -239,7 +241,7 @@ class LinearCode:
         return table
 
     def _bounded_search(self, s: np.ndarray) -> np.ndarray:
-        for w in range(self.decode_weight_cap + 1):
+        for w in range(DECODE_WEIGHT_CAP + 1):
             matches = []
             for support in itertools.combinations(range(self.n), w):
                 v = np.zeros(self.n, dtype=np.uint8)
@@ -249,8 +251,9 @@ class LinearCode:
             if matches:
                 return np.array(min(matches), dtype=np.uint8)
         raise ValueError(
-            f"no error of weight <= {self.decode_weight_cap} matches the "
-            f"syndrome; raise decode_weight_cap")
+            f"the [{self.n},{self.k}] code is longer than {_TABLE_MAX_N} "
+            f"bits, so it has no coset-leader table, and no error of weight "
+            f"<= {DECODE_WEIGHT_CAP} matches this syndrome")
 
     def codewords(self) -> np.ndarray:
         """All 2**k codewords as rows (guarded like min_distance)."""

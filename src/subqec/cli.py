@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: info, build, distance, decode, simulate, compare.  Output is
-JSON on stdout with sorted keys; rates are rounded to 6 decimal places so
-identical runs emit identical bytes.  Exit codes: 0 success, 1 validation
-error, 2 usage error.
+JSON on stdout with sorted keys; rates, their standard error and their
+interval are rounded to 6 significant digits, so identical runs emit
+identical bytes and a small nonzero rate never prints as 0.  Exit codes:
+0 success, 1 validation error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -137,11 +138,8 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _round_rates(payload, keys=("rate", "std_error")):
-    for key in keys:
-        if key in payload:
-            payload[key] = round(payload[key], 6)
-    return payload
+def _sig6(value: float) -> float:
+    return float(f"{value:.6g}")
 
 
 # -- subcommands ----------------------------------------------------------
@@ -240,18 +238,18 @@ def _cmd_simulate(args) -> int:
     report = run_trials(code, noise, args.trials, args.seed,
                         workers=args.workers)
     n, k, gauge, stabs = report.code_params
-    _emit(_round_rates({
+    _emit({
         "trials": report.trials,
         "logical_failures": report.logical_failures,
-        "rate": report.rate,
-        "std_error": report.std_error,
-        "ci_low": float(f"{report.ci_low:.6g}"),
-        "ci_high": float(f"{report.ci_high:.6g}"),
+        "rate": _sig6(report.rate),
+        "std_error": _sig6(report.std_error),
+        "ci_low": _sig6(report.ci_low),
+        "ci_high": _sig6(report.ci_high),
         "seed": report.seed,
         "code": {"n": n, "k": k, "gauge_qubits": gauge,
                  "stabilizer_count": stabs},
         "noise": noise.describe(),
-    }))
+    })
     return 0
 
 

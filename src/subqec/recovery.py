@@ -113,17 +113,6 @@ def recover(code: SubsystemCode, err: PauliGrid) -> RecoveryOutcome:
     return RecoveryOutcome(correction, dec.z_logical, dec.x_logical, ok)
 
 
-def _pack_bits(*arrays) -> int:
-    acc = 0
-    shift = 0
-    for a in arrays:
-        for bit in a.ravel():
-            if bit:
-                acc |= 1 << shift
-            shift += 1
-    return acc
-
-
 def distance_bruteforce(code: SubsystemCode, w_max: int,
                         candidate_guard: int = DISTANCE_CANDIDATE_GUARD):
     """Minimum weight of an undetectable logical error, by enumeration.
@@ -147,30 +136,32 @@ def distance_bruteforce(code: SubsystemCode, w_max: int,
             f"lower w_max or raise candidate_guard")
 
     c1, c2 = code.c1, code.c2
-    syn_bits = (c1.n - c1.k) * c2.k + c1.k * (c2.n - c2.k)
-    syn_mask = (1 << syn_bits) - 1
+    # A single X at site (i, j) has the detect and logical coordinates
+    # D1[:, i] (x) G2[:, j], whose rows below n1-k1 are its Z-stabilizer
+    # syndrome; a single Z has G1[:, i] (x) D2[:, j], whose columns below
+    # n2-k2 are its X-stabilizer syndrome.  A site's X, Z and Y signatures
+    # are [x bits | z bits] packed into an int, so any candidate operator's
+    # signature is the XOR of its sites'.
+    x_bits = np.einsum("ai,bj->ijab", c1.dual_basis, c2.generator)
+    z_bits = np.einsum("ai,bj->ijab", c1.generator, c2.dual_basis)
+    x_bits, z_bits = x_bits.reshape(n, -1), z_bits.reshape(n, -1)
+    x_sig = np.hstack([x_bits, 0 * z_bits])
+    z_sig = np.hstack([0 * x_bits, z_bits])
+    syndrome = np.concatenate([
+        np.repeat(np.arange(c1.n) < c1.n - c1.k, c2.k),
+        np.tile(np.arange(c2.n) < c2.n - c2.k, c1.k)])
 
-    # Per-site signatures: [s_z | s_x | logical_z | logical_x] packed into an
-    # int.  Any candidate operator's signature is the XOR of its sites'.
-    sigs = []
-    for i in range(code.n1):
-        for j in range(code.n2):
-            e = np.zeros((code.n1, code.n2), np.uint8)
-            e[i, j] = 1
-            s_z = (c1.check @ e @ c2.generator.T) & 1
-            v = (c1.check_complement @ e @ c2.generator.T) & 1
-            sig_x = _pack_bits(s_z, np.zeros((c1.k, c2.n - c2.k), np.uint8),
-                               np.zeros((c1.k, c2.k), np.uint8), v)
-            s_x = (c1.generator @ e @ c2.check.T) & 1
-            u = (c1.generator @ e @ c2.check_complement.T) & 1
-            sig_z = _pack_bits(np.zeros((c1.n - c1.k, c2.k), np.uint8), s_x,
-                               u, np.zeros((c1.k, c2.k), np.uint8))
-            sigs.append((sig_x, sig_z, sig_x ^ sig_z))
+    def pack(bits) -> int:
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                              "little")
+
+    syn_mask = pack(syndrome)
+    sigs = [(pack(x), pack(z), pack(x ^ z)) for x, z in zip(x_sig, z_sig)]
 
     for w in range(1, w_max + 1):
         def scan(start: int, remaining: int, acc: int) -> bool:
             if remaining == 0:
-                return (acc & syn_mask) == 0 and (acc >> syn_bits) != 0
+                return not acc & syn_mask and acc != 0
             for s in range(start, n - remaining + 1):
                 for sig in sigs[s]:
                     if scan(s + 1, remaining - 1, acc ^ sig):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from subqec import LinearCode, builtin, gf2, hamming_7_4, repetition
+from subqec.classical import DECODE_WEIGHT_CAP
 
 
 def same_row_space(a, b):
@@ -183,7 +184,7 @@ def test_decode_bounded_search_matches_table():
     for s_int in range(1 << 5):
         s = np.array([(s_int >> i) & 1 for i in range(5)], np.uint8)
         expect = code.decode(s)
-        if expect.sum() <= code.decode_weight_cap:
+        if expect.sum() <= DECODE_WEIGHT_CAP:
             assert np.array_equal(code._bounded_search(s), expect)
 
 
@@ -246,16 +247,24 @@ def test_tables_refused_above_twenty_bits():
         code.decode_table
 
 
+def test_decode_above_table_limit_names_the_real_limit():
+    code = repetition(25)
+    heavy = np.zeros(code.n, np.uint8)
+    heavy[:5] = 1
+    with pytest.raises(ValueError, match=r"longer than 20 bits.*weight <= 4"):
+        code.decode(code.syndrome(heavy))
+
+
 def test_decode_rep17_uses_table_and_matches_bounded_search():
     # n = 17 is above the old 16-bit table limit; syndromes whose leader
-    # needs more than decode_weight_cap flips used to raise.
+    # needs more than DECODE_WEIGHT_CAP flips used to raise.
     code = repetition(17)
     far = np.zeros(code.n, np.uint8)
     far[:8] = 1
     assert np.array_equal(code.decode(code.syndrome(far)), far)
     rng = np.random.default_rng(170)
     for _ in range(30):
-        w = int(rng.integers(0, code.decode_weight_cap + 1))
+        w = int(rng.integers(0, DECODE_WEIGHT_CAP + 1))
         e = np.zeros(code.n, np.uint8)
         e[rng.choice(code.n, size=w, replace=False)] = 1
         s = code.syndrome(e)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from subqec import cli
 from subqec.cli import (
     format_matrix,
     load_code,
@@ -13,6 +14,7 @@ from subqec.cli import (
     parse_error,
     parse_matrix,
 )
+from subqec.simulate import TrialReport
 
 GOLDEN_INFO_REP3 = """\
 {
@@ -163,7 +165,7 @@ def test_simulate_golden_and_stable(capsys):
     payload = json.loads(out)
     assert payload["logical_failures"] == 41
     assert payload["rate"] == 0.00205
-    assert payload["std_error"] == 0.00032
+    assert payload["std_error"] == 0.000319828
     assert payload["noise"] == {"kind": "depolarizing", "p": 0.01}
     assert payload["code"] == {"gauge_qubits": 4, "k": 1, "n": 9,
                                "stabilizer_count": 4}
@@ -181,6 +183,27 @@ def test_simulate_zero_failures_reports_interval(capsys):
     assert payload["std_error"] == 0.0
     assert payload["ci_low"] == 0.0
     assert 0.0038 < payload["ci_high"] < 0.0039
+
+
+def test_simulate_keeps_tiny_rates(capsys, monkeypatch):
+    # Rates are rounded to significant digits, not decimal places, so a rate
+    # far below 1e-6 keeps its size instead of printing as 0.
+    def fake_run_trials(code, noise, trials, seed, workers=1):
+        return TrialReport(trials=trials, logical_failures=1, rate=3e-7,
+                           std_error=3.0000004e-7, seed=seed,
+                           code_params=(9, 1, 4, 4), ci_low=5.2961e-8,
+                           ci_high=1.6994e-6)
+
+    monkeypatch.setattr(cli, "run_trials", fake_run_trials)
+    code, out, _ = run_cli(capsys, "simulate", "--c1", "rep:3", "--c2", "rep:3",
+                           "--noise", "x_only", "--p", "0.001",
+                           "--trials", "3333333", "--seed", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["rate"] == 3e-7
+    assert payload["std_error"] == 3e-7
+    assert payload["ci_low"] == 5.2961e-8
+    assert payload["ci_high"] == 1.6994e-6
 
 
 # -- matrix files -------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Property tests on random small code pairs: the batch kernel against the
-reference recovery, and run_trials' independence of workers and batching."""
+reference recovery, run_trials' independence of workers and batching, the
+decomposition along the grid's two bases, and the brute-force distance
+against the paper's min(d1, d2)."""
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -10,6 +12,8 @@ from subqec import (
     NoiseModel,
     PauliGrid,
     SubsystemCode,
+    distance_bruteforce,
+    extract_syndrome,
     gf2,
     recover,
     run_trials,
@@ -30,6 +34,25 @@ def linear_codes(draw):
     generator = np.array(rows, np.uint8)
     assume(gf2.rank(generator) == k)
     return LinearCode.from_generator(generator)
+
+
+def full_rank_rows(draw, rows, n):
+    m = np.array(draw(st.lists(st.integers(0, 1), min_size=rows * n,
+                               max_size=rows * n)), np.uint8).reshape(rows, n)
+    assume(gf2.rank(m) == rows)
+    return m
+
+
+@st.composite
+def any_codes(draw, n_max=5):
+    """A code of length <= n_max with k anywhere in 0..n, from a random
+    generator or a random check matrix, so that k = 0 and k = n factors
+    (empty quadrants) come up."""
+    n = draw(st.integers(1, n_max))
+    k = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        return LinearCode.from_generator(full_rank_rows(draw, k, n))
+    return LinearCode.from_parity(full_rank_rows(draw, n - k, n))
 
 
 @st.composite
@@ -64,3 +87,59 @@ def test_run_trials_independent_of_workers_and_batching(code, noise, seed,
     base = run_trials(code, noise, 500, seed)
     assert run_trials(code, noise, 500, seed, workers=2) == base
     assert run_trials(code, noise, 500, seed, batch_size=batch_size) == base
+
+
+BLOCKS = ("z_stab", "z_gauge", "z_logical", "z_detect",
+          "x_stab", "x_gauge", "x_logical", "x_detect")
+
+
+def assert_unit_block(dec, block, index):
+    """``block`` holds a single 1 at flat ``index``; every other block is
+    zero."""
+    for field in BLOCKS:
+        got = getattr(dec, field)
+        want = np.zeros(got.shape, np.uint8)
+        if field == block:
+            want.flat[index] = 1
+        assert np.array_equal(got, want), (block, index, field)
+
+
+@PROPERTY_SETTINGS
+@given(c1=any_codes(), c2=any_codes(), seed=st.integers(0, 2 ** 32 - 1))
+def test_decomposition_along_the_two_bases(c1, c2, seed):
+    code = SubsystemCode(c1, c2)
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        op = PauliGrid(rng.integers(0, 2, (code.n1, code.n2)),
+                       rng.integers(0, 2, (code.n1, code.n2)),
+                       int(rng.integers(0, 4)))
+        dec = code.decompose(op)
+        assert code.recompose(dec) == op
+        syn = extract_syndrome(code, op)
+        assert np.array_equal(dec.z_detect, syn.s_x)
+        assert np.array_equal(dec.x_detect, syn.s_z)
+    for family, block in (("z_stabilizers", "z_stab"), ("z_gauges", "z_gauge"),
+                          ("x_stabilizers", "x_stab"), ("x_gauges", "x_gauge")):
+        for index, op in enumerate(getattr(code, family)):
+            assert_unit_block(code.decompose(op), block, index)
+    for family, block in (("logical_z", "z_logical"), ("logical_x", "x_logical")):
+        ops = [op for row in getattr(code, family) for op in row]
+        for index, op in enumerate(ops):
+            assert_unit_block(code.decompose(op), block, index)
+
+
+@st.composite
+def small_grid_pairs(draw):
+    """Two codes with k >= 1 on a grid of at most 16 qubits."""
+    c1 = draw(linear_codes())
+    n2 = draw(st.integers(1, 16 // c1.n))
+    k2 = draw(st.integers(1, n2))
+    return c1, LinearCode.from_generator(full_rank_rows(draw, k2, n2))
+
+
+@PROPERTY_SETTINGS
+@given(pair=small_grid_pairs())
+def test_distance_bruteforce_is_min_of_factor_distances(pair):
+    c1, c2 = pair
+    d = min(c1.min_distance(), c2.min_distance())
+    assert distance_bruteforce(SubsystemCode(c1, c2), d) == d

@@ -20,9 +20,24 @@ coordinates in it are one block of :class:`PauliDecomposition`:
 Z-type element (a,b) anticommutes only with X-type element (a,b).  So
 ``z_detect`` / ``x_detect`` are the X- / Z-stabilizer syndromes, the
 stabilizer and gauge blocks act trivially on the encoded qubits, and the
-logical blocks are encoded errors.  The constructors check the group
-structure without this algebra: one symplectic Gram matrix over the
-generators' bits plus one rank (see :meth:`SubsystemCode._verify`).
+logical blocks are encoded errors.
+
+Each generator family is stored once, as a read-only (g, n1, n2) uint8
+stack sliced from those two products: Z-type families hold z bits and
+X-type families x bits.  The public lists of :class:`PauliGrid` are views
+of the stacks' rows, built on first access.
+
+The constructors check the group structure without the algebra above,
+from the stacks alone (see :meth:`SubsystemCode._verify`).  A Z-type and
+an X-type generator anticommute exactly when their bit grids overlap in an
+odd number of sites, and two generators of the same type always commute,
+so every commutation relation sits in one block
+
+    B = [Z stabilizers; Z gauges; logical Z] [X stabilizers; X gauges; logical X]^T
+
+over the grid's n sites, which must be [[0, 0], [0, I_p]].  Given that
+pattern, the generators are independent exactly when the Z stabilizers
+and the X stabilizers each are, so only the stabilizer rows are ranked.
 
 The Shor-style variant measures a column-local Z check for every column
 instead of spreading checks over codewords of code 2; it encodes the same
@@ -32,6 +47,9 @@ needs (n1-k1)*n2 + k1*(n2-k2) stabilizers instead of (n1-k1)*k2 + k1*(n2-k2).
 
 from __future__ import annotations
 
+import functools
+import logging
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,6 +58,8 @@ import numpy as np
 from . import gf2
 from .classical import LinearCode
 from .pauli import PauliGrid
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,22 +93,40 @@ def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ai,bj->abij", u, v)
 
 
-def _paulis(grids: np.ndarray, x_type: bool) -> list:
-    """One Z-type (or X-type) PauliGrid per grid of a (..., n1, n2) stack,
-    in C order."""
-    zero = np.zeros(grids.shape[-2:], np.uint8)
-    flat = grids.reshape(-1, *grids.shape[-2:])
-    return [PauliGrid(zero, g) if x_type else PauliGrid(g, zero) for g in flat]
+def _stack(grids: np.ndarray) -> np.ndarray:
+    """A (..., n1, n2) stack of bit grids as one read-only (g, n1, n2)
+    array, in C order."""
+    out = np.ascontiguousarray(grids).reshape(-1, *grids.shape[-2:])
+    out.setflags(write=False)
+    return out
+
+
+def _paulis(bits: np.ndarray, x_type: bool) -> list:
+    """One Z-type (or X-type) PauliGrid per row of a read-only stack; the
+    rows are wrapped as they are, since the stack holds only 0/1."""
+    zero = np.zeros(bits.shape[1:], np.uint8)
+    zero.setflags(write=False)
+    wrap = PauliGrid._wrap
+    return [wrap(zero, g) if x_type else wrap(g, zero) for g in bits]
+
+
+def _family(bits: str, x_type: bool, doc: str) -> functools.cached_property:
+    """A list attribute of PauliGrid views of the stack held in attribute
+    ``bits``, built on first access."""
+    def views(self) -> list:
+        return _paulis(getattr(self, bits), x_type)
+    views.__doc__ = doc
+    return functools.cached_property(views)
 
 
 class SubsystemCode:
     """Subsystem code on an n1 x n2 grid built from two classical codes.
 
-    The constructor verifies the group structure with one symplectic Gram
-    matrix (see :meth:`_verify`): the generators must be independent and
-    form a symplectic basis of the grid's Paulis, with the stabilizers
-    commuting with everything and the gauge and logical operators in
-    canonically conjugate (Z, X) pairs.
+    The constructor verifies the group structure from the generator stacks
+    (see :meth:`_verify`): the generators must be independent and form a
+    symplectic basis of the grid's Paulis, with the stabilizers commuting
+    with everything and the gauge and logical operators in canonically
+    conjugate (Z, X) pairs.
     """
 
     shor = False
@@ -97,9 +135,9 @@ class SubsystemCode:
         z_basis, x_basis = self._init_shared(c1, c2)
         r1, r2 = c1.n - c1.k, c2.n - c2.k
         self.gauge_qubits = r1 * r2
-        self.z_stabilizers = _paulis(z_basis[:r1, r2:], x_type=False)
-        self.z_gauges = _paulis(z_basis[:r1, :r2], x_type=False)
-        self.x_gauges = _paulis(x_basis[:r1, :r2], x_type=True)
+        self.z_stabilizer_bits = _stack(z_basis[:r1, r2:])
+        self.z_gauge_bits = _stack(z_basis[:r1, :r2])
+        self.x_gauge_bits = _stack(x_basis[:r1, :r2])
         self._verify()
 
     def _init_shared(self, c1: LinearCode, c2: LinearCode) -> tuple:
@@ -117,14 +155,35 @@ class SubsystemCode:
         r1, r2 = c1.n - c1.k, c2.n - c2.k
         z_basis = _outer(c1.dual_basis, c2.basis)
         x_basis = _outer(c1.basis, c2.dual_basis)
-        self.x_stabilizers = _paulis(x_basis[r1:, :r2], x_type=True)
-        self.logical_x = [_paulis(row, x_type=True)
-                          for row in x_basis[r1:, r2:]]
-        self.logical_z = [_paulis(row, x_type=False)
-                          for row in z_basis[r1:, r2:]]
+        self.x_stabilizer_bits = _stack(x_basis[r1:, :r2])
+        self.logical_x_bits = _stack(x_basis[r1:, r2:])
+        self.logical_z_bits = _stack(z_basis[r1:, r2:])
         return z_basis, x_basis
 
     # -- generator access ------------------------------------------------
+
+    z_stabilizers = _family("z_stabilizer_bits", False,
+                            "Z-type stabilizer generators.")
+    x_stabilizers = _family("x_stabilizer_bits", True,
+                            "X-type stabilizer generators.")
+    z_gauges = _family("z_gauge_bits", False,
+                       "Z-type gauge generators, paired in order with "
+                       "``x_gauges``.")
+    x_gauges = _family("x_gauge_bits", True, "X-type gauge generators.")
+
+    def _by_logical_qubit(self, ops: list) -> list:
+        k2 = self.c2.k
+        return [ops[i * k2:(i + 1) * k2] for i in range(self.c1.k)]
+
+    @functools.cached_property
+    def logical_x(self) -> list:
+        """``logical_x[i][j]`` is the encoded X of logical qubit (i, j)."""
+        return self._by_logical_qubit(_paulis(self.logical_x_bits, True))
+
+    @functools.cached_property
+    def logical_z(self) -> list:
+        """``logical_z[i][j]`` is the encoded Z of logical qubit (i, j)."""
+        return self._by_logical_qubit(_paulis(self.logical_z_bits, False))
 
     @property
     def stabilizers(self) -> list:
@@ -201,34 +260,52 @@ class SubsystemCode:
             dtype=np.uint8).reshape(len(ops), 2 * self.n)
 
     def _verify(self):
-        """Check the generators with one symplectic Gram matrix.
+        """Check the generator stacks with one GF(2) product and two ranks.
 
-        Rows are the stabilizers, then the Z partners (Z gauges, then the
-        logical Z operators), then the X partners (X gauges, then the
-        logical X operators, in the same order).  With ``M = Z X^T`` over
-        the rows' Z and X parts, ``M xor M^T`` is the commutation matrix;
-        it must be ``[[0,0,0],[0,0,I],[0,I,0]]``.  The stabilizers and the
-        Z partners must number ``n`` and all rows must be independent, so
-        the rows form a symplectic basis of the grid's Paulis.
+        Z-type generators carry only z bits and X-type ones only x bits, so
+        the whole commutation matrix of the generators is fixed by one
+        block: with the Z rows ``[Z stabilizers; Z gauges; logical Z]`` and
+        the X rows ``[X stabilizers; X gauges; logical X]`` flattened over
+        the grid's n sites, ``B = Z X^T``.  It must be ``[[0, 0], [0, I_p]]``:
+        the stabilizers commute with everything, and the p gauge and
+        logical operators pair off in order into conjugate (Z, X) pairs.
+        The counts must fill the grid, ``s_z + s_x + p = n``.
+
+        All rows are then independent exactly when the stabilizers of each
+        type are: in any dependency among the rows, the symplectic product
+        with a paired operator's partner reads off that operator's
+        coefficient, which must therefore be 0, and what is left splits
+        into a Z-type and an X-type sum of stabilizers.  So only
+        ``rank(Z stabilizers) = s_z`` and ``rank(X stabilizers) = s_x`` are
+        checked, and the rows form a symplectic basis of the grid's Paulis.
         """
-        stab = self.stabilizers
-        z_partners = self.z_gauges + [op for row in self.logical_z for op in row]
-        x_partners = self.x_gauges + [op for row in self.logical_x for op in row]
-        s, p = len(stab), len(z_partners)
-        if s + p != self.n:
+        start = time.perf_counter()
+        n = self.n
+        z_stab = self.z_stabilizer_bits.reshape(-1, n)
+        x_stab = self.x_stabilizer_bits.reshape(-1, n)
+        z_rows = np.concatenate([z_stab, self.z_gauge_bits.reshape(-1, n),
+                                 self.logical_z_bits.reshape(-1, n)])
+        x_rows = np.concatenate([x_stab, self.x_gauge_bits.reshape(-1, n),
+                                 self.logical_x_bits.reshape(-1, n)])
+        s_z, s_x = len(z_stab), len(x_stab)
+        p = len(z_rows) - s_z
+        if s_z + s_x + p != n:
             raise ValueError(
                 "internal error: stabilizer and partner counts do not fill "
                 "the grid")
-        rows = self._symplectic_rows(stab + z_partners + x_partners)
-        m = gf2.mat_mul(rows[:, :self.n], rows[:, self.n:].T)
-        want = np.zeros((s + 2 * p, s + 2 * p), np.uint8)
-        want[s:s + p, s + p:] = want[s + p:, s:s + p] = np.eye(p, dtype=np.uint8)
-        if not np.array_equal(m ^ m.T, want):
+        b = gf2.mat_mul(z_rows, x_rows.T)
+        want = np.zeros((s_z + p, s_x + p), np.uint8)
+        want[s_z:, s_x:] = np.eye(p, dtype=np.uint8)
+        if not np.array_equal(b, want):
             raise ValueError(
                 "internal error: commutation relations break the stabilizer "
                 "/ conjugate-pair pattern")
-        if gf2.rank(rows) != len(rows):
+        if gf2.rank(z_stab) != s_z or gf2.rank(x_stab) != s_x:
             raise ValueError("internal error: generators are dependent")
+        _log.debug("verified %r: %d Z + %d X stabilizers, %d gauge pairs, "
+                   "%d logical pairs in %.2f ms", self, s_z, s_x,
+                   len(self.z_gauge_bits), len(self.logical_z_bits),
+                   1e3 * (time.perf_counter() - start))
 
 
 class ShorCode(SubsystemCode):
@@ -242,9 +319,8 @@ class ShorCode(SubsystemCode):
         self._init_shared(c1, c2)
         self.gauge_qubits = 0
         # Column j, then check row a: z = outer(P1[a], e_j).
-        self.z_stabilizers = _paulis(
-            _outer(c1.check, np.eye(c2.n, dtype=np.uint8)).swapaxes(0, 1),
-            x_type=False)
-        self.z_gauges = []
-        self.x_gauges = []
+        self.z_stabilizer_bits = _stack(
+            _outer(c1.check, np.eye(c2.n, dtype=np.uint8)).swapaxes(0, 1))
+        self.z_gauge_bits = self.x_gauge_bits = _stack(
+            np.zeros((0, self.n1, self.n2), np.uint8))
         self._verify()

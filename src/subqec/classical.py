@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import logging
+import time
 from typing import Optional
 
 import numpy as np
@@ -44,6 +46,8 @@ from . import gf2
 _TABLE_MAX_N = 20
 _DISTANCE_MAX_K = 24
 DECODE_WEIGHT_CAP = 4
+
+_log = logging.getLogger(__name__)
 
 
 def _span_words(images: np.ndarray, dtype) -> np.ndarray:
@@ -223,21 +227,27 @@ class LinearCode:
     @functools.cached_property
     def decode_table(self) -> np.ndarray:
         """Coset leaders as rows, indexed by syndrome int; n <= 20 only."""
+        start = time.perf_counter()
         _, leaders = self._coset_leaders()
         table = np.empty((leaders.shape[0], self.n), np.uint8)
         for i in range(self.n):
             table[:, i] = (leaders >> (self.n - 1 - i)) & 1
         table.setflags(write=False)
+        _log.debug("decode_table of %r (n=%d) built in %.2f ms", self, self.n,
+                   1e3 * (time.perf_counter() - start))
         return table
 
     @functools.cached_property
     def fail(self) -> np.ndarray:
         """Per n-bit word v: does coset-leader decoding of v leave a logical
         error (``C_c (v xor leader(P v)) != 0``)?  n <= 20 only."""
+        start = time.perf_counter()
         syndromes, leaders = self._coset_leaders()
         logical = _span_words(_bit_weights(self.check_complement), np.int32)
         table = logical != logical[leaders[syndromes]]
         table.setflags(write=False)
+        _log.debug("fail table of %r (n=%d) built in %.2f ms", self, self.n,
+                   1e3 * (time.perf_counter() - start))
         return table
 
     def _bounded_search(self, s: np.ndarray) -> np.ndarray:

@@ -34,6 +34,14 @@ class PauliGrid:
         self.phase = int(phase) % 4
 
     @classmethod
+    def _wrap(cls, z: np.ndarray, x: np.ndarray) -> "PauliGrid":
+        """A phase-0 operator over two read-only 0/1 uint8 grids, taken as
+        they are: no copy and no 0/1 check."""
+        op = object.__new__(cls)
+        op.z, op.x, op.phase = z, x, 0
+        return op
+
+    @classmethod
     def identity(cls, rows: int, cols: int) -> "PauliGrid":
         return cls(np.zeros((rows, cols), np.uint8), np.zeros((rows, cols), np.uint8))
 

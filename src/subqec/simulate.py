@@ -24,6 +24,7 @@ stays the independent reference it is tested against.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -219,7 +220,8 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
 
     Deterministic in (code, noise, trials, seed): splitting the same run
     over any number of workers or any batch size returns a byte-identical
-    report.
+    report.  ``workers`` sets how many trial ranges the run is split into;
+    at most one thread per core runs them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -240,7 +242,8 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
         counts = [_count_chunk(code, noise, seed, a, b, batch_size)
                   for a, b in ranges]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        threads = min(len(ranges), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = list(pool.map(
                 lambda r: _count_chunk(code, noise, seed, r[0], r[1], batch_size),
                 ranges))

@@ -1,6 +1,9 @@
 """Tests for grid-code construction: generator counts, group structure,
 and the coefficient-block decomposition."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -177,33 +180,36 @@ def test_shor_group_strictly_larger(code9, shor9):
 
 def replace_last_z_stabilizer(rep3):
     code = SubsystemCode(rep3, rep3)
-    code.z_stabilizers = code.z_stabilizers[:-1] + [
-        PauliGrid.single(3, 3, 0, 0, "Z")]
+    bits = code.z_stabilizer_bits.copy()
+    bits[-1] = PauliGrid.single(3, 3, 0, 0, "Z").z
+    code.z_stabilizer_bits = bits
     return code
 
 
 def duplicate_z_stabilizer(rep3):
     code = SubsystemCode(rep3, rep3)
-    code.z_stabilizers = [code.z_stabilizers[0]] * len(code.z_stabilizers)
+    bits = code.z_stabilizer_bits
+    code.z_stabilizer_bits = np.repeat(bits[:1], len(bits), axis=0)
     return code
 
 
 def reverse_x_gauges(rep3):
     code = SubsystemCode(rep3, rep3)
-    code.x_gauges = code.x_gauges[::-1]
+    code.x_gauge_bits = code.x_gauge_bits[::-1]
     return code
 
 
 def logical_x_hits_gauge(rep3):
     """Logical X times an X gauge anticommutes with that gauge's Z partner."""
     code = SubsystemCode(rep3, rep3)
-    code.logical_x = [[code.logical_x[0][0] * code.x_gauges[0]]]
+    code.logical_x_bits = code.logical_x_bits ^ code.x_gauge_bits[:1]
     return code
 
 
 def shor_stabilizer_is_logical(rep3):
     code = ShorCode(rep3, rep3)
-    code.x_stabilizers = code.x_stabilizers[:-1] + [code.logical_x[0][0]]
+    code.x_stabilizer_bits = np.concatenate(
+        [code.x_stabilizer_bits[:-1], code.logical_x_bits[:1]])
     return code
 
 
@@ -223,6 +229,58 @@ def test_verification_catches_corruption(rep3, corrupt, message):
 
 def test_shor_verify_accepts_intact_code(rep3):
     ShorCode(rep3, rep3)._verify()
+
+
+def test_construction_wraps_stacks_and_verifies_one_block(rep3, ham,
+                                                          monkeypatch):
+    """No PauliGrid is built, not even on first access of the lists; the
+    check is one GF(2) product, and only stabilizer rows are ranked."""
+    inits, products, ranked = [], [], []
+    init, mat_mul, rank = PauliGrid.__init__, gf2.mat_mul, gf2.rank
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+
+    def counting_mat_mul(a, b):
+        products.append((a.shape, b.shape))
+        return mat_mul(a, b)
+
+    def counting_rank(m):
+        ranked.append(np.asarray(m).copy())
+        return rank(m)
+
+    monkeypatch.setattr(PauliGrid, "__init__", counting_init)
+    monkeypatch.setattr(gf2, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(gf2, "rank", counting_rank)
+    for cls, c1, c2 in ((SubsystemCode, rep3, ham), (ShorCode, ham, rep3)):
+        products.clear()
+        ranked.clear()
+        code = cls(c1, c2)
+        n = code.n
+        s_z, s_x = len(code.z_stabilizer_bits), len(code.x_stabilizer_bits)
+        p = len(code.z_gauge_bits) + len(code.logical_z_bits)
+        assert products == [((s_z + p, n), (n, s_x + p))]
+        assert len(ranked) == 2
+        assert np.array_equal(ranked[0], code.z_stabilizer_bits.reshape(s_z, n))
+        assert np.array_equal(ranked[1], code.x_stabilizer_bits.reshape(s_x, n))
+        code.stabilizers, code.gauge_pairs, code.logicals
+    assert inits == []
+
+
+def test_verify_logs_at_debug_only(rep3, caplog):
+    SubsystemCode(rep3, rep3)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="subqec"):
+        SubsystemCode(rep3, repetition(4))
+        ShorCode(rep3, rep3)
+    assert [r.name for r in caplog.records] == ["subqec.builder"] * 2
+    patterns = (r"verified <SubsystemCode \[\[12,1,3\]\] on 3x4>: 2 Z \+ 3 X "
+                r"stabilizers, 6 gauge pairs, 1 logical pairs in \d+\.\d\d ms",
+                r"verified <ShorCode \[\[9,1,3\]\] on 3x3>: 6 Z \+ 2 X "
+                r"stabilizers, 0 gauge pairs, 1 logical pairs in \d+\.\d\d ms")
+    for record, pattern in zip(caplog.records, patterns):
+        assert re.fullmatch(pattern, record.getMessage())
 
 
 # -- decomposition -------------------------------------------------------------

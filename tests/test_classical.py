@@ -1,6 +1,8 @@
 """Tests for classical linear codes and coset-leader decoding."""
 
 import itertools
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -237,6 +239,19 @@ def test_tables_are_read_only(ham):
         ham.decode_table[0, 0] = 1
     with pytest.raises(ValueError):
         ham.fail[0] = True
+
+
+def test_table_builds_log_at_debug_only(caplog):
+    quiet, loud = repetition(5), repetition(6)
+    quiet.decode_table, quiet.fail
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="subqec"):
+        loud.decode_table, loud.fail
+    assert [r.name for r in caplog.records] == ["subqec.classical"] * 2
+    for record, table in zip(caplog.records, ("decode_table", "fail table")):
+        assert re.fullmatch(rf"{table} of <LinearCode 'rep6' \[6,1,6\]> "
+                            rf"\(n=6\) built in \d+\.\d\d ms",
+                            record.getMessage())
 
 
 def test_tables_refused_above_twenty_bits():

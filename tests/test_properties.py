@@ -1,7 +1,8 @@
 """Property tests on random small code pairs: the batch kernel against the
 reference recovery, run_trials' independence of workers and batching, the
-decomposition along the grid's two bases, and the brute-force distance
-against the paper's min(d1, d2)."""
+decomposition along the grid's two bases, the generator lists as views of
+the generator stacks, and the brute-force distance against the paper's
+min(d1, d2)."""
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -11,6 +12,7 @@ from subqec import (
     LinearCode,
     NoiseModel,
     PauliGrid,
+    ShorCode,
     SubsystemCode,
     distance_bruteforce,
     extract_syndrome,
@@ -126,6 +128,40 @@ def test_decomposition_along_the_two_bases(c1, c2, seed):
         ops = [op for row in getattr(code, family) for op in row]
         for index, op in enumerate(ops):
             assert_unit_block(code.decompose(op), block, index)
+
+
+FAMILIES = (("z_stabilizers", "z_stabilizer_bits", False),
+            ("x_stabilizers", "x_stabilizer_bits", True),
+            ("z_gauges", "z_gauge_bits", False),
+            ("x_gauges", "x_gauge_bits", True),
+            ("logical_z", "logical_z_bits", False),
+            ("logical_x", "logical_x_bits", True))
+
+
+@PROPERTY_SETTINGS
+@given(c1=any_codes(), c2=any_codes(), shor=st.booleans())
+def test_generator_lists_are_views_of_the_stacks(c1, c2, shor):
+    code = (ShorCode if shor else SubsystemCode)(c1, c2)
+    zero = np.zeros((code.n1, code.n2), np.uint8)
+    for family, stack_name, x_type in FAMILIES:
+        ops = getattr(code, family)
+        bits = getattr(code, stack_name)
+        if family.startswith("logical"):
+            assert [len(row) for row in ops] == [c2.k] * c1.k
+            ops = [op for row in ops for op in row]
+        assert not bits.flags.writeable
+        assert bits.shape == (len(ops), code.n1, code.n2)
+        for op, grid in zip(ops, bits):
+            assert op.phase == 0
+            assert not (op.z.flags.writeable or op.x.flags.writeable)
+            assert op.z.dtype == op.x.dtype == np.uint8
+            assert np.array_equal(op.x if x_type else op.z, grid)
+            assert np.array_equal(op.z if x_type else op.x, zero)
+    s_z, s_x = len(code.z_stabilizer_bits), len(code.x_stabilizer_bits)
+    stacked = np.zeros((s_z + s_x, 2 * code.n), np.uint8)
+    stacked[:s_z, :code.n] = code.z_stabilizer_bits.reshape(s_z, code.n)
+    stacked[s_z:, code.n:] = code.x_stabilizer_bits.reshape(s_x, code.n)
+    assert np.array_equal(code._symplectic_rows(code.stabilizers), stacked)
 
 
 @st.composite

@@ -19,6 +19,7 @@ from subqec import (
     repetition,
     run_trials,
 )
+from subqec import simulate
 from subqec.simulate import _WILSON_Z, _batch_failures, _trial_uniforms
 
 
@@ -161,6 +162,41 @@ def test_worker_count_does_not_change_results(code9):
     reports = [run_trials(code9, noise, 30000, seed=17, workers=w)
                for w in (1, 2, 8)]
     assert reports[0] == reports[1] == reports[2]
+
+
+class RecordingExecutor:
+    """Stands in for ThreadPoolExecutor: records the pool size and the work
+    items it is asked for and runs them in the calling thread, so it starts
+    no threads."""
+
+    calls = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        RecordingExecutor.calls.append((self.max_workers, items))
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cores", [3, None])
+def test_thread_pool_capped_at_core_count(code9, monkeypatch, cores):
+    noise = NoiseModel.depolarizing(0.05)
+    base = run_trials(code9, noise, 5000, seed=29)
+    RecordingExecutor.calls = []
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
+    assert run_trials(code9, noise, 5000, seed=29, workers=5000) == base
+    [(threads, ranges)] = RecordingExecutor.calls
+    assert threads == (cores or 1)
+    assert ranges == [(t, t + 1) for t in range(5000)]
 
 
 def test_batch_size_does_not_change_results(code9):

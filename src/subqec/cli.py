@@ -241,6 +241,8 @@ def _cmd_simulate(args) -> int:
     _emit({
         "trials": report.trials,
         "logical_failures": report.logical_failures,
+        "bit_flip_failures": report.bit_flip_failures,
+        "phase_flip_failures": report.phase_flip_failures,
         "rate": _sig6(report.rate),
         "std_error": _sig6(report.std_error),
         "ci_low": _sig6(report.ci_low),

@@ -11,6 +11,7 @@ allowed to move gauge qubits freely.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,17 @@ from .builder import SubsystemCode
 from .pauli import PauliGrid
 
 DISTANCE_CANDIDATE_GUARD = 10 ** 8
+
+
+def _require_int(name: str, value) -> int:
+    """``value`` as an int; a bool, a float or any other non-integral value
+    raises ValueError instead of being truncated or misreported."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +138,7 @@ def distance_bruteforce(code: SubsystemCode, w_max: int,
     Raises:
         ValueError: when the candidate count exceeds ``candidate_guard``.
     """
+    w_max = _require_int("w_max", w_max)
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
     n = code.n

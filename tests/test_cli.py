@@ -173,6 +173,24 @@ def test_simulate_golden_and_stable(capsys):
     assert out2 == out
 
 
+def test_simulate_reports_failures_by_axis(capsys):
+    # The golden run: 41 failures, of which 3 trip both stages.
+    code, out, _ = run_cli(capsys, "simulate", "--c1", "rep:3", "--c2", "rep:3",
+                           "--noise", "depolarizing", "--p", "0.01",
+                           "--trials", "20000", "--seed", "11")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["logical_failures"] == 41
+    assert payload["bit_flip_failures"] == 22
+    assert payload["phase_flip_failures"] == 22
+    code, out, _ = run_cli(capsys, "simulate", "--c1", "rep:3", "--c2", "rep:3",
+                           "--noise", "z_only", "--p", "0.2",
+                           "--trials", "2000", "--seed", "4")
+    payload = json.loads(out)
+    assert payload["bit_flip_failures"] == 0
+    assert payload["phase_flip_failures"] == payload["logical_failures"] > 0
+
+
 def test_simulate_zero_failures_reports_interval(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--c1", "rep:3", "--c2", "rep:3",
                            "--noise", "x_only", "--p", "0",

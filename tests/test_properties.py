@@ -1,8 +1,8 @@
-"""Property tests on random small code pairs: the batch kernel against the
-reference recovery, run_trials' independence of workers and batching, the
-decomposition along the grid's two bases, the generator lists as views of
-the generator stacks, and the brute-force distance against the paper's
-min(d1, d2)."""
+"""Property tests on random small code pairs: the batch kernel and the
+raw-word Monte Carlo kernel against the reference recovery, run_trials'
+independence of workers and batching, the decomposition along the grid's
+two bases, the generator lists as views of the generator stacks, and the
+brute-force distance against the paper's min(d1, d2)."""
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -20,7 +20,12 @@ from subqec import (
     recover,
     run_trials,
 )
-from subqec.simulate import _batch_failures
+from subqec.simulate import (
+    _batch_failures,
+    _count_chunk,
+    _stage,
+    _trial_uniforms,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -89,6 +94,41 @@ def test_run_trials_independent_of_workers_and_batching(code, noise, seed,
     base = run_trials(code, noise, 500, seed)
     assert run_trials(code, noise, 500, seed, workers=2) == base
     assert run_trials(code, noise, 500, seed, batch_size=batch_size) == base
+
+
+unit_interval = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+any_noises = st.one_of(
+    st.builds(NoiseModel.depolarizing, unit_interval),
+    st.builds(NoiseModel.x_only, unit_interval),
+    st.builds(NoiseModel.z_only, unit_interval),
+    st.builds(NoiseModel.independent_xz, unit_interval, unit_interval),
+)
+
+
+@PROPERTY_SETTINGS
+@given(c1=any_codes(), c2=any_codes(), noise=any_noises,
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_raw_word_kernel_matches_float_reference(c1, c2, noise, seed):
+    """Trial by trial, the kernel's (logical, bit-flip, phase-flip) outcome
+    equals recover() on the errors the float uniforms give."""
+    code = SubsystemCode(c1, c2)
+    width = 4 * -(-noise.draws_per_site * code.n // 4)
+    z_offset = (noise.draws_per_site - 1) * code.n
+    stages = (_stage(code, True, width, 0, 2),
+              _stage(code, False, width, z_offset, 2))
+    trials = 12
+    got = [tuple(_count_chunk(code, noise, stages, width, seed, 8192,
+                              (t, t + 1))) for t in range(trials)]
+    u = _trial_uniforms(seed, 0, trials, noise.draws_per_site * code.n)
+    zbits, xbits = noise.errors_from_uniforms(u, code.n)
+    shape = (code.n1, code.n2)
+    for t in range(trials):
+        out = recover(code, PauliGrid(zbits[t].reshape(shape),
+                                      xbits[t].reshape(shape)))
+        assert got[t] == (not out.logical_ok, out.residual_x.any(),
+                          out.residual_z.any()), t
+    whole = _count_chunk(code, noise, stages, width, seed, 5, (0, trials))
+    assert tuple(whole) == tuple(map(sum, zip(*got)))
 
 
 BLOCKS = ("z_stab", "z_gauge", "z_logical", "z_detect",

@@ -280,3 +280,11 @@ def test_distance_finds_logical_weight(code9):
     # Oracle cross-check: the weight-3 logical X exists explicitly.
     assert code9.logical_x[0][0].weight() == 3
     assert distance_bruteforce(code9, 4) == 3
+
+
+@pytest.mark.parametrize("w_max", [2.5, 3.0, True, "3"])
+def test_distance_rejects_non_integer_bound(code9, w_max):
+    # 2.5 and 3.0 used to raise TypeError from range(); True ran as 1.
+    with pytest.raises(ValueError, match="w_max must be an integer"):
+        distance_bruteforce(code9, w_max)
+    assert distance_bruteforce(code9, np.int64(4)) == 3

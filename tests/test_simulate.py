@@ -20,7 +20,12 @@ from subqec import (
     run_trials,
 )
 from subqec import simulate
-from subqec.simulate import _WILSON_Z, _batch_failures, _trial_uniforms
+from subqec.simulate import (
+    _WILSON_Z,
+    _batch_failures,
+    _below,
+    _trial_uniforms,
+)
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +242,21 @@ def test_run_trials_validation(code9):
             run_trials(code9, noise, 10, seed=1, batch_size=batch_size)
 
 
+@pytest.mark.parametrize("name", ["trials", "seed", "workers", "batch_size"])
+def test_run_trials_rejects_non_integers(code9, name):
+    # trials=10.5 used to run 10 trials and report 10.5, seed=1.5 ran seed 1
+    # and reported 1.5, workers=2.5 and batch_size=2.5 raised TypeError.
+    noise = NoiseModel.x_only(0.1)
+    args = {"trials": 10, "seed": 1, "workers": 1, "batch_size": 8192}
+    for bad in (10.5, 2.0, True, "7", None):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            run_trials(code9, noise, **{**args, name: bad})
+    # Integral numpy scalars are integers.
+    report = run_trials(code9, noise, **{**args, name: np.int64(args[name])})
+    assert report == run_trials(code9, noise, **args)
+    assert type(report.trials) is int and type(report.seed) is int
+
+
 def test_wilson_interval(code9):
     # Each endpoint e of the Wilson interval solves
     # (rate - e)^2 = z^2 e (1 - e) / trials.
@@ -287,6 +307,125 @@ def test_run_trials_above_sixteen_bits(rep3):
     batch = _batch_failures(code, z, x)
     for i in range(40):
         assert batch[i] == (not recover(code, PauliGrid(z[i], x[i])).logical_ok)
+
+
+def replayed_outcomes(code, noise, trials, seed):
+    """recover() on the first trials of a run, drawn through the float
+    reference: _trial_uniforms -> errors_from_uniforms."""
+    u = _trial_uniforms(seed, 0, trials, noise.draws_per_site * code.n)
+    zbits, xbits = noise.errors_from_uniforms(u, code.n)
+    shape = (code.n1, code.n2)
+    return [recover(code, PauliGrid(z.reshape(shape), x.reshape(shape)))
+            for z, x in zip(zbits, xbits)]
+
+
+@pytest.mark.parametrize("pair,noise", [
+    ((3, 3), NoiseModel.depolarizing(0.2)),
+    (("ham", "ham"), NoiseModel.depolarizing(0.05)),
+    ((5, "ham"), NoiseModel.independent_xz(0.08, 0.15)),
+    ((2, 4), NoiseModel.x_only(0.3)),
+    ((4, 3), NoiseModel.z_only(0.3)),
+    (("ham21", 1), NoiseModel.x_only(0.05)),
+    (("ham21", 3), NoiseModel.depolarizing(0.03)),
+])
+def test_failures_by_axis_match_recover(pair, noise):
+    # The last pairs have a 21-bit code 1, so the bit-flip stage replays
+    # recover; the phase-flip stage of the last one still uses rep3's table.
+    def factor(c):
+        if c == "ham21":
+            return LinearCode.from_parity(np.tile(hamming_7_4().check, 3))
+        return hamming_7_4() if c == "ham" else repetition(c)
+
+    code = SubsystemCode(*(factor(c) for c in pair))
+    report = run_trials(code, noise, 300, seed=31)
+    outcomes = replayed_outcomes(code, noise, 300, 31)
+    assert report.logical_failures == sum(not o.logical_ok for o in outcomes)
+    assert report.bit_flip_failures == sum(o.residual_x.any() for o in outcomes)
+    assert report.phase_flip_failures == sum(o.residual_z.any()
+                                             for o in outcomes)
+    assert report.bit_flip_failures + report.phase_flip_failures > 0
+    if noise.kind == "x_only":
+        assert report.phase_flip_failures == 0
+    if noise.kind == "z_only":
+        assert report.bit_flip_failures == 0
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseModel.depolarizing(0.1), NoiseModel.x_only(0.1),
+    NoiseModel.z_only(0.1), NoiseModel.independent_xz(0.05, 0.1)])
+def test_reports_identical_across_batch_sizes(code9, ham, noise):
+    # Rows pack two trials; with 9001 trials the last batch is partial and
+    # its last row half used.  A trial owns 12 or 20 words on rep3^2, 24 or
+    # 44 on hamming x rep3.
+    for code in (code9, SubsystemCode(ham, repetition(3))):
+        base = run_trials(code, noise, 9001, seed=77)
+        for workers, batch_size in ((2, 8192), (1, 3000), (2, 3000), (1, 1)):
+            assert run_trials(code, noise, 9001, 77, workers=workers,
+                              batch_size=batch_size) == base
+
+
+# -- integer limits on raw words ---------------------------------------------------
+
+def limit(c):
+    """ceil(c * 2**53): a word w is a hit iff (w >> 11) < limit(c)."""
+    return int(np.ceil(np.ldexp(c, 53)))
+
+
+BOUNDARY_PS = [0.0, 1.0, 1 / 3, 12345 * 2.0 ** -53, 5e-324,
+               1 - 2.0 ** -53, 2.0 ** -53]
+BOUNDARY_PS += [np.nextafter(p, q) for p in BOUNDARY_PS[:4] for q in (0, 1)
+                if 0 <= np.nextafter(p, q) <= 1]
+
+
+def boundary_words(thresholds):
+    """0, 2**64 - 1, and the two words either side of each limit."""
+    words = {0, (1 << 64) - 1}
+    for c in thresholds:
+        m = limit(c)
+        words |= {w for w in ((m << 11) - 1, m << 11) if 0 <= w < 1 << 64}
+    return np.array(sorted(words), np.uint64)
+
+
+@pytest.mark.parametrize("p", BOUNDARY_PS)
+@pytest.mark.parametrize("kind", ["depolarizing", "x_only", "z_only",
+                                  "independent_xz"])
+def test_integer_limits_match_float_thresholds(kind, p):
+    noises = ([NoiseModel.independent_xz(p, q) for q in BOUNDARY_PS]
+              if kind == "independent_xz" else [NoiseModel(kind, p=p)])
+    for noise in noises:
+        thresholds = (noise.p_x, noise.p_z, noise.p, noise.p / 3,
+                      2 * noise.p / 3)
+        words = boundary_words(thresholds)
+        # One site per trial; independent_xz reads its X and Z draws from
+        # the same word, so each word is tested against both limits.
+        draws = np.repeat(words[:, None], noise.draws_per_site, axis=1)
+        u = (draws >> np.uint64(11)) * 2.0 ** -53
+        want_z, want_x = noise.errors_from_uniforms(u, 1)
+        got_z, got_x = noise._hits(draws, _below)
+        offset = noise.draws_per_site - 1
+        for got, want, o in ((got_z, want_z, offset), (got_x, want_x, 0)):
+            got = (np.zeros_like(want) if got is None
+                   else got[:, o:o + 1].astype(np.uint8))
+            assert np.array_equal(got, want), (noise, words)
+    # At p = 1 the limit 2**53 << 11 overflows 64 bits; every word hits.
+    if p == 1.0:
+        assert _below(np.array([(1 << 64) - 1], np.uint64), p).all()
+
+
+def test_trial_uniforms_follow_the_replayed_layout():
+    # Trial t owns ceil(draws/4) Philox blocks from block t*ceil(draws/4);
+    # its uniforms are Generator.random over them, first `draws` kept, and
+    # the raw words the kernel compares are the same words.
+    seed, draws, blocks = 2 ** 64 - 5, 162, 41
+    bg = np.random.Philox(key=seed)
+    bg.advance(7 * blocks)
+    u = np.random.Generator(bg).random(30 * blocks * 4)
+    want = u.reshape(30, blocks * 4)[:, :draws]
+    assert np.array_equal(_trial_uniforms(seed, 7, 37, draws), want)
+    raw = np.random.Philox(key=seed)
+    raw.advance(7 * blocks)
+    words = raw.random_raw(30 * blocks * 4)
+    assert np.array_equal((words >> np.uint64(11)) * 2.0 ** -53, u)
 
 
 # -- exact enumeration ---------------------------------------------------------

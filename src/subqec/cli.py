@@ -21,7 +21,7 @@ from .classical import LinearCode, builtin
 from .builder import ShorCode, SubsystemCode
 from .pauli import PauliGrid
 from .recovery import distance_bruteforce, extract_syndrome, recover
-from .simulate import NoiseModel, compare_report, run_trials
+from .simulate import RNG_LAYOUT, NoiseModel, compare_report, run_trials
 
 
 # -- matrix files --------------------------------------------------------
@@ -227,6 +227,11 @@ def _cmd_decode(args) -> int:
 def _cmd_simulate(args) -> int:
     code = _build(args)
     kind = args.noise
+    read = ("px", "pz") if kind == "independent_xz" else ("p",)
+    unread = [f"--{flag}" for flag in ("p", "px", "pz")
+              if flag not in read and getattr(args, flag) is not None]
+    if unread:
+        raise ValueError(f"{kind} noise does not read {', '.join(unread)}")
     if kind == "independent_xz":
         if args.px is None or args.pz is None:
             raise ValueError("independent_xz needs --px and --pz")
@@ -251,6 +256,8 @@ def _cmd_simulate(args) -> int:
         "code": {"n": n, "k": k, "gauge_qubits": gauge,
                  "stabilizer_count": stabs},
         "noise": noise.describe(),
+        "provenance": {"version": __version__, "c1": args.c1, "c2": args.c2,
+                       "rng_layout": RNG_LAYOUT},
     })
     return 0
 

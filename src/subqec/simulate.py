@@ -1,11 +1,11 @@
 """Monte Carlo and exact logical-failure rates, plus measurement-count
 comparisons against the Shor-style construction.
 
-Randomness is counter based: trial t of a run with master seed s draws its
-words from a Philox stream keyed by s at block offset t * blocks_per_trial.
-A trial's error pattern is therefore a pure function of (seed, trial index),
-so results are identical no matter how trials are batched or spread over
-workers.
+Randomness is counter based (``RNG_LAYOUT``): trial t of a run with master
+seed s reads its d = draws_per_site * n words, X first, from block
+t * ceil(d/4) of a Philox stream keyed by s.  A trial's error pattern is
+therefore a pure function of (seed, trial index), so results are identical
+no matter how trials are batched or spread over workers.
 
 No uniform is formed: ``Generator.random`` would return ``(w >> 11) * 2**-53``
 for a raw word w, and ``u < c`` iff ``(w >> 11) < ceil(c * 2**53)``, so the
@@ -20,10 +20,9 @@ grid's columns over the support of row b of ``G2``.  So the stage fails iff
 ``c1.fail[y_b]`` is set for some b.  The phase-flip stage mirrors this
 through ``G1 C1^T = I``: with ``w_a = G1[a] z``, the XOR of the grid's rows
 over the support of row a of ``G1``, it fails iff ``c2.fail[w_a]`` is set
-for some a.  The words are linear in the hits, so a stage packs the hit
-mask into bytes and XORs one 256-entry table of packed words per byte
-position; :func:`subqec.recovery.recover` stays the reference it is tested
-against.
+for some a.  The words are linear in the hits, of which a trial has few,
+so :class:`_Kernel` XORs per-(Pauli, slot) contributions over each trial's
+hits alone; :func:`subqec.recovery.recover` stays its reference.
 """
 
 from __future__ import annotations
@@ -41,10 +40,11 @@ from .builder import SubsystemCode
 from .pauli import PauliGrid
 from .recovery import _require_int, recover
 
+# Tags the draw layout the module docstring describes; change it with it.
+RNG_LAYOUT = "philox4x64/trial-blocks/raw-limits/v1"
 _MAX_SEED = (1 << 64) - 1
 _RAW_WORDS = 1 << 17  # most raw words drawn per batch, to stay in cache
 _EXACT_MAX_N = 20
-_EXACT_CHUNK = 1 << 14  # patterns per kernel call in exact enumeration
 _NOISE_KINDS = ("depolarizing", "x_only", "z_only", "independent_xz")
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -176,100 +176,105 @@ def _below(words: np.ndarray, c: float) -> np.ndarray:
     return words < np.uint64(limit) if limit >> 64 == 0 else words >= 0
 
 
-class _Stage:
-    """A decoding stage as byte tables.  ``contrib[s, b]`` holds the bits a
-    hit at the stage's site s flips in word b.  A row packed little-endian
-    holds ``frame`` trials of ``width`` sites, the stage's n from ``offset``
-    in each; ``tables[i, v]`` holds the row's words, 63 // n to an int64
-    lane, for the hits v in byte ``positions[i]``."""
+class _Kernel:
+    """Both decoding stages of a code, run over lists of hits.
 
-    def __init__(self, decoder: LinearCode, contrib: np.ndarray, width: int,
-                 offset: int, frame: int):
-        n, k = contrib.shape
-        per = 63 // decoder.n
-        lanes = np.zeros((-(-frame * width // 8) * 8, -(-frame * k // per)),
-                         np.int64)
-        for j in range(frame * k):  # word b of the row's trial f is fk + b
-            lanes[j // k * width + offset:][:n, j // per] |= (
-                contrib[:, j % k] << (j % per * decoder.n))
-        lanes = lanes.reshape(len(lanes) // 8, 8, lanes.shape[1])
-        self.positions = np.flatnonzero(lanes.any(axis=(1, 2)))
-        lanes = lanes[self.positions]
-        self.tables = np.zeros((len(lanes), 256, lanes.shape[2]), np.int64)
-        for t in range(8):  # bit t of byte q is site 8q + t
-            self.tables[:, 1 << t:2 << t] = (self.tables[:, :1 << t]
-                                             ^ lanes[:, t, None])
-        self.lane, self.shift = np.divmod(np.arange(frame * k), per)
-        self.shift *= decoder.n
-        self.fail, self.frame, self.k = decoder.fail, frame, k
+    A trial owns ``width`` slots: X hits count at [0, n), Z hits at
+    [z_offset, z_offset + n).  Row r of ``lanes`` is an int64 table whose
+    entry ``(x + 2 z) * width + slot`` holds the bits such a hit flips in
+    the stage words packed into lane r.  A stage whose factor has no fail
+    table (n > 20) replays :func:`subqec.recovery.recover` instead."""
 
-    def __call__(self, packed: np.ndarray) -> np.ndarray:
-        """True per trial of the packed rows where some word fails."""
-        acc = np.zeros((len(packed), self.tables.shape[2]), np.int64)
-        for q, table in zip(self.positions, self.tables):
-            acc ^= table[packed[:, q]]
-        words = (acc[:, self.lane] >> self.shift) & (len(self.fail) - 1)
-        fails = self.fail[words].reshape(len(packed) * self.frame, self.k)
-        return fails.any(axis=1)
+    def __init__(self, code: SubsystemCode, width: int = 0, z_offset: int = 0):
+        self.code, self.width, self.z_offset = code, width or code.n, z_offset
+        lanes, used, self.words = [np.zeros((4, self.width), np.int64)], 0, []
+        for axis, (own, other) in enumerate(((code.c1, code.c2),
+                                             (code.c2, code.c1))):
+            if own.n > _TABLE_MAX_N:
+                self.words.append(None)
+                continue
+            # A hit at (i, j) sets position i (bit n1-1-i) of each y_b with
+            # G2[b, j] = 1, or position j of each w_a with G1[a, i] = 1.
+            place = (own.n - 1 - np.arange(own.n))[:, None, None]
+            bits = other.generator.T << place  # (own site, other site, word)
+            bits = bits.swapaxes(0, axis).reshape(code.n, other.k)
+            sites = slice(axis * z_offset, axis * z_offset + code.n)
+            lane, shift = np.zeros((2, other.k, 1), np.intp)
+            for b in range(other.k):  # words fill 63-bit lanes in turn
+                if used + own.n > 63:
+                    lanes.append(np.zeros((4, self.width), np.int64))
+                    used = 0
+                lane[b], shift[b] = len(lanes) - 1, used
+                lanes[-1][[1 << axis, 3], sites] |= bits[:, b] << used
+                used += own.n
+            self.words.append((own.fail, lane[:, 0], shift))
+        self.lanes = np.array(lanes).reshape(len(lanes), -1)
 
+    def fails(self, axis: int, acc: np.ndarray) -> np.ndarray:
+        """Whether the stage fails, per column of XOR-reduced lanes."""
+        fail, lane, shift = self.words[axis]
+        return fail[(acc[lane] >> shift) & (len(fail) - 1)].any(axis=0)
 
-def _stage(code: SubsystemCode, bit_flip: bool, width: int = 0,
-           offset: int = 0, frame: int = 1):
-    """The bit-flip stage on X hits (or the phase-flip stage on Z hits) at
-    sites [offset, offset + n) of each trial's ``width`` (default n): a hit
-    at (i, j) sets position i (bit n1-1-i) of each y_b with G2[b, j] = 1,
-    or position j of each w_a with G1[a, i] = 1."""
-    c1, c2 = code.c1, code.c2
-    width = width or code.n
-    if (c1 if bit_flip else c2).n > _TABLE_MAX_N:  # no fail table
-        return _replay_stage(code, bit_flip, width, offset, frame)
-    if bit_flip:
-        bit = c2.generator.T[None] << (c1.n - 1 - np.arange(c1.n))[:, None, None]
-        return _Stage(c1, bit.reshape(code.n, c2.k), width, offset, frame)
-    phase = c1.generator.T[:, None] << (c2.n - 1 - np.arange(c2.n))[:, None]
-    return _Stage(c2, phase.reshape(code.n, c1.k), width, offset, frame)
+    def __call__(self, idx: np.ndarray, z, x) -> tuple:
+        """(trials, bit-flip fails, phase-flip fails) over the trials that
+        hold hits, given the sorted flat slots ``idx`` of the hits and
+        their Z and X masks (None for an axis never hit)."""
+        if not len(idx):
+            return idx, np.zeros(0, bool), np.zeros(0, bool)
+        trial = idx // self.width
+        pauli = (0 if x is None else x) + (0 if z is None else 2 * z)
+        rows = idx + (pauli - trial) * self.width  # pauli * width + slot
+        first = np.flatnonzero(np.concatenate(([True], trial[1:] != trial[:-1])))
+        trials = trial[first]
+        acc = np.array([np.bitwise_xor.reduceat(np.take(lane, rows), first)
+                        for lane in self.lanes])
+        return (trials, *(self.fails(axis, acc) if self.words[axis]
+                          else self._replay(axis, trial, rows, trials)
+                          for axis in (0, 1)))
 
-
-def _replay_stage(code: SubsystemCode, bit_flip: bool, width: int,
-                  offset: int, frame: int):
-    """A stage that replays :func:`subqec.recovery.recover` on each trial's
-    hits of its own axis, which alone decide that stage."""
-    def stage(packed: np.ndarray) -> np.ndarray:
-        bits = np.unpackbits(packed, axis=1, bitorder="little")
-        hits = bits[:, :frame * width].reshape(-1, width)[:, offset:]
-        grids = hits[:, :code.n].reshape(-1, code.n1, code.n2)
-        zero = np.zeros(grids.shape[1:], np.uint8)
-        return np.array([g.any() and not recover(
-            code, PauliGrid(zero, g) if bit_flip else PauliGrid(g, zero)
-        ).logical_ok for g in grids], bool)
-    return stage
+    def _replay(self, axis: int, trial, rows, trials) -> np.ndarray:
+        """recover() on each trial's hits on this stage's axis, which alone
+        decide the stage."""
+        pauli, site = np.divmod(rows, self.width)
+        site -= axis * self.z_offset
+        on = (pauli >> axis & 1 == 1) & (site >= 0) & (site < self.code.n)
+        grids = np.zeros((len(trials), self.code.n1, self.code.n2), np.uint8)
+        grids.reshape(len(trials), -1)[
+            np.searchsorted(trials, trial[on]), site[on]] = 1
+        zero = np.zeros_like(grids[0])
+        return np.array([g.any() and not recover(self.code, PauliGrid(
+            zero, g) if axis == 0 else PauliGrid(g, zero)).logical_ok
+            for g in grids], bool)
 
 
 def _batch_failures(code: SubsystemCode, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Vectorized recovery over a batch of (t, n1, n2) errors; True where
     recovery leaves a logical error.  Exactly matches
     :func:`subqec.recovery.recover` trial for trial (pinned by tests)."""
-    bit, phase = _stage(code, True), _stage(code, False)
-    pack = functools.partial(np.packbits, axis=1, bitorder="little")
-    return bit(pack(x.reshape(len(x), -1))) | phase(pack(z.reshape(len(z), -1)))
+    z, x = z.reshape(-1).astype(bool), x.reshape(-1).astype(bool)
+    idx = np.flatnonzero(z | x)
+    trials, bit, phase = _Kernel(code)(idx, z[idx], x[idx])
+    failed = np.zeros(len(z) // code.n, bool)
+    failed[trials] = bit | phase
+    return failed
 
 
-def _count_chunk(code: SubsystemCode, noise: NoiseModel, stages, width: int,
-                 seed: int, batch_size: int, trial_range: tuple) -> np.ndarray:
-    """(logical, bit-flip, phase-flip) failure counts of trials [t0, t1) of
-    ``width`` raw words each; rows pack two trials, so one past t1 may be
-    drawn and dropped."""
+def _count_chunk(kernel: _Kernel, noise: NoiseModel, seed: int,
+                 batch_size: int, trial_range: tuple) -> np.ndarray:
+    """(logical, bit-flip, phase-flip) failure counts of trials [t0, t1)
+    of ``kernel.width`` raw words each.  Only words below the channel's
+    largest limit can hit, so only those are classified."""
     t0, t1 = trial_range
-    step = 2 * max(1, min(batch_size, _RAW_WORDS // width) // 2)
+    step = max(1, min(batch_size, _RAW_WORDS // kernel.width))
+    top = max(noise.p_x, noise.p_z) if noise.draws_per_site == 2 else noise.p
     bg = np.random.Philox(key=seed)
-    bg.advance(t0 * width // 4)
+    bg.advance(t0 * kernel.width // 4)
     counts = np.zeros(3, np.int64)
     for b0 in range(t0, t1, step):
-        t = min(step, t1 - b0)
-        hits = noise._hits(bg.random_raw(-(-t // 2) * 2 * width), _below)
-        bit, phase = (np.zeros(t, bool) if m is None else stage(
-            np.packbits(m, bitorder="little").reshape(-1, width // 4))[:t]
-            for stage, m in zip(stages, hits[::-1]))
+        words = bg.random_raw(min(step, t1 - b0) * kernel.width)
+        idx = np.flatnonzero(_below(words, top))
+        _, bit, phase = kernel(idx, *noise._hits(words[idx], _below))
+        del words, idx  # so the next draw reuses their pages
         counts += [np.count_nonzero(bit | phase), np.count_nonzero(bit),
                    np.count_nonzero(phase)]
     return counts
@@ -283,8 +288,7 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
     over any number of workers or any batch size returns a byte-identical
     report.  ``workers`` sets how many trial ranges the run is split into;
     at most one thread per core runs them.  A batch draws the words of at
-    most ``batch_size`` trials, rounded up to an even count, and of about
-    2**17 words at most.
+    most ``batch_size`` trials, and of about 2**17 words at most.
     """
     trials, seed, workers, batch_size = (
         _require_int(name, value) for name, value in (
@@ -298,14 +302,11 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
         raise ValueError("workers must be >= 1")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    # The stages (and the factors' fail tables) are built before threads
-    # fan out, so they share one copy.  A trial owns whole Philox blocks.
+    # The kernel (and the factors' fail tables) is built before threads fan
+    # out, so they share one copy.  A trial owns whole Philox blocks.
     width = 4 * max(1, (noise.draws_per_site * code.n + 3) // 4)
-    z_offset = (noise.draws_per_site - 1) * code.n
-    stages = (_stage(code, True, width, 0, 2),
-              _stage(code, False, width, z_offset, 2))
-    count = functools.partial(_count_chunk, code, noise, stages, width, seed,
-                              batch_size)
+    kernel = _Kernel(code, width, (noise.draws_per_site - 1) * code.n)
+    count = functools.partial(_count_chunk, kernel, noise, seed, batch_size)
     bounds = np.linspace(0, trials, workers + 1).astype(int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     if workers == 1 or len(ranges) == 1:
@@ -339,7 +340,7 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
     Failing patterns are counted by weight w and the rate is
     ``sum_w count_w p**w (1-p)**(n-w)``.  Only ``x_only`` and ``z_only``
     channels factorize this way; the grid is capped at 20 sites (2**20
-    patterns, run in chunks of 2**14).
+    patterns).
     """
     if noise.kind not in ("x_only", "z_only"):
         raise ValueError("exact enumeration needs an x_only or z_only channel")
@@ -347,17 +348,16 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
     if n > _EXACT_MAX_N:
         raise ValueError(f"{n} sites would mean 2**{n} patterns; too many")
     # Only one stage can fail: bit flips are decoded down the columns with
-    # code 1, phase flips along the rows with code 2.
-    stage = _stage(code, noise.kind == "x_only")
-    failing = np.zeros(n + 1, np.int64)
-    for start in range(0, 1 << n, _EXACT_CHUNK):
-        # Bit s of a pattern is site s, so its little-endian bytes are the
-        # mask packed as the kernel packs it.
-        patterns = np.arange(start, min(start + _EXACT_CHUNK, 1 << n),
-                             dtype="<u8")
-        packed = patterns.view(np.uint8).reshape(-1, 8)[:, :-(-n // 8)]
-        weights = np.unpackbits(packed[stage(packed)], axis=1).sum(1, np.intp)
-        failing += np.bincount(weights, minlength=n + 1)
+    # code 1, phase flips along the rows with code 2.  Doubling over the
+    # sites gives that stage's lanes and the weight of every pattern.
+    axis, kernel = int(noise.kind == "z_only"), _Kernel(code)
+    sites = kernel.lanes[:, (1 + axis) * n:][:, :n]  # X or Z hits, (lanes, n)
+    lanes = np.zeros((len(sites), 1 << n), np.int64)
+    weights = np.zeros(1 << n, np.uint8)
+    for s in range(n):
+        lanes[:, 1 << s:2 << s] = lanes[:, :1 << s] ^ sites[:, s, None]
+        weights[1 << s:2 << s] = weights[:1 << s] + 1
+    failing = np.bincount(weights[kernel.fails(axis, lanes)], minlength=n + 1)
     p = noise.p
     return math.fsum(int(count) * p ** w * (1.0 - p) ** (n - w)
                      for w, count in enumerate(failing) if count)

@@ -14,7 +14,8 @@ from subqec.cli import (
     parse_error,
     parse_matrix,
 )
-from subqec.simulate import TrialReport
+from subqec import __version__
+from subqec.simulate import RNG_LAYOUT, TrialReport
 
 GOLDEN_INFO_REP3 = """\
 {
@@ -189,6 +190,32 @@ def test_simulate_reports_failures_by_axis(capsys):
     payload = json.loads(out)
     assert payload["bit_flip_failures"] == 0
     assert payload["phase_flip_failures"] == payload["logical_failures"] > 0
+
+
+def test_simulate_reports_provenance(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--c1", "rep:3", "--c2",
+                           "hamming:7-4", "--noise", "x_only", "--p", "0.1",
+                           "--trials", "100", "--seed", "3")
+    assert code == 0
+    assert json.loads(out)["provenance"] == {
+        "version": __version__, "c1": "rep:3", "c2": "hamming:7-4",
+        "rng_layout": RNG_LAYOUT}
+
+
+@pytest.mark.parametrize("noise,given,unread", [
+    ("depolarizing", ("--p", "0.1", "--px", "0.3"), "--px"),
+    ("x_only", ("--p", "0.1", "--pz", "0.3"), "--pz"),
+    ("z_only", ("--p", "0.1", "--px", "0", "--pz", "0"), "--px, --pz"),
+    ("independent_xz", ("--px", "0.1", "--pz", "0.2", "--p", "0.1"), "--p"),
+    ("independent_xz", ("--p", "0.1"), "--p"),
+])
+def test_simulate_rejects_unread_noise_flags(capsys, noise, given, unread):
+    code, out, err = run_cli(capsys, "simulate", "--c1", "rep:3", "--c2",
+                             "rep:3", "--noise", noise, *given,
+                             "--trials", "10", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert f"{noise} noise does not read {unread}" in err
 
 
 def test_simulate_zero_failures_reports_interval(capsys):

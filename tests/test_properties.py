@@ -21,9 +21,9 @@ from subqec import (
     run_trials,
 )
 from subqec.simulate import (
+    _Kernel,
     _batch_failures,
     _count_chunk,
-    _stage,
     _trial_uniforms,
 )
 
@@ -114,11 +114,10 @@ def test_raw_word_kernel_matches_float_reference(c1, c2, noise, seed):
     code = SubsystemCode(c1, c2)
     width = 4 * -(-noise.draws_per_site * code.n // 4)
     z_offset = (noise.draws_per_site - 1) * code.n
-    stages = (_stage(code, True, width, 0, 2),
-              _stage(code, False, width, z_offset, 2))
+    kernel = _Kernel(code, width, z_offset)
     trials = 12
-    got = [tuple(_count_chunk(code, noise, stages, width, seed, 8192,
-                              (t, t + 1))) for t in range(trials)]
+    got = [tuple(_count_chunk(kernel, noise, seed, 8192, (t, t + 1)))
+           for t in range(trials)]
     u = _trial_uniforms(seed, 0, trials, noise.draws_per_site * code.n)
     zbits, xbits = noise.errors_from_uniforms(u, code.n)
     shape = (code.n1, code.n2)
@@ -127,7 +126,7 @@ def test_raw_word_kernel_matches_float_reference(c1, c2, noise, seed):
                                       xbits[t].reshape(shape)))
         assert got[t] == (not out.logical_ok, out.residual_x.any(),
                           out.residual_z.any()), t
-    whole = _count_chunk(code, noise, stages, width, seed, 5, (0, trials))
+    whole = _count_chunk(kernel, noise, seed, 5, (0, trials))
     assert tuple(whole) == tuple(map(sum, zip(*got)))
 
 

@@ -22,8 +22,10 @@ from subqec import (
 from subqec import simulate
 from subqec.simulate import (
     _WILSON_Z,
+    _Kernel,
     _batch_failures,
     _below,
+    _count_chunk,
     _trial_uniforms,
 )
 
@@ -309,10 +311,20 @@ def test_run_trials_above_sixteen_bits(rep3):
         assert batch[i] == (not recover(code, PauliGrid(z[i], x[i])).logical_ok)
 
 
-def replayed_outcomes(code, noise, trials, seed):
-    """recover() on the first trials of a run, drawn through the float
-    reference: _trial_uniforms -> errors_from_uniforms."""
-    u = _trial_uniforms(seed, 0, trials, noise.draws_per_site * code.n)
+def grid_code(pair):
+    """rep(n) for an int, hamming for "ham", and for "ham21" a [21,18] code
+    with no fail table (three copies of the Hamming check columns)."""
+    def factor(c):
+        if c == "ham21":
+            return LinearCode.from_parity(np.tile(hamming_7_4().check, 3))
+        return hamming_7_4() if c == "ham" else repetition(c)
+    return SubsystemCode(*(factor(c) for c in pair))
+
+
+def replayed_outcomes(code, noise, trials, seed, t0=0):
+    """recover() on trials [t0, t0 + trials) of a run, drawn through the
+    float reference: _trial_uniforms -> errors_from_uniforms."""
+    u = _trial_uniforms(seed, t0, t0 + trials, noise.draws_per_site * code.n)
     zbits, xbits = noise.errors_from_uniforms(u, code.n)
     shape = (code.n1, code.n2)
     return [recover(code, PauliGrid(z.reshape(shape), x.reshape(shape)))
@@ -331,12 +343,7 @@ def replayed_outcomes(code, noise, trials, seed):
 def test_failures_by_axis_match_recover(pair, noise):
     # The last pairs have a 21-bit code 1, so the bit-flip stage replays
     # recover; the phase-flip stage of the last one still uses rep3's table.
-    def factor(c):
-        if c == "ham21":
-            return LinearCode.from_parity(np.tile(hamming_7_4().check, 3))
-        return hamming_7_4() if c == "ham" else repetition(c)
-
-    code = SubsystemCode(*(factor(c) for c in pair))
+    code = grid_code(pair)
     report = run_trials(code, noise, 300, seed=31)
     outcomes = replayed_outcomes(code, noise, 300, 31)
     assert report.logical_failures == sum(not o.logical_ok for o in outcomes)
@@ -362,6 +369,46 @@ def test_reports_identical_across_batch_sizes(code9, ham, noise):
         for workers, batch_size in ((2, 8192), (1, 3000), (2, 3000), (1, 1)):
             assert run_trials(code, noise, 9001, 77, workers=workers,
                               batch_size=batch_size) == base
+
+
+@pytest.mark.parametrize("pair,noise,t0,t1,batch_size", [
+    ((3, 3), NoiseModel.depolarizing(0.0), 0, 40, 8192),  # no hit at all
+    ((3, 3), NoiseModel.depolarizing(1.0), 0, 40, 8192),  # the 65-bit limit
+    ((2, 3), NoiseModel.x_only(1.0), 0, 40, 8192),
+    ((3, "ham"), NoiseModel.independent_xz(1.0, 1.0), 0, 20, 8192),
+    ((3, "ham"), NoiseModel.independent_xz(0.3, 0.05), 0, 60, 8192),
+    ((4, 3), NoiseModel.independent_xz(0.0, 0.4), 0, 60, 8192),
+    ((4, 3), NoiseModel.independent_xz(0.4, 0.0), 0, 60, 8192),
+    # rep3^2 draws 9 words of its 12: hits on slots 9..11 must not count.
+    ((3, 3), NoiseModel.depolarizing(0.5), 0, 60, 8192),
+    ((3, 3), NoiseModel.z_only(0.5), 0, 60, 8192),
+    ((3, 3), NoiseModel.depolarizing(0.2), 7, 61, 8192),  # odd t0
+    ((3, 3), NoiseModel.independent_xz(0.2, 0.3), 7, 61, 1),
+    (("ham", 2), NoiseModel.depolarizing(0.1), 0, 40, 1),
+    # The bit-flip stage replays recover, on X slots [0, 21) of 44; then
+    # the phase-flip stage, on Z slots [21, 42).
+    (("ham21", 1), NoiseModel.independent_xz(0.1, 0.3), 3, 43, 2),
+    ((1, "ham21"), NoiseModel.independent_xz(0.3, 0.1), 3, 43, 2),
+    # Four 17-bit bit-flip words fill more than one 63-bit lane.
+    ((17, "ham"), NoiseModel.depolarizing(0.3), 0, 40, 8192),
+    ((17, "ham"), NoiseModel.independent_xz(0.05, 0.1), 0, 40, 8192),
+])
+def test_hit_list_kernel_edge_cases(pair, noise, t0, t1, batch_size):
+    """Each trial's (logical, bit-flip, phase-flip) outcome equals recover()
+    on the errors the float uniforms give, and the batched counts equal
+    their sum."""
+    code = grid_code(pair)
+    width = 4 * -(-noise.draws_per_site * code.n // 4)
+    kernel = _Kernel(code, width, (noise.draws_per_site - 1) * code.n)
+    want = [(not o.logical_ok, o.residual_x.any(), o.residual_z.any())
+            for o in replayed_outcomes(code, noise, t1 - t0, 12, t0)]
+    for t, outcome in enumerate(want, t0):
+        got = _count_chunk(kernel, noise, 12, batch_size, (t, t + 1))
+        assert tuple(got) == outcome, t
+    whole = _count_chunk(kernel, noise, 12, batch_size, (t0, t1))
+    assert tuple(whole) == tuple(map(sum, zip(*want)))
+    if noise.p == 0.0 and noise.kind != "independent_xz":
+        assert not whole.any()
 
 
 # -- integer limits on raw words ---------------------------------------------------

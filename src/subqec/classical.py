@@ -81,37 +81,44 @@ class LinearCode:
                  name: Optional[str] = None):
         if generator is None and check is None:
             raise ValueError("need a generator or a check matrix")
+        # The algebra runs on packed rows (see gf2); g and h are the packed
+        # generator and check.
         if generator is not None:
             generator = gf2.as_bits(generator)
-            if gf2.rank(generator) != generator.shape[0]:
+            g = gf2.pack_rows(generator)
+            if gf2.rank_rows(g) != len(g):
                 raise ValueError("generator rows are linearly dependent")
         if check is not None:
             check = gf2.as_bits(check)
-            if gf2.rank(check) != check.shape[0]:
+            h = gf2.pack_rows(check)
+            if gf2.rank_rows(h) != len(h):
                 raise ValueError("check rows are linearly dependent")
         if generator is None:
-            generator = gf2.kernel_basis(check)
+            g = gf2.kernel_rows(h, check.shape[1])
+            generator = gf2.unpack_rows(g, check.shape[1])
         if check is None:
-            check = gf2.kernel_basis(generator)
+            h = gf2.kernel_rows(g, generator.shape[1])
+            check = gf2.unpack_rows(h, generator.shape[1])
         if generator.shape[1] != check.shape[1]:
             raise ValueError("generator and check column counts differ")
         n = generator.shape[1]
         if n < 1:
             raise ValueError("block length must be at least 1")
-        if generator.shape[0] + check.shape[0] != n:
+        if len(g) + len(h) != n:
             raise ValueError("generator and check ranks do not add up to n")
-        if np.any(gf2.mat_mul(check, generator.T)):
+        if any(gf2.gram_rows(h, g)):
             raise ValueError("check matrix does not annihilate the generator")
 
         self.n = n
-        self.k = generator.shape[0]
+        self.k = len(g)
         self.generator = generator
         self.check = check
-        self.check_complement, self.generator_complement = gf2.dual_complete(
-            check, generator)
+        h_c, g_c = gf2.dual_complete_rows(h, g, n)
         self.name = name
-        self.basis = np.vstack([self.generator_complement, self.generator])
-        self.dual_basis = np.vstack([self.check, self.check_complement])
+        self.basis = gf2.unpack_rows(g_c + g, n)
+        self.dual_basis = gf2.unpack_rows(h + h_c, n)
+        self.generator_complement = self.basis[:n - self.k]
+        self.check_complement = self.dual_basis[n - self.k:]
         for m in (self.generator, self.check, self.check_complement,
                   self.generator_complement, self.basis, self.dual_basis):
             m.setflags(write=False)

@@ -6,8 +6,17 @@ rows or zero columns) are legal everywhere and show up routinely: a code
 with k = n has an empty parity-check matrix, and a code with k = 0 has an
 empty generator.
 
-Integer matmul on uint8 wraps modulo 256, which is even, so parity survives
-the wraparound; ``(a @ b) & 1`` is therefore an exact mod-2 product.
+Elimination runs on packed rows: :func:`pack_rows` makes each row one
+Python int with column 0 as its top bit, so a row operation is one XOR and
+a row's pivot column is its leading bit, and pivot rows are kept in a dict
+keyed on that bit.  The ``*_rows`` functions work on such lists of ints
+(``LinearCode`` builds a code on them); the matrix functions pack once,
+eliminate and unpack.
+
+:func:`mat_mul` keeps small products on a uint8 ``@`` masked to the low
+bit, which is exact because uint8 wraps modulo 256, an even number.  Larger
+ones AND the rows of both operands packed into uint64 words, XOR across
+words and take each entry's parity with a shift-XOR fold.
 """
 
 from __future__ import annotations
@@ -15,6 +24,13 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+# Products of fewer multiply-adds than this stay on the uint8 ``@``, which
+# is faster there than packing both operands into words.
+_PACKED_MIN_WORK = 1 << 15
+# Output entries per chunk of rows of a packed product: keeps each uint64
+# temporary at 256 KB.
+_PACKED_CHUNK = 1 << 15
 
 
 def as_bits(m) -> np.ndarray:
@@ -32,10 +48,167 @@ def as_bits(m) -> np.ndarray:
     a = np.asarray(m)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    a = a.astype(np.uint8, copy=False)
-    if a.size and a.max(initial=0) > 1:
+    if a.dtype == np.uint8 or a.dtype == np.bool_:
+        a = a.astype(np.uint8, copy=False)
+        if a.size and a.max(initial=0) > 1:
+            raise ValueError("matrix entries must be 0 or 1")
+        return a
+    # Checked before the cast, which would wrap 256 to 0 and cut 0.5 to 0.
+    if not ((a == 0) | (a == 1)).all():
         raise ValueError("matrix entries must be 0 or 1")
-    return a
+    return a.astype(np.uint8)
+
+
+# -- packed rows -------------------------------------------------------------
+
+def pack_rows(m) -> list:
+    """The rows of a 0/1 matrix as ints, column 0 being the top bit."""
+    a = as_bits(m)
+    width = (a.shape[1] + 7) // 8
+    if not width:
+        return [0] * a.shape[0]
+    pad = -a.shape[1] % 8
+    data = np.packbits(a, axis=1).tobytes()
+    return [int.from_bytes(data[i:i + width], "big") >> pad
+            for i in range(0, len(data), width)]
+
+
+def unpack_rows(rows: list, cols: int) -> np.ndarray:
+    """The (len(rows), cols) uint8 matrix of packed rows."""
+    width = (cols + 7) // 8
+    data = b"".join((v << -cols % 8).to_bytes(width, "big") for v in rows)
+    packed = np.frombuffer(data, np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=cols)
+
+
+def _insert(pivots: dict, v: int) -> bool:
+    """Reduce ``v`` by the pivot rows until its leading bit has no pivot
+    and store it there (True), or until it vanishes (False)."""
+    while v:
+        lead = v.bit_length() - 1
+        p = pivots.get(lead)
+        if p is None:
+            pivots[lead] = v
+            return True
+        v ^= p
+    return False
+
+
+def _echelon(rows) -> dict:
+    """Pivot rows spanning ``rows``, keyed on their leading bits."""
+    pivots: dict = {}
+    for v in rows:
+        _insert(pivots, v)
+    return pivots
+
+
+def rank_rows(rows) -> int:
+    """Rank of packed rows (forward elimination only)."""
+    return len(_echelon(rows))
+
+
+def _rref_rows(rows) -> tuple:
+    """The nonzero rows of the reduced row-echelon form, in pivot order,
+    and their leading bits."""
+    pivots = _echelon(rows)
+    leads = sorted(pivots)
+    # Lowest pivot first: it has zeros at every lower pivot bit already, so
+    # clearing its bit from the higher rows sets no pivot bit again.
+    for i, lead in enumerate(leads):
+        row, bit = pivots[lead], 1 << lead
+        for higher in leads[i + 1:]:
+            if pivots[higher] & bit:
+                pivots[higher] ^= row
+    leads.reverse()
+    return [pivots[lead] for lead in leads], leads
+
+
+def kernel_rows(rows, cols: int) -> list:
+    """:func:`kernel_basis` of the matrix with these packed rows."""
+    reduced, leads = _rref_rows(rows)
+    pivot_bits = set(leads)
+    return [sum(1 << lead for row, lead in zip(reduced, leads) if row >> b & 1)
+            | 1 << b for b in range(cols - 1, -1, -1) if b not in pivot_bits]
+
+
+def gram_rows(a, b) -> list:
+    """Packed rows of ``a @ b.T``: bit len(b)-1-j of row i is the parity of
+    ``a[i] & b[j]``."""
+    out = []
+    for u in a:
+        v = 0
+        for w in b:
+            v = v << 1 | (u & w).bit_count() & 1
+        out.append(v)
+    return out
+
+
+def _eye_rows(n: int) -> list:
+    return [1 << (n - 1 - i) for i in range(n)]
+
+
+def _transpose(rows, cols: int) -> list:
+    if not rows:
+        return [0] * cols
+    bits = [format(v, f"0{cols}b") for v in rows] if cols else []
+    return [int("".join(col), 2) for col in zip(*bits)]
+
+
+def _inverse_rows(rows) -> Optional[list]:
+    """Packed inverse of n packed n-bit rows; None when singular."""
+    n = len(rows)
+    reduced, leads = _rref_rows([v << n | e for v, e in zip(rows, _eye_rows(n))])
+    # The identity block keeps [m | I] at full row rank whatever m is; m is
+    # invertible exactly when every pivot falls in the left block.
+    if n and leads[-1] < n:
+        return None
+    return [v & (1 << n) - 1 for v in reduced]
+
+
+def dual_complete_rows(p, g, n: int) -> tuple:
+    """:func:`dual_complete` on the packed n-bit rows of p and g, whose
+    counts add up to n; returns the packed rows of ``(p_c, g_c)``."""
+    k = len(g)
+    pivots = _echelon(p)
+    if len(pivots) != len(p):
+        raise ValueError("parity-check rows are linearly dependent")
+    if rank_rows(g) != k:
+        raise ValueError("generator rows are linearly dependent")
+    if any(gram_rows(p, g)):
+        raise ValueError("parity check does not annihilate the generator")
+
+    # Extend p's pivots to the whole space with unit rows b, lowest column
+    # first.
+    b = []
+    for e in _eye_rows(n):
+        if len(pivots) < n and _insert(pivots, e):
+            b.append(e)
+    # dual = inverse([p; b]).T, whose first n-k rows pair with p.
+    g_c = _transpose(_inverse_rows(p + b), n)[:n - k]
+    # p_c = inverse(g b^T).T b: the rows of b recombined to pair with g.
+    p_c = []
+    for u in _transpose(_inverse_rows(gram_rows(g, b)), k):
+        v = 0
+        for j, e in enumerate(b):
+            if u >> (k - 1 - j) & 1:
+                v ^= e
+        p_c.append(v)
+
+    # The identities are cheap to confirm and catch any internal slip.
+    if (gram_rows(p_c, g) != _eye_rows(k)
+            or gram_rows(p, g_c) != _eye_rows(n - k)
+            or any(gram_rows(p_c, g_c))):
+        raise ValueError("internal error: dual completion identities failed")
+    return p_c, g_c
+
+
+# -- matrix functions --------------------------------------------------------
+
+def _words(a: np.ndarray) -> np.ndarray:
+    """The rows of a 0/1 matrix packed into uint64 words."""
+    padded = np.zeros((len(a), -(-a.shape[1] // 64) * 64), np.uint8)
+    padded[:, :a.shape[1]] = a
+    return np.packbits(padded, axis=1).view(np.uint64)
 
 
 def mat_mul(a, b) -> np.ndarray:
@@ -48,7 +221,20 @@ def mat_mul(a, b) -> np.ndarray:
     b = as_bits(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
-    return (a @ b) & 1
+    rows, cols = a.shape[0], b.shape[1]
+    if rows * a.shape[1] * cols < _PACKED_MIN_WORK:
+        return (a @ b) & 1
+    aw, bw = _words(a), _words(b.T)
+    out = np.empty((rows, cols), np.uint8)
+    step = max(1, _PACKED_CHUNK // cols)
+    for r0 in range(0, rows, step):
+        acc = aw[r0:r0 + step, 0, None] & bw[:, 0]
+        for w in range(1, aw.shape[1]):
+            acc ^= aw[r0:r0 + step, w, None] & bw[:, w]
+        for shift in (32, 16, 8, 4, 2, 1):
+            acc ^= acc >> np.uint64(shift)
+        out[r0:r0 + step] = acc & np.uint64(1)
+    return out
 
 
 class Rref(NamedTuple):
@@ -69,30 +255,16 @@ def rref(m) -> Rref:
         ``Rref(reduced, rank, pivot_cols)`` where ``pivot_cols`` lists the
         pivot column indices in increasing order.
     """
-    r = as_bits(m).copy()
-    rows, cols = r.shape
-    pivot_cols: list = []
-    pr = 0
-    for c in range(cols):
-        if pr >= rows:
-            break
-        hits = np.nonzero(r[pr:, c])[0]
-        if hits.size == 0:
-            continue
-        k = pr + int(hits[0])
-        if k != pr:
-            r[[pr, k]] = r[[k, pr]]
-        mask = r[:, c].astype(bool).copy()
-        mask[pr] = False
-        r[mask] ^= r[pr]
-        pivot_cols.append(c)
-        pr += 1
-    return Rref(r, len(pivot_cols), pivot_cols)
+    m = as_bits(m)
+    rows, cols = m.shape
+    reduced, leads = _rref_rows(pack_rows(m))
+    return Rref(unpack_rows(reduced + [0] * (rows - len(reduced)), cols),
+                len(leads), [cols - 1 - lead for lead in leads])
 
 
 def rank(m) -> int:
     """Rank of ``m`` over GF(2)."""
-    return rref(m).rank
+    return rank_rows(pack_rows(m))
 
 
 def kernel_basis(m) -> np.ndarray:
@@ -104,16 +276,7 @@ def kernel_basis(m) -> np.ndarray:
         column, so the result is deterministic.
     """
     m = as_bits(m)
-    red, rk, pivot_cols = rref(m)
-    cols = m.shape[1]
-    pivot_set = set(pivot_cols)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for i, p in enumerate(pivot_cols):
-            basis[row, p] = red[i, f]
-    return basis
+    return unpack_rows(kernel_rows(pack_rows(m), m.shape[1]), m.shape[1])
 
 
 def solve(m, y) -> Optional[np.ndarray]:
@@ -131,16 +294,16 @@ def solve(m, y) -> Optional[np.ndarray]:
         ValueError: if the length of ``y`` does not match the row count.
     """
     m = as_bits(m)
-    y = np.asarray(y, dtype=np.uint8).reshape(-1)
+    y = as_bits(np.reshape(y, (-1, 1)))
     if y.shape[0] != m.shape[0]:
         raise ValueError(f"rhs length {y.shape[0]} does not match {m.shape[0]} rows")
-    aug = np.hstack([m, y[:, None]])
-    red, rk, pivot_cols = rref(aug)
-    if pivot_cols and pivot_cols[-1] == m.shape[1]:
+    # y is the last column of the augmented rows, their bit 0.
+    reduced, leads = _rref_rows(pack_rows(np.hstack([m, y])))
+    if leads and leads[-1] == 0:
         return None
     x = np.zeros(m.shape[1], dtype=np.uint8)
-    for i, c in enumerate(pivot_cols):
-        x[c] = red[i, -1]
+    for row, lead in zip(reduced, leads):
+        x[m.shape[1] - lead] = row & 1
     return x
 
 
@@ -154,14 +317,10 @@ def inverse(m) -> np.ndarray:
     n = m.shape[0]
     if m.shape[1] != n:
         raise ValueError(f"matrix {m.shape} is not square")
-    aug = np.hstack([m, np.eye(n, dtype=np.uint8)])
-    red, _, pivots = rref(aug)
-    # The identity block keeps the augmented matrix at full row rank no
-    # matter what m is; m is invertible exactly when every pivot falls in
-    # the left block.
-    if list(pivots) != list(range(n)):
+    inv = _inverse_rows(pack_rows(m))
+    if inv is None:
         raise ValueError("matrix is singular")
-    return red[:, n:].copy()
+    return unpack_rows(inv, n)
 
 
 def dual_complete(p, g) -> tuple:
@@ -196,63 +355,5 @@ def dual_complete(p, g) -> tuple:
         raise ValueError(
             f"row counts {p.shape[0]} + {g.shape[0]} do not add up to {n} columns"
         )
-    if rank(p) != p.shape[0]:
-        raise ValueError("parity-check rows are linearly dependent")
-    if rank(g) != g.shape[0]:
-        raise ValueError("generator rows are linearly dependent")
-    if np.any(mat_mul(p, g.T)):
-        raise ValueError("parity check does not annihilate the generator")
-
-    n_minus_k = p.shape[0]
-    k = g.shape[0]
-
-    # Greedy basis extension.  Stored rows are kept forward-reduced: each has
-    # zeros at all pivot columns of the rows stored before it.
-    reduced_rows: list = []
-
-    def _reduce(v: np.ndarray) -> np.ndarray:
-        v = v.copy()
-        for c, row in reduced_rows:
-            if v[c]:
-                v ^= row
-        return v
-
-    for row in p:
-        rv = _reduce(row.astype(np.uint8))
-        c = int(np.nonzero(rv)[0][0])
-        reduced_rows.append((c, rv))
-    appended = []
-    for i in range(n):
-        if len(reduced_rows) == n:
-            break
-        e = np.zeros(n, dtype=np.uint8)
-        e[i] = 1
-        rv = _reduce(e)
-        nz = np.nonzero(rv)[0]
-        if nz.size:
-            appended.append(i)
-            reduced_rows.append((int(nz[0]), rv))
-    b = np.zeros((k, n), dtype=np.uint8)
-    for row, i in enumerate(appended):
-        b[row, i] = 1
-
-    full = np.vstack([p, b]) if p.size or b.size else np.zeros((0, n), np.uint8)
-    dual = inverse(full).T
-    g_c = dual[:n_minus_k].copy()
-
-    if k:
-        w = mat_mul(g, b.T)
-        p_c = mat_mul(inverse(w).T, b)
-    else:
-        p_c = np.zeros((0, n), dtype=np.uint8)
-
-    # The identities are cheap to confirm and catch any internal slip.
-    eye_k = np.eye(k, dtype=np.uint8)
-    eye_r = np.eye(n_minus_k, dtype=np.uint8)
-    if (
-        np.any(mat_mul(p_c, g.T) != eye_k)
-        or np.any(mat_mul(p, g_c.T) != eye_r)
-        or np.any(mat_mul(p_c, g_c.T))
-    ):
-        raise ValueError("internal error: dual completion identities failed")
-    return p_c, g_c
+    p_c, g_c = dual_complete_rows(pack_rows(p), pack_rows(g), n)
+    return unpack_rows(p_c, n), unpack_rows(g_c, n)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf2
 from .builder import SubsystemCode
 from .pauli import PauliGrid
 
@@ -164,23 +165,29 @@ def distance_bruteforce(code: SubsystemCode, w_max: int,
         np.repeat(np.arange(c1.n) < c1.n - c1.k, c2.k),
         np.tile(np.arange(c2.n) < c2.n - c2.k, c1.k)])
 
-    def pack(bits) -> int:
-        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
-                              "little")
+    syn_mask = gf2.pack_rows(syndrome[None, :])[0]
+    sigs = [(x, z, x ^ z)
+            for x, z in zip(gf2.pack_rows(x_sig), gf2.pack_rows(z_sig))]
+    # The last site is looked up, not scanned: acc ^ sig has zero syndrome
+    # iff sig's syndrome bits equal acc's, and is nonzero iff sig != acc.
+    last_sites: dict = {}
+    for s, triple in enumerate(sigs):
+        for sig in triple:
+            last_sites.setdefault(sig & syn_mask, []).append((s, sig))
 
-    syn_mask = pack(syndrome)
-    sigs = [(pack(x), pack(z), pack(x ^ z)) for x, z in zip(x_sig, z_sig)]
+    def scan(start: int, remaining: int, acc: int) -> bool:
+        if remaining == 1:
+            for s, sig in last_sites.get(acc & syn_mask, ()):
+                if s >= start and sig != acc:
+                    return True
+            return False
+        for s in range(start, n - remaining + 1):
+            for sig in sigs[s]:
+                if scan(s + 1, remaining - 1, acc ^ sig):
+                    return True
+        return False
 
     for w in range(1, w_max + 1):
-        def scan(start: int, remaining: int, acc: int) -> bool:
-            if remaining == 0:
-                return not acc & syn_mask and acc != 0
-            for s in range(start, n - remaining + 1):
-                for sig in sigs[s]:
-                    if scan(s + 1, remaining - 1, acc ^ sig):
-                        return True
-            return False
-
         if scan(0, w, 0):
             return w
     return None

@@ -55,7 +55,7 @@ class NoiseModel:
 
     Use the factory classmethods; ``p`` is the total error probability for
     the single-parameter kinds, ``p_x``/``p_z`` the marginals for
-    ``independent_xz``.
+    ``independent_xz``.  A field the kind does not read must be 0.
     """
 
     kind: str
@@ -67,10 +67,14 @@ class NoiseModel:
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one "
                              f"of {', '.join(_NOISE_KINDS)}")
+        read = ("p_x", "p_z") if self.kind == "independent_xz" else ("p",)
         for label in ("p", "p_x", "p_z"):
             value = getattr(self, label)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{label}={value} is not a probability")
+            if label not in read and value != 0:
+                raise ValueError(f"{self.kind} noise does not read "
+                                 f"{label}={value}")
 
     @classmethod
     def depolarizing(cls, p: float) -> "NoiseModel":

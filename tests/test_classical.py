@@ -48,6 +48,14 @@ def test_from_generator_rejects_dependent_rows():
         LinearCode.from_generator([[1, 1, 0], [1, 1, 0]])
 
 
+@pytest.mark.parametrize("kwargs", [{"generator": [[257, 1, 1]]},
+                                    {"check": [[1, 256, 1]]},
+                                    {"generator": [[1, 0.5, 1]]}])
+def test_entries_outside_0_1_are_rejected_not_wrapped(kwargs):
+    with pytest.raises(ValueError, match="0 or 1"):
+        LinearCode(**kwargs)
+
+
 def test_parity_round_trip_preserves_code():
     rng = np.random.default_rng(21)
     done = 0

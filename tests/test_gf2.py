@@ -1,13 +1,17 @@
 """Tests for the GF(2) linear algebra kernels.
 
 Small cases are checked against exhaustive enumeration; structural
-properties run over seeded random matrices.
+properties run over seeded random matrices.  The packed-row elimination is
+pinned bit for bit against a column-by-column uint8 reference.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from subqec import gf2
 
@@ -47,11 +51,163 @@ def test_mat_mul_dimension_mismatch():
 
 def test_mat_mul_matches_int_arithmetic():
     rng = np.random.default_rng(100)
-    for _ in range(20):
-        a = random_bits(rng, rng.integers(1, 10), rng.integers(1, 10))
-        b = random_bits(rng, a.shape[1], rng.integers(1, 10))
+    shapes = [(rng.integers(1, 10), rng.integers(1, 10), rng.integers(1, 10))
+              for _ in range(20)]
+    # Inner dimensions at and around the 64-bit word edges, each with an
+    # output on either side of the switch to the packed product.
+    for inner in (0, 1, 63, 64, 65, 130):
+        for rows, cols in ((2, 3), (5, 5), (40, 33), (111, 111), (300, 7)):
+            shapes.append((rows, inner, cols))
+    small = packed = 0
+    for rows, inner, cols in shapes:
+        a = random_bits(rng, rows, inner)
+        b = random_bits(rng, inner, cols)
         expect = (a.astype(int) @ b.astype(int)) % 2
-        assert np.array_equal(gf2.mat_mul(a, b), expect.astype(np.uint8))
+        got = gf2.mat_mul(a, b)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expect.astype(np.uint8)), (rows, inner, cols)
+        if rows * inner * cols >= gf2._PACKED_MIN_WORK:
+            packed += 1
+        else:
+            small += 1
+    assert small and packed
+
+
+def test_mat_mul_packed_product_in_row_chunks():
+    rng = np.random.default_rng(101)
+    # More output rows than one chunk holds, and a last chunk cut short.
+    rows = 3 * (gf2._PACKED_CHUNK // 40) + 7
+    a = random_bits(rng, rows, 70)
+    b = random_bits(rng, 70, 40)
+    expect = (a.astype(int) @ b.astype(int)) % 2
+    assert np.array_equal(gf2.mat_mul(a, b), expect)
+
+
+# -- as_bits and packed rows -----------------------------------------------
+
+@pytest.mark.parametrize("bad", [
+    [[256, 1], [0, 1]],      # wraps to 0 in uint8
+    [[257, 1, 1]],           # wraps to 1
+    [[0.5, 1]],              # truncates to 0
+    [[-1, 0]],               # wraps to 255
+    [[float("nan"), 0]],
+    np.array([[2, 0]], np.uint8),
+])
+def test_as_bits_rejects_entries_outside_0_1(bad):
+    with pytest.raises(ValueError, match="0 or 1"):
+        gf2.as_bits(bad)
+
+
+def test_as_bits_accepts_bits_of_any_dtype():
+    want = np.array([[1, 0, 1]], np.uint8)
+    for m in ([[1, 0, 1]], [[1.0, 0.0, 1.0]], want.astype(bool),
+              want.astype(np.int64), want):
+        got = gf2.as_bits(m)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 64, 65])
+def test_pack_rows_round_trip(cols):
+    rng = np.random.default_rng(cols)
+    m = random_bits(rng, 5, cols)
+    rows = gf2.pack_rows(m)
+    for row, ints in zip(m, rows):
+        # Column 0 is the top bit.
+        assert ints == sum(int(b) << (cols - 1 - j) for j, b in enumerate(row))
+    assert np.array_equal(gf2.unpack_rows(rows, cols), m)
+    assert gf2.unpack_rows([], cols).shape == (0, cols)
+
+
+def test_gram_rows_is_a_times_b_transposed():
+    rng = np.random.default_rng(102)
+    a, b = random_bits(rng, 6, 70), random_bits(rng, 4, 70)
+    got = gf2.unpack_rows(gf2.gram_rows(gf2.pack_rows(a), gf2.pack_rows(b)), 4)
+    assert np.array_equal(got, (a.astype(int) @ b.T.astype(int)) % 2)
+
+
+# -- the uint8 reference ---------------------------------------------------
+
+def reference_rref(m):
+    """Column-by-column Gauss-Jordan elimination on a uint8 matrix: the
+    elimination gf2 used before it moved to packed rows."""
+    r = np.array(m, dtype=np.uint8)
+    rows, cols = r.shape
+    pivot_cols = []
+    pr = 0
+    for c in range(cols):
+        if pr >= rows:
+            break
+        hits = np.nonzero(r[pr:, c])[0]
+        if hits.size == 0:
+            continue
+        k = pr + int(hits[0])
+        if k != pr:
+            r[[pr, k]] = r[[k, pr]]
+        mask = r[:, c].astype(bool).copy()
+        mask[pr] = False
+        r[mask] ^= r[pr]
+        pivot_cols.append(c)
+        pr += 1
+    return r, len(pivot_cols), pivot_cols
+
+
+def reference_kernel(m):
+    red, _, pivot_cols = reference_rref(m)
+    free = [c for c in range(m.shape[1]) if c not in pivot_cols]
+    basis = np.zeros((len(free), m.shape[1]), dtype=np.uint8)
+    for row, f in enumerate(free):
+        basis[row, f] = 1
+        for i, p in enumerate(pivot_cols):
+            basis[row, p] = red[i, f]
+    return basis
+
+
+def reference_solve(m, y):
+    red, _, pivot_cols = reference_rref(np.hstack([m, y[:, None]]))
+    if pivot_cols and pivot_cols[-1] == m.shape[1]:
+        return None
+    x = np.zeros(m.shape[1], dtype=np.uint8)
+    for i, c in enumerate(pivot_cols):
+        x[c] = red[i, -1]
+    return x
+
+
+def reference_inverse(m):
+    n = m.shape[0]
+    red, _, pivots = reference_rref(np.hstack([m, np.eye(n, dtype=np.uint8)]))
+    return red[:, n:] if pivots == list(range(n)) else None
+
+
+matrices = st.tuples(st.integers(0, 9), st.integers(0, 20)).flatmap(
+    lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 1)))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(m=matrices, data=st.data())
+def test_packed_elimination_matches_uint8_reference(m, data):
+    red, rank, pivots = gf2.rref(m)
+    want_red, want_rank, want_pivots = reference_rref(m)
+    assert red.dtype == np.uint8 and red.shape == m.shape
+    assert np.array_equal(red, want_red)
+    assert (rank, pivots) == (want_rank, want_pivots)
+    assert gf2.rank(m) == want_rank
+    kernel = gf2.kernel_basis(m)
+    assert kernel.shape == (m.shape[1] - want_rank, m.shape[1])
+    assert np.array_equal(kernel, reference_kernel(m))
+    y = data.draw(arrays(np.uint8, m.shape[0], elements=st.integers(0, 1)))
+    want_x = reference_solve(m, y)
+    x = gf2.solve(m, y)
+    assert (x is None) == (want_x is None)
+    if x is not None:
+        assert np.array_equal(x, want_x)
+    square = m[:, :m.shape[0]] if m.shape[1] >= m.shape[0] else m[:m.shape[1]]
+    want_inv = reference_inverse(square)
+    if want_inv is None:
+        with pytest.raises(ValueError, match="singular"):
+            gf2.inverse(square)
+    else:
+        assert np.array_equal(gf2.inverse(square), want_inv)
 
 
 # -- rref / rank -----------------------------------------------------------
@@ -147,6 +303,12 @@ def test_solve_identity():
 def test_solve_length_mismatch():
     with pytest.raises(ValueError):
         gf2.solve(REP3_P, [1, 0, 1])
+
+
+@pytest.mark.parametrize("y", [[256, 0], [1, 0.5], [-1, 1]])
+def test_solve_rejects_rhs_outside_0_1(y):
+    with pytest.raises(ValueError, match="0 or 1"):
+        gf2.solve(REP3_P, y)
 
 
 def test_solve_random_consistent_systems():

@@ -97,6 +97,25 @@ def test_noise_validation():
         NoiseModel("x_only", p=1.5)
 
 
+@pytest.mark.parametrize("kind, fields, unread", [
+    ("x_only", {"p": 0.1, "p_x": 0.3}, "p_x=0.3"),
+    ("z_only", {"p": 0.1, "p_z": 0.2}, "p_z=0.2"),
+    ("depolarizing", {"p": 0.1, "p_z": 0.5}, "p_z=0.5"),
+    ("depolarizing", {"p_x": 0.1}, "p_x=0.1"),
+    ("independent_xz", {"p": 0.1, "p_x": 0.1, "p_z": 0.1}, "p=0.1"),
+])
+def test_noise_rejects_probabilities_its_kind_does_not_read(kind, fields,
+                                                            unread):
+    with pytest.raises(ValueError, match=f"{kind} noise does not read {unread}"):
+        NoiseModel(kind, **fields)
+
+
+def test_noise_accepts_unread_fields_at_zero():
+    assert NoiseModel("x_only", p=0.1, p_x=0.0, p_z=0.0) == NoiseModel.x_only(0.1)
+    assert (NoiseModel("independent_xz", p=0.0, p_x=0.1, p_z=0.2)
+            == NoiseModel.independent_xz(0.1, 0.2))
+
+
 def test_depolarizing_splits_evenly():
     noise = NoiseModel.depolarizing(0.3)
     u = np.array([[0.05, 0.15, 0.25, 0.35]])

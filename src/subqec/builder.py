@@ -48,18 +48,17 @@ needs (n1-k1)*n2 + k1*(n2-k2) stabilizers instead of (n1-k1)*k2 + k1*(n2-k2).
 from __future__ import annotations
 
 import functools
-import logging
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import gf2
-from .classical import LinearCode
-from .pauli import PauliGrid
+from .classical import LinearCode, _log_debug
 
-_log = logging.getLogger(__name__)
+if TYPE_CHECKING:  # imported where used, so construction skips it
+    from .pauli import PauliGrid
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +103,8 @@ def _stack(grids: np.ndarray) -> np.ndarray:
 def _paulis(bits: np.ndarray, x_type: bool) -> list:
     """One Z-type (or X-type) PauliGrid per row of a read-only stack; the
     rows are wrapped as they are, since the stack holds only 0/1."""
+    from .pauli import PauliGrid
+
     zero = np.zeros(bits.shape[1:], np.uint8)
     zero.setflags(write=False)
     wrap = PauliGrid._wrap
@@ -240,6 +241,8 @@ class SubsystemCode:
 
     def recompose(self, dec: PauliDecomposition) -> PauliGrid:
         """Rebuild the grid Pauli from its coefficient blocks."""
+        from .pauli import PauliGrid
+
         c1, c2 = self.c1, self.c2
         mm = gf2.mat_mul
         zc = np.block([[dec.z_gauge, dec.z_stab], [dec.z_detect, dec.z_logical]])
@@ -302,8 +305,8 @@ class SubsystemCode:
                 "/ conjugate-pair pattern")
         if gf2.rank(z_stab) != s_z or gf2.rank(x_stab) != s_x:
             raise ValueError("internal error: generators are dependent")
-        _log.debug("verified %r: %d Z + %d X stabilizers, %d gauge pairs, "
-                   "%d logical pairs in %.2f ms", self, s_z, s_x,
+        _log_debug(__name__, "verified %r: %d Z + %d X stabilizers, %d gauge "
+                   "pairs, %d logical pairs in %.2f ms", self, s_z, s_x,
                    len(self.z_gauge_bits), len(self.logical_z_bits),
                    1e3 * (time.perf_counter() - start))
 

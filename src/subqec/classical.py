@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
+import sys
 import time
 from typing import Optional
 
@@ -47,7 +47,15 @@ _TABLE_MAX_N = 20
 _DISTANCE_MAX_K = 24
 DECODE_WEIGHT_CAP = 4
 
-_log = logging.getLogger(__name__)
+
+def _log_debug(logger: str, msg: str, *args) -> None:
+    """Log ``msg % args`` at DEBUG on the named logger, attributed to the
+    caller.  A record can reach a handler only once the process has
+    imported and configured :mod:`logging`, so the module is looked up at
+    call time and a process that never imports it does not load it."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(logger).debug(msg, *args, stacklevel=2)
 
 
 def _span_words(images: np.ndarray, dtype) -> np.ndarray:
@@ -82,14 +90,15 @@ class LinearCode:
         if generator is None and check is None:
             raise ValueError("need a generator or a check matrix")
         # The algebra runs on packed rows (see gf2); g and h are the packed
-        # generator and check.
+        # generator and check.  The given matrices are copied, since they
+        # are frozen below and as_bits may return the caller's array.
         if generator is not None:
-            generator = gf2.as_bits(generator)
+            generator = gf2.as_bits(generator).copy()
             g = gf2.pack_rows(generator)
             if gf2.rank_rows(g) != len(g):
                 raise ValueError("generator rows are linearly dependent")
         if check is not None:
-            check = gf2.as_bits(check)
+            check = gf2.as_bits(check).copy()
             h = gf2.pack_rows(check)
             if gf2.rank_rows(h) != len(h):
                 raise ValueError("check rows are linearly dependent")
@@ -240,8 +249,8 @@ class LinearCode:
         for i in range(self.n):
             table[:, i] = (leaders >> (self.n - 1 - i)) & 1
         table.setflags(write=False)
-        _log.debug("decode_table of %r (n=%d) built in %.2f ms", self, self.n,
-                   1e3 * (time.perf_counter() - start))
+        _log_debug(__name__, "decode_table of %r (n=%d) built in %.2f ms",
+                   self, self.n, 1e3 * (time.perf_counter() - start))
         return table
 
     @functools.cached_property
@@ -253,8 +262,8 @@ class LinearCode:
         logical = _span_words(_bit_weights(self.check_complement), np.int32)
         table = logical != logical[leaders[syndromes]]
         table.setflags(write=False)
-        _log.debug("fail table of %r (n=%d) built in %.2f ms", self, self.n,
-                   1e3 * (time.perf_counter() - start))
+        _log_debug(__name__, "fail table of %r (n=%d) built in %.2f ms",
+                   self, self.n, 1e3 * (time.perf_counter() - start))
         return table
 
     def _bounded_search(self, s: np.ndarray) -> np.ndarray:

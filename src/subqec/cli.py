@@ -13,15 +13,19 @@ import argparse
 import json
 import re
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .classical import LinearCode, builtin
 from .builder import ShorCode, SubsystemCode
-from .pauli import PauliGrid
-from .recovery import distance_bruteforce, extract_syndrome, recover
 from .simulate import RNG_LAYOUT, NoiseModel, compare_report, run_trials
+
+# recovery and pauli are imported by the subcommands that use them, so
+# simulate, build, info and compare skip them.
+if TYPE_CHECKING:
+    from .pauli import PauliGrid
 
 
 # -- matrix files --------------------------------------------------------
@@ -105,6 +109,8 @@ _TERM_RE = re.compile(r"^([XYZ])@\((\d+),(\d+)\)$")
 def parse_error(text: str, rows: int, cols: int) -> PauliGrid:
     """Parse ``X@(0,0),Z@(1,2),...``; repeated sites compose by
     multiplication."""
+    from .pauli import PauliGrid
+
     op = PauliGrid.identity(rows, cols)
     # Site coordinates contain commas, so match whole terms instead of
     # splitting the string on commas.
@@ -177,10 +183,12 @@ def _cmd_build(args) -> int:
         "k": code.k,
         "distance": code.distance,
         "gauge_qubits": code.gauge_qubits,
-        "z_stabilizers": len(code.z_stabilizers),
-        "x_stabilizers": len(code.x_stabilizers),
-        "total_stabilizers": len(code.stabilizers),
-        "gauge_generators": len(code.gauges),
+        # Counted on the bit stacks, which needs no PauliGrid.
+        "z_stabilizers": len(code.z_stabilizer_bits),
+        "x_stabilizers": len(code.x_stabilizer_bits),
+        "total_stabilizers": (len(code.z_stabilizer_bits)
+                              + len(code.x_stabilizer_bits)),
+        "gauge_generators": len(code.z_gauge_bits) + len(code.x_gauge_bits),
         "logical_pairs": code.k,
     }
     if args.verbose:
@@ -196,6 +204,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    from .recovery import distance_bruteforce
+
     code = _build(args)
     found = distance_bruteforce(code, args.wmax)
     _emit({
@@ -209,6 +219,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    from .recovery import extract_syndrome, recover
+
     code = _build(args)
     err = parse_error(args.error, code.n1, code.n2)
     syn = extract_syndrome(code, err)

@@ -21,6 +21,7 @@ words and take each entry's parity with a shift-XOR fold.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -57,6 +58,17 @@ def as_bits(m) -> np.ndarray:
     if not ((a == 0) | (a == 1)).all():
         raise ValueError("matrix entries must be 0 or 1")
     return a.astype(np.uint8)
+
+
+def _require_int(name: str, value) -> int:
+    """``value`` as an int; a bool, a float or any other non-integral value
+    raises ValueError instead of being truncated or misreported."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 # -- packed rows -------------------------------------------------------------

@@ -28,17 +28,16 @@ hits alone; :func:`subqec.recovery.recover` stays its reference.
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .gf2 import _require_int
 from .classical import _TABLE_MAX_N, LinearCode
 from .builder import SubsystemCode
-from .pauli import PauliGrid
-from .recovery import _require_int, recover
 
 # Tags the draw layout the module docstring describes; change it with it.
 RNG_LAYOUT = "philox4x64/trial-blocks/raw-limits/v1"
@@ -47,6 +46,16 @@ _RAW_WORDS = 1 << 17  # most raw words drawn per batch, to stay in cache
 _EXACT_MAX_N = 20
 _NOISE_KINDS = ("depolarizing", "x_only", "z_only", "independent_xz")
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
+# Imported where _Kernel._replay runs, so a Monte Carlo run loads neither
+# recovery nor pauli; still readable as attributes of this module, as
+# perfbench's tracer reads simulate.recover.
+_LAZY = {"recover": "recovery", "PauliGrid": "pauli"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{_LAZY[name]}"), name)
 
 
 @dataclass(frozen=True)
@@ -239,6 +248,9 @@ class _Kernel:
     def _replay(self, axis: int, trial, rows, trials) -> np.ndarray:
         """recover() on each trial's hits on this stage's axis, which alone
         decide the stage."""
+        from .pauli import PauliGrid
+        from .recovery import recover
+
         pauli, site = np.divmod(rows, self.width)
         site -= axis * self.z_offset
         on = (pauli >> axis & 1 == 1) & (site >= 0) & (site < self.code.n)
@@ -316,6 +328,8 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
     if workers == 1 or len(ranges) == 1:
         counts = [count(r) for r in ranges]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         threads = min(len(ranges), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = list(pool.map(count, ranges))
@@ -329,7 +343,8 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
         rate=rate,
         std_error=std_error,
         seed=seed,
-        code_params=(code.n, code.k, code.gauge_qubits, len(code.stabilizers)),
+        code_params=(code.n, code.k, code.gauge_qubits,
+                     len(code.z_stabilizer_bits) + len(code.x_stabilizer_bits)),
         ci_low=ci_low,
         ci_high=ci_high,
         bit_flip_failures=bit_flip,
@@ -338,16 +353,25 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
 
 
 def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
-    """Exact logical failure rate for a single-axis channel by pushing all
-    2**n error patterns through the one kernel stage the channel can trip.
+    """Exact logical failure rate for a channel whose axes are independent,
+    by pushing all 2**n error patterns through each kernel stage the
+    channel can trip.
 
-    Failing patterns are counted by weight w and the rate is
-    ``sum_w count_w p**w (1-p)**(n-w)``.  Only ``x_only`` and ``z_only``
-    channels factorize this way; the grid is capped at 20 sites (2**20
+    For ``x_only`` and ``z_only``, failing patterns are counted by weight w
+    and the rate is ``sum_w count_w p**w (1-p)**(n-w)``.  Each stage reads
+    only one axis, and ``independent_xz`` draws its axes independently, so
+    its rate is ``1 - (1 - P_x)(1 - P_z)`` with P_x the ``x_only(p_x)`` and
+    P_z the ``z_only(p_z)`` rate.  Depolarizing noise correlates the axes at
+    each site and is refused.  The grid is capped at 20 sites (2**20
     patterns).
     """
+    if noise.kind == "independent_xz":
+        p_x = exact_rate_enumeration(code, NoiseModel.x_only(noise.p_x))
+        p_z = exact_rate_enumeration(code, NoiseModel.z_only(noise.p_z))
+        return p_x + p_z - p_x * p_z  # 1 - (1-P_x)(1-P_z), without cancelling
     if noise.kind not in ("x_only", "z_only"):
-        raise ValueError("exact enumeration needs an x_only or z_only channel")
+        raise ValueError("exact enumeration needs an x_only, z_only or "
+                         "independent_xz channel")
     n = code.n
     if n > _EXACT_MAX_N:
         raise ValueError(f"{n} sites would mean 2**{n} patterns; too many")

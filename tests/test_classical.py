@@ -56,6 +56,15 @@ def test_entries_outside_0_1_are_rejected_not_wrapped(kwargs):
         LinearCode(**kwargs)
 
 
+@pytest.mark.parametrize("role", ["generator", "check"])
+def test_given_matrix_stays_writable_and_unshared(role):
+    given = np.ones((1, 3), np.uint8)
+    code = LinearCode(**{role: given})
+    given[0, 0] = 0  # the caller's array is not frozen
+    assert getattr(code, role).tolist() == [[1, 1, 1]]
+    assert not getattr(code, role).flags.writeable
+
+
 def test_parity_round_trip_preserves_code():
     rng = np.random.default_rng(21)
     done = 0

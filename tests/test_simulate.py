@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo simulator, exact enumeration, and the
 measurement-count comparison report."""
 
+import concurrent.futures
 from math import comb
 
 import numpy as np
@@ -217,7 +218,9 @@ def test_thread_pool_capped_at_core_count(code9, monkeypatch, cores):
     noise = NoiseModel.depolarizing(0.05)
     base = run_trials(code9, noise, 5000, seed=29)
     RecordingExecutor.calls = []
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingExecutor)
+    # run_trials imports the executor only when it fans out.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        RecordingExecutor)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
     assert run_trials(code9, noise, 5000, seed=29, workers=5000) == base
     [(threads, ranges)] = RecordingExecutor.calls
@@ -542,6 +545,32 @@ def test_exact_rate_agrees_with_monte_carlo(code9):
     exact = exact_rate_enumeration(code9, noise)
     mc = run_trials(code9, noise, 40000, seed=12)
     assert abs(mc.rate - exact) <= 3 * mc.std_error
+
+
+def test_exact_rate_independent_xz_matches_reference_pairs(code4):
+    # Every (x, z) pattern pair on rep2 x rep2 through recover(); the
+    # product formula must agree with the joint enumeration.
+    n = code4.n
+    grids = [((pattern >> np.arange(n)) & 1).astype(np.uint8).reshape(2, 2)
+             for pattern in range(1 << n)]
+    failing = [(int(x.sum()), int(z.sum())) for x in grids for z in grids
+               if not recover(code4, PauliGrid(z, x)).logical_ok]
+    assert 0 < len(failing) < len(grids) ** 2
+    for p_x, p_z in ((0.1, 0.3), (0.25, 0.05), (0.0, 0.2)):
+        expect = sum(p_x ** wx * (1 - p_x) ** (n - wx)
+                     * p_z ** wz * (1 - p_z) ** (n - wz) for wx, wz in failing)
+        got = exact_rate_enumeration(code4,
+                                     NoiseModel.independent_xz(p_x, p_z))
+        assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_exact_rate_independent_xz_agrees_with_monte_carlo():
+    code = SubsystemCode(repetition(3), repetition(4))
+    noise = NoiseModel.independent_xz(0.08, 0.12)
+    exact = exact_rate_enumeration(code, noise)
+    assert exact == pytest.approx(0.319148, abs=5e-7)
+    mc = run_trials(code, noise, 200000, seed=31)
+    assert mc.ci_low <= exact <= mc.ci_high
 
 
 def test_exact_rate_refuses_mixed_channels(code9):

@@ -89,7 +89,7 @@ class PauliDecomposition:
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Every outer product of a row of ``u`` with a row of ``v``, stacked as
     (rows(u), rows(v), n1, n2) bit grids."""
-    return np.einsum("ai,bj->abij", u, v)
+    return u[:, None, :, None] & v[None, :, None, :]
 
 
 def _stack(grids: np.ndarray) -> np.ndarray:

@@ -48,14 +48,24 @@ _DISTANCE_MAX_K = 24
 DECODE_WEIGHT_CAP = 4
 
 
+_loggers: dict = {}
+
+
 def _log_debug(logger: str, msg: str, *args) -> None:
     """Log ``msg % args`` at DEBUG on the named logger, attributed to the
     caller.  A record can reach a handler only once the process has
     imported and configured :mod:`logging`, so the module is looked up at
-    call time and a process that never imports it does not load it."""
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger(logger).debug(msg, *args, stacklevel=2)
+    call time and a process that never imports it does not load it.  The
+    logger is bound once per name: ``logging.getLogger`` returns the same
+    object for a name every time, and the lookup costs more than the
+    disabled call."""
+    bound = _loggers.get(logger)
+    if bound is None:
+        logging = sys.modules.get("logging")
+        if logging is None:
+            return
+        bound = _loggers[logger] = logging.getLogger(logger)
+    bound.debug(msg, *args, stacklevel=2)
 
 
 def _span_words(images: np.ndarray, dtype) -> np.ndarray:
@@ -89,48 +99,49 @@ class LinearCode:
                  name: Optional[str] = None):
         if generator is None and check is None:
             raise ValueError("need a generator or a check matrix")
-        # The algebra runs on packed rows (see gf2); g and h are the packed
-        # generator and check.  The given matrices are copied, since they
-        # are frozen below and as_bits may return the caller's array.
+        # The algebra runs on packed bits (see gf2): g holds the rows of the
+        # generator, and the dual completion reads the columns of the
+        # check.  The given matrices are copied, since they are frozen below
+        # and as_bits may return the caller's array.
         if generator is not None:
             generator = gf2.as_bits(generator).copy()
             g = gf2.pack_rows(generator)
-            if gf2.rank_rows(g) != len(g):
-                raise ValueError("generator rows are linearly dependent")
         if check is not None:
             check = gf2.as_bits(check).copy()
-            h = gf2.pack_rows(check)
-            if gf2.rank_rows(h) != len(h):
-                raise ValueError("check rows are linearly dependent")
         if generator is None:
-            g = gf2.kernel_rows(h, check.shape[1])
+            g = gf2.kernel_rows(gf2.pack_rows(check), check.shape[1])
             generator = gf2.unpack_rows(g, check.shape[1])
-        if check is None:
-            h = gf2.kernel_rows(g, generator.shape[1])
-            check = gf2.unpack_rows(h, generator.shape[1])
+        elif check is None:
+            check = gf2.unpack_rows(gf2.kernel_rows(g, generator.shape[1]),
+                                    generator.shape[1])
         if generator.shape[1] != check.shape[1]:
             raise ValueError("generator and check column counts differ")
         n = generator.shape[1]
         if n < 1:
             raise ValueError("block length must be at least 1")
-        if len(g) + len(h) != n:
+        # A kernel is full rank, so a derived matrix never trips these.
+        if len(g) + len(check) != n:
+            if gf2.rank_rows(g) != len(g):
+                raise ValueError("generator rows are linearly dependent")
+            if gf2.rank(check) != len(check):
+                raise ValueError("check rows are linearly dependent")
             raise ValueError("generator and check ranks do not add up to n")
-        if any(gf2.gram_rows(h, g)):
-            raise ValueError("check matrix does not annihilate the generator")
+        h_c, g_c = gf2.dual_complete_columns(gf2.pack_rows(check.T), g, n)
 
         self.n = n
-        self.k = len(g)
+        self.k = k = len(g)
         self.generator = generator
         self.check = check
-        h_c, g_c = gf2.dual_complete_rows(h, g, n)
         self.name = name
-        self.basis = gf2.unpack_rows(g_c + g, n)
-        self.dual_basis = gf2.unpack_rows(h + h_c, n)
-        self.generator_complement = self.basis[:n - self.k]
-        self.check_complement = self.dual_basis[n - self.k:]
+        complements = gf2.unpack_rows(g_c + h_c, n)
+        self.basis = np.concatenate([complements[:n - k], generator])
+        self.dual_basis = np.concatenate([check, complements[n - k:]])
+        self.generator_complement = self.basis[:n - k]
+        self.check_complement = self.dual_basis[n - k:]
         for m in (self.generator, self.check, self.check_complement,
                   self.generator_complement, self.basis, self.dual_basis):
             m.setflags(write=False)
+        self._generator_rows = g
         self._distance: Optional[int] = None
         if distance is not None:
             if self.min_distance() != distance:
@@ -163,8 +174,10 @@ class LinearCode:
     def min_distance(self) -> int:
         """Minimum Hamming weight over nonzero codewords, by enumeration.
 
-        Caches the result.  Refuses k > 24 (the full 2**k sweep would not be
-        desk-scale any more).
+        Walks the 2**k codewords in Gray-code order on the packed generator
+        rows, so each codeword costs one XOR and one popcount.  Caches the
+        result.  Refuses k > 24 (the full 2**k sweep would not be desk-scale
+        any more).
         """
         if self._distance is not None:
             return self._distance
@@ -174,16 +187,15 @@ class LinearCode:
             raise ValueError(
                 f"refusing exhaustive distance computation for k={self.k} > "
                 f"{_DISTANCE_MAX_K}")
+        rows = self._generator_rows
         best = self.n
-        chunk = 1 << min(self.k, 16)
-        gen = self.generator.astype(np.int64)
-        for start in range(0, 1 << self.k, chunk):
-            msgs = np.arange(start, start + chunk, dtype=np.int64)
-            if start == 0:
-                msgs = msgs[1:]  # skip the zero codeword
-            bits = ((msgs[:, None] >> np.arange(self.k)) & 1)
-            words = (bits @ gen) & 1
-            best = min(best, int(words.sum(axis=1).min()))
+        word = 0
+        for i in range(1, 1 << self.k):
+            # Gray code i differs from i - 1 in bit i's trailing zero count.
+            word ^= rows[(i & -i).bit_length() - 1]
+            weight = word.bit_count()
+            if weight < best:
+                best = weight
         self._distance = best
         return best
 

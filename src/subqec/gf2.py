@@ -9,14 +9,18 @@ empty generator.
 Elimination runs on packed rows: :func:`pack_rows` makes each row one
 Python int with column 0 as its top bit, so a row operation is one XOR and
 a row's pivot column is its leading bit, and pivot rows are kept in a dict
-keyed on that bit.  The ``*_rows`` functions work on such lists of ints
-(``LinearCode`` builds a code on them); the matrix functions pack once,
-eliminate and unpack.
+keyed on that bit.  The ``*_rows`` functions work on such lists of ints,
+and :func:`dual_complete_columns` on the columns of the check packed the
+same way (``pack_rows(p.T)``), so ``LinearCode`` builds a code without a
+transpose in Python; the matrix functions pack once, eliminate and unpack.
 
 :func:`mat_mul` keeps small products on a uint8 ``@`` masked to the low
 bit, which is exact because uint8 wraps modulo 256, an even number.  Larger
-ones AND the rows of both operands packed into uint64 words, XOR across
-words and take each entry's parity with a shift-XOR fold.
+ones AND the rows of both operands packed into uint64 words and XOR across
+words; each entry's parity then takes two shift-XORs, which leave every
+nibble's parity in its low bit, an AND with ``0x1111...1`` and a multiply
+by it, which adds the 16 nibble parities into the top nibble.  No
+numpy-2-only API (such as ``np.bitwise_count``) is used.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ _PACKED_MIN_WORK = 1 << 15
 # Output entries per chunk of rows of a packed product: keeps each uint64
 # temporary at 256 KB.
 _PACKED_CHUNK = 1 << 15
+_NIBBLE_LOW_BITS = np.uint64(0x1111111111111111)
+_ONE, _TWO, _TOP_NIBBLE = np.uint64(1), np.uint64(2), np.uint64(60)
 
 
 def as_bits(m) -> np.ndarray:
@@ -119,10 +125,10 @@ def rank_rows(rows) -> int:
     return len(_echelon(rows))
 
 
-def _rref_rows(rows) -> tuple:
-    """The nonzero rows of the reduced row-echelon form, in pivot order,
-    and their leading bits."""
-    pivots = _echelon(rows)
+def _reduce(pivots: dict) -> list:
+    """Clear every pivot bit from the other pivot rows, in place (the
+    Gauss-Jordan back-substitution); returns the leading bits, highest
+    first."""
     leads = sorted(pivots)
     # Lowest pivot first: it has zeros at every lower pivot bit already, so
     # clearing its bit from the higher rows sets no pivot bit again.
@@ -132,6 +138,14 @@ def _rref_rows(rows) -> tuple:
             if pivots[higher] & bit:
                 pivots[higher] ^= row
     leads.reverse()
+    return leads
+
+
+def _rref_rows(rows) -> tuple:
+    """The nonzero rows of the reduced row-echelon form, in pivot order,
+    and their leading bits."""
+    pivots = _echelon(rows)
+    leads = _reduce(pivots)
     return [pivots[lead] for lead in leads], leads
 
 
@@ -155,63 +169,91 @@ def gram_rows(a, b) -> list:
     return out
 
 
-def _eye_rows(n: int) -> list:
-    return [1 << (n - 1 - i) for i in range(n)]
+def _solve_tagged(rows, low: int) -> tuple:
+    """Gauss-Jordan elimination of ``rows`` on their bits from ``low`` up,
+    with the bits below ``low`` carried along as each row's tag.
 
-
-def _transpose(rows, cols: int) -> list:
-    if not rows:
-        return [0] * cols
-    bits = [format(v, f"0{cols}b") for v in rows] if cols else []
-    return [int("".join(col), 2) for col in zip(*bits)]
+    Returns the tags of the reduced pivot rows, highest pivot first, and
+    the tags that the other rows reduced to, in input order (each row
+    dependent on the rows before it).  For ``[m | I]`` the first list is the
+    inverse of m.
+    """
+    pivots: dict = {}
+    mask = (1 << low) - 1
+    dropped = []
+    for v in rows:
+        while v >> low:
+            lead = v.bit_length() - 1
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = v
+                break
+            v ^= p
+        else:
+            dropped.append(v)
+    return [pivots[lead] & mask for lead in _reduce(pivots)], dropped
 
 
 def _inverse_rows(rows) -> Optional[list]:
     """Packed inverse of n packed n-bit rows; None when singular."""
     n = len(rows)
-    reduced, leads = _rref_rows([v << n | e for v, e in zip(rows, _eye_rows(n))])
-    # The identity block keeps [m | I] at full row rank whatever m is; m is
-    # invertible exactly when every pivot falls in the left block.
-    if n and leads[-1] < n:
-        return None
-    return [v & (1 << n) - 1 for v in reduced]
+    inv, dropped = _solve_tagged(
+        [v << n | 1 << (n - 1 - i) for i, v in enumerate(rows)], n)
+    return None if dropped else inv
 
 
-def dual_complete_rows(p, g, n: int) -> tuple:
-    """:func:`dual_complete` on the packed n-bit rows of p and g, whose
-    counts add up to n; returns the packed rows of ``(p_c, g_c)``."""
+def dual_complete_columns(p_cols, g, n: int) -> tuple:
+    """:func:`dual_complete` on the n columns of p, packed as ints with row
+    0 the top bit (``pack_rows(p.T)``), and the packed rows of g, where p
+    has n - len(g) rows; returns the packed rows of ``(p_c, g_c)``.
+
+    It eliminates the columns of p once, last column first, each tagged
+    with its own unit row.  Column c reduces to a bare tag exactly when it
+    lies in the span of the columns after it, which is exactly when the
+    unit row c does not extend the rows of p and the unit rows before c:
+    so the columns N that vanish are the greedy unit-row extension, and the
+    other columns C hold the pivots.  Three things follow:
+
+    - the tags of the pivot rows are ``g_c``: supported on C with
+      ``p g_c^T = I``, the transpose of the inverse of p restricted to C;
+    - the bare tags form the generator of the code systematic on N, so
+      each row of g must equal the sum of the tags at its own bits in N;
+    - eliminating the columns of g at N, tagged the same way, gives
+      ``p_c``: supported on N with ``p_c g^T = I``.
+    """
     k = len(g)
-    pivots = _echelon(p)
-    if len(pivots) != len(p):
-        raise ValueError("parity-check rows are linearly dependent")
-    if rank_rows(g) != k:
-        raise ValueError("generator rows are linearly dependent")
-    if any(gram_rows(p, g)):
-        raise ValueError("parity check does not annihilate the generator")
-
-    # Extend p's pivots to the whole space with unit rows b, lowest column
-    # first.
-    b = []
-    for e in _eye_rows(n):
-        if len(pivots) < n and _insert(pivots, e):
-            b.append(e)
-    # dual = inverse([p; b]).T, whose first n-k rows pair with p.
-    g_c = _transpose(_inverse_rows(p + b), n)[:n - k]
-    # p_c = inverse(g b^T).T b: the rows of b recombined to pair with g.
-    p_c = []
-    for u in _transpose(_inverse_rows(gram_rows(g, b)), k):
-        v = 0
-        for j, e in enumerate(b):
-            if u >> (k - 1 - j) & 1:
-                v ^= e
-        p_c.append(v)
-
-    # The identities are cheap to confirm and catch any internal slip.
-    if (gram_rows(p_c, g) != _eye_rows(k)
-            or gram_rows(p, g_c) != _eye_rows(n - k)
-            or any(gram_rows(p_c, g_c))):
-        raise ValueError("internal error: dual completion identities failed")
+    g_c, codewords = _solve_tagged(
+        [v << n | 1 << (n - 1 - c)
+         for c, v in zip(range(n - 1, -1, -1), reversed(p_cols))], n)
+    if len(g_c) != n - k:
+        _reject(g, "check rows are linearly dependent")
+    # A bare tag's top bit is its own column.  For each row of g, w sums
+    # the tags at its bits in N, and g_free gathers g's columns at N.
+    free = [n - t.bit_length() for t in codewords]
+    g_free = [0] * k
+    annihilated = True
+    for j, v in enumerate(g):
+        w = 0
+        for i, (c, t) in enumerate(zip(free, codewords)):
+            if v >> (n - 1 - c) & 1:
+                w ^= t
+                g_free[i] |= 1 << (k - 1 - j)
+        annihilated = annihilated and w == v
+    p_c, singular = _solve_tagged(
+        [v << n | 1 << (n - 1 - c) for c, v in zip(free, g_free)], n)
+    # g at N is singular only when g is dependent or p does not annihilate
+    # it.
+    if singular or not annihilated:
+        _reject(g, "check matrix does not annihilate the generator")
     return p_c, g_c
+
+
+def _reject(g, reason: str):
+    """Raise ValueError for a failed dual completion, naming a dependent
+    generator first whatever else is wrong."""
+    if rank_rows(g) != len(g):
+        raise ValueError("generator rows are linearly dependent")
+    raise ValueError(reason)
 
 
 # -- matrix functions --------------------------------------------------------
@@ -239,13 +281,29 @@ def mat_mul(a, b) -> np.ndarray:
     aw, bw = _words(a), _words(b.T)
     out = np.empty((rows, cols), np.uint8)
     step = max(1, _PACKED_CHUNK // cols)
+    # Two buffers reused by every chunk: a fresh 256 KB temporary per
+    # operation would cost more than the operation.
+    acc_buf = np.empty((min(step, rows), cols), np.uint64)
+    tmp_buf = np.empty_like(acc_buf)
     for r0 in range(0, rows, step):
-        acc = aw[r0:r0 + step, 0, None] & bw[:, 0]
+        chunk = aw[r0:r0 + step]
+        acc, tmp = acc_buf[:len(chunk)], tmp_buf[:len(chunk)]
+        np.bitwise_and(chunk[:, 0, None], bw[:, 0], out=acc)
         for w in range(1, aw.shape[1]):
-            acc ^= aw[r0:r0 + step, w, None] & bw[:, w]
-        for shift in (32, 16, 8, 4, 2, 1):
-            acc ^= acc >> np.uint64(shift)
-        out[r0:r0 + step] = acc & np.uint64(1)
+            np.bitwise_and(chunk[:, w, None], bw[:, w], out=tmp)
+            acc ^= tmp
+        # Two shift-XORs leave each nibble's parity in its low bit; the
+        # multiply adds those 16 bits into the top nibble, which no lower
+        # nibble carries into, so its low bit is the parity of the word.
+        np.right_shift(acc, _ONE, out=tmp)
+        acc ^= tmp
+        np.right_shift(acc, _TWO, out=tmp)
+        acc ^= tmp
+        acc &= _NIBBLE_LOW_BITS
+        acc *= _NIBBLE_LOW_BITS
+        acc >>= _TOP_NIBBLE
+        acc &= _ONE
+        out[r0:r0 + step] = acc
     return out
 
 
@@ -367,5 +425,5 @@ def dual_complete(p, g) -> tuple:
         raise ValueError(
             f"row counts {p.shape[0]} + {g.shape[0]} do not add up to {n} columns"
         )
-    p_c, g_c = dual_complete_rows(pack_rows(p), pack_rows(g), n)
+    p_c, g_c = dual_complete_columns(pack_rows(p.T), pack_rows(g), n)
     return unpack_rows(p_c, n), unpack_rows(g_c, n)

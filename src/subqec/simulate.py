@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import importlib
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -79,6 +80,11 @@ class NoiseModel:
         read = ("p_x", "p_z") if self.kind == "independent_xz" else ("p",)
         for label in ("p", "p_x", "p_z"):
             value = getattr(self, label)
+            # A bool would run as 0 or 1, and a string or complex would
+            # fail later with TypeError.
+            if (isinstance(value, (bool, np.bool_))
+                    or not isinstance(value, numbers.Real)):
+                raise ValueError(f"{label}={value!r} is not a real number")
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{label}={value} is not a probability")
             if label not in read and value != 0:

@@ -281,6 +281,9 @@ def test_verify_logs_at_debug_only(rep3, caplog):
                 r"stabilizers, 0 gauge pairs, 1 logical pairs in \d+\.\d\d ms")
     for record, pattern in zip(caplog.records, patterns):
         assert re.fullmatch(pattern, record.getMessage())
+        # Attributed to the verification, not to the logging helper.
+        assert (record.levelno, record.funcName, record.filename) == (
+            logging.DEBUG, "_verify", "builder.py")
 
 
 # -- decomposition -------------------------------------------------------------

@@ -117,10 +117,30 @@ def test_distance_matches_codeword_enumeration(ham):
     assert ham.min_distance() == int(weights[weights > 0].min())
 
 
+def test_distance_matches_codeword_enumeration_on_random_codes():
+    # Oracle: the numpy codeword enumeration, against the Gray-code walk.
+    rng = np.random.default_rng(77)
+    for k in range(1, 13):
+        for _ in range(3):
+            n = k + int(rng.integers(0, 9))
+            g = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
+            if gf2.rank(g) != k:
+                continue
+            code = LinearCode.from_generator(g)
+            weights = code.codewords().sum(axis=1)
+            assert code.min_distance() == int(weights[weights > 0].min())
+
+
 def test_distance_guard():
     code = LinearCode.from_generator(np.eye(25, dtype=np.uint8))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^refusing exhaustive distance "
+                       r"computation for k=25 > 24$"):
         code.min_distance()
+    assert code.distance_if_enumerable() is None
+    zero = LinearCode.from_parity(np.eye(3, dtype=np.uint8))
+    with pytest.raises(ValueError,
+                       match="^the zero code has no nonzero codewords$"):
+        zero.min_distance()
 
 
 def test_wrong_claimed_distance_rejected():
@@ -256,6 +276,20 @@ def test_tables_are_read_only(ham):
         ham.decode_table[0, 0] = 1
     with pytest.raises(ValueError):
         ham.fail[0] = True
+
+
+def test_debug_records_name_their_caller(caplog):
+    # Two builds, so the second goes through the logger bound by the first.
+    with caplog.at_level(logging.DEBUG, logger="subqec"):
+        repetition(3).fail
+        repetition(4).fail
+    assert len(caplog.records) == 2
+    for record in caplog.records:
+        assert record.name == "subqec.classical"
+        assert record.levelno == logging.DEBUG
+        assert record.funcName == "fail"
+        assert record.filename == "classical.py"
+        assert record.getMessage().startswith("fail table of <LinearCode 'rep")
 
 
 def test_table_builds_log_at_debug_only(caplog):

@@ -1,6 +1,7 @@
 """Command-line interface tests: golden outputs, matrix file handling,
 error-string parsing, and exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -127,6 +128,37 @@ def test_build_verbose_lists_operators(capsys):
     ]
     assert payload["logical_x_ops"] == [{"phase": 0, "rows": ["XI", "XI"]}]
     assert payload["logical_z_ops"] == [{"phase": 0, "rows": ["ZZ", "II"]}]
+
+
+# sha256 of the full `build --verbose` output, taken before construction
+# moved to one elimination per factor: every generator, byte for byte.
+BUILD_VERBOSE_SHA256 = {
+    ("rep:3", "rep:3", False):
+        "08d0dffc264f4113c4150f72273d86db64184c6e25a8024a934fb2bb812f8fb4",
+    ("rep:3", "rep:3", True):
+        "db5edda60bf481b43db1fb306fd3728460bd7d76c8e2a1d94497bba71939a725",
+    ("hamming:7-4", "hamming:7-4", False):
+        "d42bdeb014e9d6882ba268f32ac6c6666314b77837f3f7a1e04abbbc30f6be07",
+    ("hamming:7-4", "hamming:7-4", True):
+        "967c3e64131fd4c64e494acd98a80ea3eb0aa1a3fefc8eeca906d27e41ef042d",
+    ("rep:5", "hamming:7-4", False):
+        "f7a5482254b311ff0bdb0eaf18a5d3e5c443d3cfacfb1d06fc28d7b0b4cd919e",
+    ("rep:5", "hamming:7-4", True):
+        "ba28f907212208df4fe89078886303ff8e8856d0715d80798a6024c9c65f1e95",
+    ("rep:2", "rep:4", False):
+        "2854e6feeec4e3d33ee1b8521a621f8e5024c6182eec3fb898597914f4895ca2",
+    ("rep:2", "rep:4", True):
+        "7583a2bb47be4760292ae69bda48512636c93882c96fbccdf20925afc0bdc562",
+}
+
+
+@pytest.mark.parametrize("c1, c2, shor", sorted(BUILD_VERBOSE_SHA256))
+def test_build_verbose_golden_digest(capsys, c1, c2, shor):
+    argv = ["build", "--c1", c1, "--c2", c2, "--verbose"]
+    code, out, _ = run_cli(capsys, *argv, *(["--shor"] if shor else []))
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == BUILD_VERBOSE_SHA256[c1, c2, shor])
 
 
 def test_build_shor_variant(capsys):

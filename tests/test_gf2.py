@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from subqec import gf2
+from subqec import LinearCode, gf2
 
 REP3_G = np.array([[1, 1, 1]], dtype=np.uint8)
 REP3_P = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
@@ -396,12 +396,106 @@ def test_dual_complete_random_pairs():
 def test_dual_complete_rejects_dependent_rows():
     p = np.array([[1, 1, 0], [1, 1, 0]], np.uint8)
     g = np.array([[1, 1, 1]], np.uint8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="check rows are linearly dependent"):
         gf2.dual_complete(p, g)
+    # A dependent generator is named as such, whatever else is wrong.
+    for p, g in (([[1, 1, 0]], [[1, 1, 1], [1, 1, 1]]),
+                 ([[1, 1, 0]], [[1, 0, 0], [1, 0, 0]]),
+                 ([[1, 1, 0], [1, 1, 0]], [[0, 0, 0]])):
+        with pytest.raises(ValueError,
+                           match="generator rows are linearly dependent"):
+            gf2.dual_complete(np.array(p, np.uint8), np.array(g, np.uint8))
 
 
 def test_dual_complete_rejects_non_orthogonal():
     p = np.array([[1, 0, 0], [0, 1, 0]], np.uint8)
     g = np.array([[1, 1, 1]], np.uint8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not annihilate"):
         gf2.dual_complete(p, g)
+
+
+# -- dual completion against the earlier construction ---------------------
+
+def reference_dual_complete_rows(p, g, n):
+    """The packed-row dual completion gf2 used before it eliminated the
+    columns of p once, kept as the reference: p's pivots are extended by
+    unit rows b, lowest column first, ``[p; b]`` is inverted by a second
+    elimination, and p_c is re-based onto g by inverting ``g b^T``."""
+    def eye_rows(m):
+        return [1 << (m - 1 - i) for i in range(m)]
+
+    def insert(pivots, v):
+        while v:
+            lead = v.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = v
+                return True
+            v ^= pivots[lead]
+        return False
+
+    def transpose(rows, cols):
+        if not rows:
+            return [0] * cols
+        bits = [format(v, f"0{cols}b") for v in rows] if cols else []
+        return [int("".join(col), 2) for col in zip(*bits)]
+
+    def inverse_rows(rows):
+        m = len(rows)
+        inv = reference_inverse(gf2.unpack_rows(rows, m))
+        assert inv is not None
+        return gf2.pack_rows(inv)
+
+    k = len(g)
+    pivots = {}
+    for v in p:
+        assert insert(pivots, v)
+    b = [e for e in eye_rows(n) if len(pivots) < n and insert(pivots, e)]
+    g_c = transpose(inverse_rows(p + b), n)[:n - k]
+    p_c = []
+    for u in transpose(inverse_rows(gf2.gram_rows(g, b)), k):
+        v = 0
+        for j, e in enumerate(b):
+            if u >> (k - 1 - j) & 1:
+                v ^= e
+        p_c.append(v)
+    return p_c, g_c
+
+
+def random_full_rank(rng, rows, n):
+    while True:
+        m = random_bits(rng, rows, n)
+        if gf2.rank(m) == rows:
+            return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 16), data=st.data())
+def test_dual_completion_matches_earlier_construction(n, data):
+    k = data.draw(st.integers(0, n), label="k")
+    given_by = data.draw(st.sampled_from(["generator", "check", "both"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if given_by == "check":
+        check = random_full_rank(rng, n - k, n)
+        generator = reference_kernel(check)
+        code = LinearCode(check=check)
+    else:
+        generator = random_full_rank(rng, k, n)
+        # With both given, the check is a scrambled basis of the dual, not
+        # the kernel's echelon rows.
+        check = reference_kernel(generator)
+        if given_by == "both":
+            check = gf2.mat_mul(random_full_rank(rng, n - k, n - k), check)
+        code = LinearCode(generator=generator,
+                          check=check if given_by == "both" else None)
+    p, g = gf2.pack_rows(check), gf2.pack_rows(generator)
+    want_p_c, want_g_c = reference_dual_complete_rows(p, g, n)
+    assert gf2.dual_complete_columns(gf2.pack_rows(check.T), g, n) == (
+        want_p_c, want_g_c)
+    p_c, g_c = gf2.unpack_rows(want_p_c, n), gf2.unpack_rows(want_g_c, n)
+    want = {"generator": generator, "check": check, "check_complement": p_c,
+            "generator_complement": g_c,
+            "basis": np.concatenate([g_c, generator]),
+            "dual_basis": np.concatenate([check, p_c])}
+    for name, matrix in want.items():
+        got = getattr(code, name)
+        assert got.dtype == np.uint8 and np.array_equal(got, matrix), name

@@ -21,9 +21,11 @@ unused = %r
 before = {m for m in unused if m in sys.modules}
 
 import subqec
-from subqec import NoiseModel, SubsystemCode, builtin, cli, run_trials
+from subqec import (LinearCode, NoiseModel, ShorCode, SubsystemCode, builtin,
+                    cli, run_trials)
 
 code = SubsystemCode(builtin("hamming:7-4"), builtin("hamming:7-4"))
+ShorCode(LinearCode(check=[[1, 1, 0], [0, 1, 1]], distance=3), builtin("rep:2"))
 noise = NoiseModel.depolarizing(0.05)
 one = run_trials(code, noise, 3000, seed=5, workers=1)
 with contextlib.redirect_stdout(io.StringIO()):
@@ -56,3 +58,28 @@ def test_fresh_process_import_boundary():
     assert result == {"status": 0, "loaded": [], "unresolved": [],
                       "undirected": [], "same_recover": True,
                       "star_missing": [], "workers_agree": True}
+
+
+LATE_LOGGING = """
+import io, json
+from subqec import SubsystemCode, repetition
+
+SubsystemCode(repetition(3), repetition(3))  # logs nowhere: no logging yet
+import logging
+stream = io.StringIO()
+logging.basicConfig(level=logging.DEBUG, stream=stream,
+                    format="%(name)s:%(funcName)s:%(message)s")
+SubsystemCode(repetition(3), repetition(4))
+print(json.dumps(stream.getvalue().splitlines()))
+"""
+
+
+def test_logging_imported_after_a_construction_still_gets_records():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", LATE_LOGGING], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert [line.split(" in ")[0] for line in lines] == [
+        "subqec.builder:_verify:verified <SubsystemCode [[12,1,3]] on 3x4>: "
+        "2 Z + 3 X stabilizers, 6 gauge pairs, 1 logical pairs"]

@@ -98,6 +98,29 @@ def test_noise_validation():
         NoiseModel("x_only", p=1.5)
 
 
+@pytest.mark.parametrize("make, value", [
+    (NoiseModel.x_only, True),
+    (NoiseModel.z_only, np.True_),
+    (NoiseModel.depolarizing, False),
+    (NoiseModel.x_only, "0.1"),
+    (NoiseModel.x_only, None),
+    (NoiseModel.x_only, 0.1 + 0j),
+    (lambda p: NoiseModel.independent_xz(0.1, p), True),
+])
+def test_noise_rejects_bool_and_non_real_probabilities(make, value):
+    # A bool would otherwise run as 0 or 1, and the others fail later with
+    # TypeError.
+    with pytest.raises(ValueError, match="is not a real number"):
+        make(value)
+
+
+def test_noise_accepts_real_numbers_of_any_type():
+    assert NoiseModel.x_only(1).p == 1
+    assert NoiseModel.x_only(np.float32(0.25)).describe() == {
+        "kind": "x_only", "p": 0.25}
+    assert NoiseModel.independent_xz(np.float64(0.1), 0).p_x == 0.1
+
+
 @pytest.mark.parametrize("kind, fields, unread", [
     ("x_only", {"p": 0.1, "p_x": 0.3}, "p_x=0.3"),
     ("z_only", {"p": 0.1, "p_z": 0.2}, "p_z=0.2"),

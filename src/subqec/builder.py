@@ -22,27 +22,42 @@ Z-type element (a,b) anticommutes only with X-type element (a,b).  So
 stabilizer and gauge blocks act trivially on the encoded qubits, and the
 logical blocks are encoded errors.
 
-Each generator family is stored once, as a read-only (g, n1, n2) uint8
-stack sliced from those two products: Z-type families hold z bits and
-X-type families x bits.  The public lists of :class:`PauliGrid` are views
-of the stacks' rows, built on first access.
+Each generator family is the outer products of a block of code 1's rows
+with a block of code 2's rows, and is stored once, as a read-only
+(g, n1, n2) uint8 stack built on first access: Z-type families hold z
+bits and X-type families x bits.
 
-The constructors check the group structure without the algebra above,
-from the stacks alone (see :meth:`SubsystemCode._verify`).  A Z-type and
-an X-type generator anticommute exactly when their bit grids overlap in an
-odd number of sites, and two generators of the same type always commute,
-so every commutation relation sits in one block
+    family                      code 1 rows   code 2 rows
+    z_stabilizer_bits           P1            G2
+    z_gauge_bits                P1            G2_c
+    logical_z_bits              C1_c          G2
+    x_stabilizer_bits           G1            P2
+    x_gauge_bits                G1_c          P2
+    logical_x_bits              G1            C2_c
 
-    B = [Z stabilizers; Z gauges; logical Z] [X stabilizers; X gauges; logical X]^T
+These are the quadrants of the two bases above.  The public lists of
+:class:`PauliGrid` are views of the stacks' rows, also built on first
+access, so construction builds no stack at all.
 
-over the grid's n sites, which must be [[0, 0], [0, I_p]].  Given that
-pattern, the generators are independent exactly when the Z stabilizers
-and the X stabilizers each are, so only the stabilizer rows are ranked.
+The constructors check the group structure on the factors (see
+:meth:`SubsystemCode._verify`): ``D_i E_i^T = I`` for each factor, plus
+every stack already built against its definition.  The symplectic
+product of outer(u, v) and outer(u', v') is (u . u')(v . v'), so the
+commutation matrix of the Z-type and X-type bases is
+(D1 E1^T) x (E2 D2^T) = I, and the generators are rows of the invertible
+D1 x E2 and E1 x D2.  The Gram check on the stacks themselves,
+:meth:`SubsystemCode._verify_gram`, stays as the reference.
 
-The Shor-style variant measures a column-local Z check for every column
-instead of spreading checks over codewords of code 2; it encodes the same
-logical qubits with the same logical operators and no gauge qubits, but
-needs (n1-k1)*n2 + k1*(n2-k2) stabilizers instead of (n1-k1)*k2 + k1*(n2-k2).
+The ``PauliGrid`` annotations name a class this module imports only where
+it is used, so ``typing.get_type_hints`` resolves them with
+``localns={"PauliGrid": subqec.PauliGrid}``.
+
+The Shor-style variant measures a column-local Z check outer(P1[a], e_j)
+for every column j instead of spreading checks over codewords of code 2
+(the argument above holds with the identity as code 2's basis); it
+encodes the same logical qubits with the same logical operators and no
+gauge qubits, but needs (n1-k1)*n2 + k1*(n2-k2) stabilizers instead of
+(n1-k1)*k2 + k1*(n2-k2).
 """
 
 from __future__ import annotations
@@ -100,6 +115,34 @@ def _stack(grids: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stabilizer_counts(n1: int, k1: int, n2: int, k2: int,
+                       shor: bool = False) -> tuple:
+    """(Z, X) stabilizer generator counts of the grid code on an [n1, k1]
+    and an [n2, k2] factor: outer(P1, G2) (Shor: a check of code 1 per
+    column) and outer(G1, P2)."""
+    return (n1 - k1) * (n2 if shor else k2), k1 * (n2 - k2)
+
+
+def _dual_bases(c: LinearCode) -> bool:
+    """``D E^T = I`` for the factor's rows D = [P; C_c], E = [G_c; G]."""
+    d = np.concatenate([c.check, c.check_complement])
+    e = np.concatenate([c.generator_complement, c.generator])
+    return np.array_equal(gf2.mat_mul(d, e.T), np.eye(c.n, dtype=np.uint8))
+
+
+def _bits(define, doc: str) -> functools.cached_property:
+    """A stack attribute, ``define(c1, c2)`` made read-only, built on first
+    access.  :meth:`SubsystemCode._verify` rebuilds it through ``func``."""
+    def bits(self) -> np.ndarray:
+        return _stack(define(self.c1, self.c2))
+    bits.__doc__ = doc
+    return functools.cached_property(bits)
+
+
+def _no_gauges(c1: LinearCode, c2: LinearCode) -> np.ndarray:
+    return np.zeros((0, c1.n, c2.n), np.uint8)
+
+
 def _paulis(bits: np.ndarray, x_type: bool) -> list:
     """One Z-type (or X-type) PauliGrid per row of a read-only stack; the
     rows are wrapped as they are, since the stack holds only 0/1."""
@@ -120,11 +163,16 @@ def _family(bits: str, x_type: bool, doc: str) -> functools.cached_property:
     return functools.cached_property(views)
 
 
+# The generator stacks, Z-type first, in the order of _verify_gram's rows.
+_STACKS = ("z_stabilizer_bits", "z_gauge_bits", "logical_z_bits",
+           "x_stabilizer_bits", "x_gauge_bits", "logical_x_bits")
+
+
 class SubsystemCode:
     """Subsystem code on an n1 x n2 grid built from two classical codes.
 
-    The constructor verifies the group structure from the generator stacks
-    (see :meth:`_verify`): the generators must be independent and form a
+    The constructor verifies the group structure on the two factors (see
+    :meth:`_verify`): the generators are independent and form a
     symplectic basis of the grid's Paulis, with the stabilizers commuting
     with everything and the gauge and logical operators in canonically
     conjugate (Z, X) pairs.
@@ -133,18 +181,10 @@ class SubsystemCode:
     shor = False
 
     def __init__(self, c1: LinearCode, c2: LinearCode):
-        z_basis, x_basis = self._init_shared(c1, c2)
-        r1, r2 = c1.n - c1.k, c2.n - c2.k
-        self.gauge_qubits = r1 * r2
-        self.z_stabilizer_bits = _stack(z_basis[:r1, r2:])
-        self.z_gauge_bits = _stack(z_basis[:r1, :r2])
-        self.x_gauge_bits = _stack(x_basis[:r1, :r2])
-        self._verify()
-
-    def _init_shared(self, c1: LinearCode, c2: LinearCode) -> tuple:
-        """Parameters, X stabilizers and logical operators, which the
-        subsystem and Shor-style codes share.  Returns the Z-type and X-type
-        basis stacks."""
+        for name, c in (("c1", c1), ("c2", c2)):
+            if not isinstance(c, LinearCode):
+                raise ValueError(f"{name} must be a LinearCode, not "
+                                 f"{type(c).__name__}")
         self.c1 = c1
         self.c2 = c2
         self.n1, self.n2 = c1.n, c2.n
@@ -153,15 +193,27 @@ class SubsystemCode:
         self.distance: Optional[int] = None
         if c1.d is not None and c2.d is not None:
             self.distance = min(c1.d, c2.d)
-        r1, r2 = c1.n - c1.k, c2.n - c2.k
-        z_basis = _outer(c1.dual_basis, c2.basis)
-        x_basis = _outer(c1.basis, c2.dual_basis)
-        self.x_stabilizer_bits = _stack(x_basis[r1:, :r2])
-        self.logical_x_bits = _stack(x_basis[r1:, r2:])
-        self.logical_z_bits = _stack(z_basis[r1:, r2:])
-        return z_basis, x_basis
+        self.gauge_qubits = 0 if self.shor else (c1.n - c1.k) * (c2.n - c2.k)
+        self._verify()
 
     # -- generator access ------------------------------------------------
+
+    z_stabilizer_bits = _bits(lambda c1, c2: _outer(c1.check, c2.generator),
+                              "Z stabilizers: outer(P1, G2).")
+    z_gauge_bits = _bits(
+        lambda c1, c2: _outer(c1.check, c2.generator_complement),
+        "Z gauges: outer(P1, G2_c).")
+    logical_z_bits = _bits(
+        lambda c1, c2: _outer(c1.check_complement, c2.generator),
+        "Logical Z: outer(C1_c, G2).")
+    x_stabilizer_bits = _bits(lambda c1, c2: _outer(c1.generator, c2.check),
+                              "X stabilizers: outer(G1, P2).")
+    x_gauge_bits = _bits(
+        lambda c1, c2: _outer(c1.generator_complement, c2.check),
+        "X gauges: outer(G1_c, P2).")
+    logical_x_bits = _bits(
+        lambda c1, c2: _outer(c1.generator, c2.check_complement),
+        "Logical X: outer(G1, C2_c).")
 
     z_stabilizers = _family("z_stabilizer_bits", False,
                             "Z-type stabilizer generators.")
@@ -190,6 +242,13 @@ class SubsystemCode:
     def stabilizers(self) -> list:
         """All stabilizer generators, Z-type first."""
         return self.z_stabilizers + self.x_stabilizers
+
+    @property
+    def stabilizer_counts(self) -> tuple:
+        """(Z, X) stabilizer generator counts, from the factors' sizes
+        alone, so no stack is built."""
+        return _stabilizer_counts(self.n1, self.c1.k, self.n2, self.c2.k,
+                                  self.shor)
 
     @property
     def gauge_pairs(self) -> list:
@@ -263,7 +322,50 @@ class SubsystemCode:
             dtype=np.uint8).reshape(len(ops), 2 * self.n)
 
     def _verify(self):
-        """Check the generator stacks with one GF(2) product and two ranks.
+        """Check the construction on the two factors.
+
+        Every generator is an outer product of factor rows, and the
+        symplectic product of a Z-type outer(u, v) with an X-type
+        outer(u', v') is (u . u')(v . v'): the parity of their overlap.  So
+        the commutation matrix of the Z-type basis outer(D1, E2) with the
+        X-type basis outer(E1, D2) is (D1 E1^T) x (E2 D2^T), which is I
+        when ``D_i E_i^T = I`` for each factor.  Then each Z-type basis
+        element anticommutes with its own X-type partner alone: the
+        stabilizers (Z-type quadrant [:r1, r2:], X-type [r1:, :r2]) have
+        their partners outside the generators and commute with
+        everything, and the gauge and logical operators pair off in
+        order.  D1 x E2 and E1 x D2 are invertible, so all generators are
+        independent, and the counts fill the grid.  ``ShorCode``'s Z
+        stabilizers outer(P1[a], e_j) span P1 x I, which meets the span of
+        its logical Z outer(C1_c, G2) only in 0 as D1 is invertible, and
+        they commute with every X-type generator outer(G1, .) as
+        P1 G1^T = 0.
+
+        The factor identities are checked once per distinct factor, and
+        each stack already built (held in ``vars(self)``) against its
+        definition.  On any mismatch the Gram check on the stacks,
+        :meth:`_verify_gram`, words the error; if even that passes, the
+        stacks still differ from the factor bases, which is raised too.
+        """
+        start = time.perf_counter()
+        c1, c2 = self.c1, self.c2
+        held = vars(self)
+        intact = (_dual_bases(c1) and (c2 is c1 or _dual_bases(c2)) and all(
+            np.array_equal(held[name], getattr(type(self), name).func(self))
+            for name in _STACKS if name in held))
+        if not intact:
+            self._verify_gram()
+            raise ValueError("internal error: generator stacks do not match "
+                             "the factor bases")
+        s_z, s_x = self.stabilizer_counts
+        _log_debug(__name__, "verified %r: %d Z + %d X stabilizers, %d gauge "
+                   "pairs, %d logical pairs in %.2f ms", self, s_z, s_x,
+                   self.gauge_qubits, self.k,
+                   1e3 * (time.perf_counter() - start))
+
+    def _verify_gram(self):
+        """Check the generator stacks with one GF(2) product and two ranks:
+        the reference for :meth:`_verify`, which words its errors.
 
         Z-type generators carry only z bits and X-type ones only x bits, so
         the whole commutation matrix of the generators is fixed by one
@@ -282,7 +384,6 @@ class SubsystemCode:
         ``rank(Z stabilizers) = s_z`` and ``rank(X stabilizers) = s_x`` are
         checked, and the rows form a symplectic basis of the grid's Paulis.
         """
-        start = time.perf_counter()
         n = self.n
         z_stab = self.z_stabilizer_bits.reshape(-1, n)
         x_stab = self.x_stabilizer_bits.reshape(-1, n)
@@ -305,10 +406,6 @@ class SubsystemCode:
                 "/ conjugate-pair pattern")
         if gf2.rank(z_stab) != s_z or gf2.rank(x_stab) != s_x:
             raise ValueError("internal error: generators are dependent")
-        _log_debug(__name__, "verified %r: %d Z + %d X stabilizers, %d gauge "
-                   "pairs, %d logical pairs in %.2f ms", self, s_z, s_x,
-                   len(self.z_gauge_bits), len(self.logical_z_bits),
-                   1e3 * (time.perf_counter() - start))
 
 
 class ShorCode(SubsystemCode):
@@ -318,12 +415,9 @@ class ShorCode(SubsystemCode):
 
     shor = True
 
-    def __init__(self, c1: LinearCode, c2: LinearCode):
-        self._init_shared(c1, c2)
-        self.gauge_qubits = 0
-        # Column j, then check row a: z = outer(P1[a], e_j).
-        self.z_stabilizer_bits = _stack(
-            _outer(c1.check, np.eye(c2.n, dtype=np.uint8)).swapaxes(0, 1))
-        self.z_gauge_bits = self.x_gauge_bits = _stack(
-            np.zeros((0, self.n1, self.n2), np.uint8))
-        self._verify()
+    z_stabilizer_bits = _bits(
+        lambda c1, c2: _outer(c1.check, np.eye(c2.n, dtype=np.uint8))
+        .swapaxes(0, 1),
+        "Z stabilizers: outer(P1[a], e_j), column j then check row a.")
+    z_gauge_bits = _bits(_no_gauges, "None: no gauge qubits.")
+    x_gauge_bits = _bits(_no_gauges, "None: no gauge qubits.")

@@ -177,18 +177,18 @@ def _build(args):
 
 def _cmd_build(args) -> int:
     code = _build(args)
+    s_z, s_x = code.stabilizer_counts
     payload = {
         "type": "shor" if code.shor else "subsystem",
         "n": code.n,
         "k": code.k,
         "distance": code.distance,
         "gauge_qubits": code.gauge_qubits,
-        # Counted on the bit stacks, which needs no PauliGrid.
-        "z_stabilizers": len(code.z_stabilizer_bits),
-        "x_stabilizers": len(code.x_stabilizer_bits),
-        "total_stabilizers": (len(code.z_stabilizer_bits)
-                              + len(code.x_stabilizer_bits)),
-        "gauge_generators": len(code.z_gauge_bits) + len(code.x_gauge_bits),
+        # Counted from the factors' sizes, which builds no stack.
+        "z_stabilizers": s_z,
+        "x_stabilizers": s_x,
+        "total_stabilizers": s_z + s_x,
+        "gauge_generators": 2 * code.gauge_qubits,
         "logical_pairs": code.k,
     }
     if args.verbose:

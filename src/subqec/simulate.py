@@ -38,7 +38,7 @@ import numpy as np
 
 from .gf2 import _require_int
 from .classical import _TABLE_MAX_N, LinearCode
-from .builder import SubsystemCode
+from .builder import SubsystemCode, _stabilizer_counts
 
 # Tags the draw layout the module docstring describes; change it with it.
 RNG_LAYOUT = "philox4x64/trial-blocks/raw-limits/v1"
@@ -350,7 +350,7 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
         std_error=std_error,
         seed=seed,
         code_params=(code.n, code.k, code.gauge_qubits,
-                     len(code.z_stabilizer_bits) + len(code.x_stabilizer_bits)),
+                     sum(code.stabilizer_counts)),
         ci_low=ci_low,
         ci_high=ci_high,
         bit_flip_failures=bit_flip,
@@ -397,14 +397,6 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
                      for w, count in enumerate(failing) if count)
 
 
-def _subsystem_stab_count(n1: int, k1: int, n2: int, k2: int) -> int:
-    return (n1 - k1) * k2 + k1 * (n2 - k2)
-
-
-def _shor_stab_count(n1: int, k1: int, n2: int, k2: int) -> int:
-    return (n1 - k1) * n2 + k1 * (n2 - k2)
-
-
 def _classical_summary(c: LinearCode) -> dict:
     return {"n": c.n, "k": c.k, "d": c.distance_if_enumerable()}
 
@@ -417,8 +409,8 @@ def compare_report(c1: LinearCode, c2: LinearCode) -> dict:
     lists the composed schemes that trade extra qubits for distance, with
     their stabilizer counts split inner + outer.
     """
-    sub = _subsystem_stab_count(c1.n, c1.k, c2.n, c2.k)
-    shor = _shor_stab_count(c1.n, c1.k, c2.n, c2.k)
+    sub = sum(_stabilizer_counts(c1.n, c1.k, c2.n, c2.k))
+    shor = sum(_stabilizer_counts(c1.n, c1.k, c2.n, c2.k, shor=True))
     report = {
         "code1": _classical_summary(c1),
         "code2": _classical_summary(c2),
@@ -434,8 +426,8 @@ def compare_report(c1: LinearCode, c2: LinearCode) -> dict:
         "stabilizers_saved": shor - sub,
     }
     if (c1.n, c1.k) == (7, 4) and (c2.n, c2.k) == (7, 4):
-        rep4_outer = _subsystem_stab_count(4, 1, 4, 1)
-        rep3_outer = _subsystem_stab_count(3, 1, 3, 1)
+        rep4_outer = sum(_stabilizer_counts(4, 1, 4, 1))
+        rep3_outer = sum(_stabilizer_counts(3, 1, 3, 1))
         steane_block = 6  # a [[7,1,3]] code measures 7 - 1 stabilizers
         report["composed_schemes"] = [
             {

@@ -100,6 +100,16 @@ def test_distance_unknown_when_classical_distance_unknown():
     assert SubsystemCode(c, repetition(2)).distance is None
 
 
+@pytest.mark.parametrize("cls", [SubsystemCode, ShorCode])
+@pytest.mark.parametrize("bad", ["rep:3", None, np.ones((1, 3), np.uint8), 3],
+                         ids=["str", "None", "ndarray", "int"])
+def test_factor_must_be_a_linear_code(cls, bad, rep3):
+    with pytest.raises(ValueError, match="c1 must be a LinearCode"):
+        cls(bad, rep3)
+    with pytest.raises(ValueError, match="c2 must be a LinearCode"):
+        cls(rep3, bad)
+
+
 # -- group structure ----------------------------------------------------------
 
 def all_pairs_commute(ops_a, ops_b):
@@ -227,6 +237,17 @@ def test_verification_catches_corruption(rep3, corrupt, message):
         code._verify()
 
 
+@pytest.mark.parametrize("cls", [SubsystemCode, ShorCode])
+def test_verification_catches_a_broken_factor(cls, rep3):
+    """A factor whose complements are not dual to its own rows fails
+    D E^T = I, and the Gram check words the error."""
+    broken = repetition(3)
+    broken.check_complement = np.zeros_like(broken.check_complement)
+    for c1, c2 in ((broken, rep3), (rep3, broken), (broken, broken)):
+        with pytest.raises(ValueError, match="internal error"):
+            cls(c1, c2)
+
+
 def test_shor_verify_accepts_intact_code(rep3):
     ShorCode(rep3, rep3)._verify()
 
@@ -234,7 +255,7 @@ def test_shor_verify_accepts_intact_code(rep3):
 def test_construction_wraps_stacks_and_verifies_one_block(rep3, ham,
                                                           monkeypatch):
     """No PauliGrid is built, not even on first access of the lists; the
-    check is one GF(2) product, and only stabilizer rows are ranked."""
+    check is one D E^T product per factor, and nothing is ranked."""
     inits, products, ranked = [], [], []
     init, mat_mul, rank = PauliGrid.__init__, gf2.mat_mul, gf2.rank
 
@@ -257,13 +278,8 @@ def test_construction_wraps_stacks_and_verifies_one_block(rep3, ham,
         products.clear()
         ranked.clear()
         code = cls(c1, c2)
-        n = code.n
-        s_z, s_x = len(code.z_stabilizer_bits), len(code.x_stabilizer_bits)
-        p = len(code.z_gauge_bits) + len(code.logical_z_bits)
-        assert products == [((s_z + p, n), (n, s_x + p))]
-        assert len(ranked) == 2
-        assert np.array_equal(ranked[0], code.z_stabilizer_bits.reshape(s_z, n))
-        assert np.array_equal(ranked[1], code.x_stabilizer_bits.reshape(s_x, n))
+        assert products == [((c.n, c.n), (c.n, c.n)) for c in (c1, c2)]
+        assert ranked == []
         code.stabilizers, code.gauge_pairs, code.logicals
     assert inits == []
 

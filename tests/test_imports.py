@@ -7,8 +7,10 @@ import os
 import pathlib
 import subprocess
 import sys
+import typing
 
 import subqec
+from subqec import cli
 
 SRC = pathlib.Path(subqec.__file__).resolve().parent.parent
 
@@ -83,3 +85,21 @@ def test_logging_imported_after_a_construction_still_gets_records():
     assert [line.split(" in ")[0] for line in lines] == [
         "subqec.builder:_verify:verified <SubsystemCode [[12,1,3]] on 3x4>: "
         "2 Z + 3 X stabilizers, 6 gauge pairs, 1 logical pairs"]
+
+
+def test_pauli_annotations_resolve_with_pauligrid_given():
+    """``PauliGrid`` is imported only where it is used, so the annotations
+    that name it resolve once the caller supplies it."""
+    localns = {"PauliGrid": subqec.PauliGrid}
+    hints = {fn: typing.get_type_hints(fn, localns=localns) for fn in (
+        subqec.SubsystemCode.decompose, subqec.SubsystemCode.recompose,
+        subqec.SubsystemCode.contains_gauge, cli.parse_error, cli.render_op)}
+    assert hints[subqec.SubsystemCode.decompose] == {
+        "op": subqec.PauliGrid, "return": subqec.PauliDecomposition}
+    assert hints[subqec.SubsystemCode.recompose] == {
+        "dec": subqec.PauliDecomposition, "return": subqec.PauliGrid}
+    assert hints[subqec.SubsystemCode.contains_gauge] == {
+        "op": subqec.PauliGrid, "return": bool}
+    assert hints[cli.parse_error] == {"text": str, "rows": int, "cols": int,
+                                      "return": subqec.PauliGrid}
+    assert hints[cli.render_op] == {"op": subqec.PauliGrid, "return": dict}

@@ -1,11 +1,13 @@
 """Property tests on random small code pairs: the batch kernel and the
 raw-word Monte Carlo kernel against the reference recovery, run_trials'
 independence of workers and batching, the decomposition along the grid's
-two bases, the generator lists as views of the generator stacks, and the
-brute-force distance against the paper's min(d1, d2), found at d and not
-below it."""
+two bases, the generator lists as views of the generator stacks, the
+construction check on the factors against the Gram check on the stacks,
+and the brute-force distance against the paper's min(d1, d2), found at d
+and not below it."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from subqec import (
     ShorCode,
     SubsystemCode,
     distance_bruteforce,
+    exact_rate_enumeration,
     extract_syndrome,
     gf2,
     recover,
@@ -202,6 +205,41 @@ def test_generator_lists_are_views_of_the_stacks(c1, c2, shor):
     stacked[:s_z, :code.n] = code.z_stabilizer_bits.reshape(s_z, code.n)
     stacked[s_z:, code.n:] = code.x_stabilizer_bits.reshape(s_x, code.n)
     assert np.array_equal(code._symplectic_rows(code.stabilizers), stacked)
+
+
+LISTS = tuple(family for family, _, _ in FAMILIES)
+STACKS = tuple(stack for _, stack, _ in FAMILIES)
+
+
+@PROPERTY_SETTINGS
+@given(c1=any_codes(n_max=4), c2=any_codes(n_max=4), shor=st.booleans(),
+       held=st.sets(st.sampled_from(STACKS)), data=st.data())
+def test_verification_on_the_factors(c1, c2, shor, held, data):
+    """The factor check and the Gram reference both accept an intact code,
+    whichever stacks it holds; one flipped bit in a held stack is caught.
+    Construction and the Monte Carlo and exact rates build no stack."""
+    cls = ShorCode if shor else SubsystemCode
+    code = cls(c1, c2)
+    noise = NoiseModel.independent_xz(0.1, 0.2)
+    report = run_trials(code, noise, 200, seed=3)
+    exact_rate_enumeration(code, noise)
+    assert not set(vars(code)) & set(STACKS + LISTS)
+    assert report.code_params[3] == (len(code.z_stabilizer_bits)
+                                     + len(code.x_stabilizer_bits))
+    cls(c1, c2)._verify_gram()
+    code = cls(c1, c2)
+    for name in held:
+        getattr(code, name)
+    code._verify()
+    assert set(vars(code)) & set(STACKS) == held
+    flippable = sorted(name for name in held if getattr(code, name).size)
+    if flippable:
+        name = data.draw(st.sampled_from(flippable))
+        bits = getattr(code, name).copy()
+        bits.flat[data.draw(st.integers(0, bits.size - 1))] ^= 1
+        setattr(code, name, bits)
+        with pytest.raises(ValueError, match="internal error"):
+            code._verify()
 
 
 @st.composite

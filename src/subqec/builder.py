@@ -123,13 +123,6 @@ def _stabilizer_counts(n1: int, k1: int, n2: int, k2: int,
     return (n1 - k1) * (n2 if shor else k2), k1 * (n2 - k2)
 
 
-def _dual_bases(c: LinearCode) -> bool:
-    """``D E^T = I`` for the factor's rows D = [P; C_c], E = [G_c; G]."""
-    d = np.concatenate([c.check, c.check_complement])
-    e = np.concatenate([c.generator_complement, c.generator])
-    return np.array_equal(gf2.mat_mul(d, e.T), np.eye(c.n, dtype=np.uint8))
-
-
 def _bits(define, doc: str) -> functools.cached_property:
     """A stack attribute, ``define(c1, c2)`` made read-only, built on first
     access.  :meth:`SubsystemCode._verify` rebuilds it through ``func``."""
@@ -341,16 +334,18 @@ class SubsystemCode:
         they commute with every X-type generator outer(G1, .) as
         P1 G1^T = 0.
 
-        The factor identities are checked once per distinct factor, and
-        each stack already built (held in ``vars(self)``) against its
-        definition.  On any mismatch the Gram check on the stacks,
+        The factor identity is :attr:`LinearCode.bases_are_dual`, which
+        each factor object multiplies out once however many grids use it
+        (a factor is immutable, so the answer cannot go stale), and each
+        stack already built (held in ``vars(self)``) is checked against
+        its definition.  On any mismatch the Gram check on the stacks,
         :meth:`_verify_gram`, words the error; if even that passes, the
         stacks still differ from the factor bases, which is raised too.
         """
         start = time.perf_counter()
         c1, c2 = self.c1, self.c2
         held = vars(self)
-        intact = (_dual_bases(c1) and (c2 is c1 or _dual_bases(c2)) and all(
+        intact = (c1.bases_are_dual and c2.bases_are_dual and all(
             np.array_equal(held[name], getattr(type(self), name).func(self))
             for name in _STACKS if name in held))
         if not intact:

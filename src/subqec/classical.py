@@ -91,8 +91,12 @@ class LinearCode:
     """An [n, k] binary linear code.
 
     Construct via :meth:`from_generator`, :meth:`from_parity`, or directly
-    with both matrices.  Instances are immutable; the distance is computed
-    lazily by :meth:`min_distance` and cached.
+    with both matrices.  Instances are immutable: the matrices are
+    read-only, and rebinding or deleting an attribute raises
+    ``AttributeError``, so ``basis``/``dual_basis`` and the four matrices
+    they stack cannot get out of step.  What is derived later (the
+    distance, the lookup tables, :attr:`bases_are_dual`) is computed once
+    and cached in the instance ``__dict__``.
     """
 
     def __init__(self, generator=None, check=None, distance: Optional[int] = None,
@@ -128,26 +132,31 @@ class LinearCode:
             raise ValueError("generator and check ranks do not add up to n")
         h_c, g_c = gf2.dual_complete_columns(gf2.pack_rows(check.T), g, n)
 
-        self.n = n
-        self.k = k = len(g)
-        self.generator = generator
-        self.check = check
-        self.name = name
+        k = len(g)
         complements = gf2.unpack_rows(g_c + h_c, n)
-        self.basis = np.concatenate([complements[:n - k], generator])
-        self.dual_basis = np.concatenate([check, complements[n - k:]])
-        self.generator_complement = self.basis[:n - k]
-        self.check_complement = self.dual_basis[n - k:]
-        for m in (self.generator, self.check, self.check_complement,
-                  self.generator_complement, self.basis, self.dual_basis):
-            m.setflags(write=False)
-        self._generator_rows = g
-        self._distance: Optional[int] = None
+        basis = np.concatenate([complements[:n - k], generator])
+        dual_basis = np.concatenate([check, complements[n - k:]])
+        for m in (generator, check, basis, dual_basis):
+            m.setflags(write=False)  # the complements are views, read-only too
+        # Written once here; __setattr__ refuses every later binding.
+        vars(self).update(
+            n=n, k=k, generator=generator, check=check, name=name,
+            basis=basis, dual_basis=dual_basis,
+            generator_complement=basis[:n - k],
+            check_complement=dual_basis[n - k:],
+            _generator_rows=g, _distance=None)
         if distance is not None:
             if self.min_distance() != distance:
                 raise ValueError(
                     f"claimed distance {distance} but true distance is "
                     f"{self._distance}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LinearCode is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"LinearCode is immutable: cannot delete "
+                             f"{name!r}")
 
     @classmethod
     def from_generator(cls, generator, **kwargs) -> "LinearCode":
@@ -196,8 +205,19 @@ class LinearCode:
             weight = word.bit_count()
             if weight < best:
                 best = weight
-        self._distance = best
+        vars(self)["_distance"] = best
         return best
+
+    @functools.cached_property
+    def bases_are_dual(self) -> bool:
+        """Whether ``D E^T = I`` for D = [check; check_complement] and
+        E = [generator_complement; generator], the rows grid codes are
+        built from.  Multiplied out once per code, however many grids
+        read it."""
+        d = np.concatenate([self.check, self.check_complement])
+        e = np.concatenate([self.generator_complement, self.generator])
+        return np.array_equal(gf2.mat_mul(d, e.T),
+                              np.eye(self.n, dtype=np.uint8))
 
     def distance_if_enumerable(self) -> Optional[int]:
         """:meth:`min_distance` (cached like it), or None when the code is

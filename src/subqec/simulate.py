@@ -37,14 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import _require_int
-from .classical import _TABLE_MAX_N, LinearCode
+from .classical import _TABLE_MAX_N, LinearCode, _bit_weights, _span_words
 from .builder import SubsystemCode, _stabilizer_counts
 
 # Tags the draw layout the module docstring describes; change it with it.
 RNG_LAYOUT = "philox4x64/trial-blocks/raw-limits/v1"
 _MAX_SEED = (1 << 64) - 1
 _RAW_WORDS = 1 << 17  # most raw words drawn per batch, to stay in cache
-_EXACT_MAX_N = 20
+_EXACT_MAX_BITS = 20  # exact enumeration: most line patterns, joint signatures
 _NOISE_KINDS = ("depolarizing", "x_only", "z_only", "independent_xz")
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 # Imported where _Kernel._replay runs, so a Monte Carlo run loads neither
@@ -175,19 +175,6 @@ def _wilson_interval(failures: int, trials: int) -> tuple:
     return low, high
 
 
-def _trial_uniforms(seed: int, t0: int, t1: int, draws: int) -> np.ndarray:
-    """Uniforms for trials [t0, t1); row t-t0 belongs to trial t.
-
-    Each trial owns ceil(draws/4) Philox blocks of the stream keyed by
-    ``seed``, so the rows depend only on (seed, trial index).
-    """
-    blocks = max(1, (draws + 3) // 4)
-    bg = np.random.Philox(key=seed)
-    bg.advance(t0 * blocks)
-    u = np.random.Generator(bg).random((t1 - t0) * blocks * 4)
-    return u.reshape(t1 - t0, blocks * 4)[:, :draws]
-
-
 def _below(words: np.ndarray, c: float) -> np.ndarray:
     """Mask of the raw words whose uniform is < c: ``w < ceil(c * 2**53) <<
     11``, exact as ldexp is; at c = 1 that limit needs 65 bits."""
@@ -269,18 +256,6 @@ class _Kernel:
             for g in grids], bool)
 
 
-def _batch_failures(code: SubsystemCode, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorized recovery over a batch of (t, n1, n2) errors; True where
-    recovery leaves a logical error.  Exactly matches
-    :func:`subqec.recovery.recover` trial for trial (pinned by tests)."""
-    z, x = z.reshape(-1).astype(bool), x.reshape(-1).astype(bool)
-    idx = np.flatnonzero(z | x)
-    trials, bit, phase = _Kernel(code)(idx, z[idx], x[idx])
-    failed = np.zeros(len(z) // code.n, bool)
-    failed[trials] = bit | phase
-    return failed
-
-
 def _count_chunk(kernel: _Kernel, noise: NoiseModel, seed: int,
                  batch_size: int, trial_range: tuple) -> np.ndarray:
     """(logical, bit-flip, phase-flip) failure counts of trials [t0, t1)
@@ -360,16 +335,25 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
 
 def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
     """Exact logical failure rate for a channel whose axes are independent,
-    by pushing all 2**n error patterns through each kernel stage the
-    channel can trip.
+    summed over the grid's i.i.d. lines.
 
-    For ``x_only`` and ``z_only``, failing patterns are counted by weight w
-    and the rate is ``sum_w count_w p**w (1-p)**(n-w)``.  Each stage reads
-    only one axis, and ``independent_xz`` draws its axes independently, so
-    its rate is ``1 - (1 - P_x)(1 - P_z)`` with P_x the ``x_only(p_x)`` and
-    P_z the ``z_only(p_z)`` rate.  Depolarizing noise correlates the axes at
-    each site and is refused.  The grid is capped at 20 sites (2**20
-    patterns).
+    Under ``x_only`` only the bit-flip stage can fail: iff ``c1.fail[y_b]``
+    is set for some b (module docstring).  Position i of ``y_b`` is bit b
+    of row i's k2-bit signature ``G2 x_i``, and the rows are i.i.d.  So the
+    signature's distribution is tabulated over the 2**n2 row patterns, each
+    weighted ``p**w (1-p)**(n2-w)``, and one outer product per row walks
+    the 2**(n1*k2) joint signatures.  Regrouped by signature bit, a joint
+    signature's bits are the words ``y_b`` (row i at bit n1-1-i, as
+    ``fail`` reads them), and the failing ones are summed with
+    ``math.fsum``.  ``z_only`` mirrors this with the columns, ``G1`` and
+    ``c2.fail``.  ``independent_xz`` draws its axes independently, so its
+    rate is ``1 - (1 - P_x)(1 - P_z)`` from the ``x_only(p_x)`` and
+    ``z_only(p_z)`` rates.  Depolarizing noise correlates the axes at each
+    site and is refused.
+
+    A grid is refused before any work when its line patterns or joint
+    signatures (for ``z_only``, 2**n1 and 2**(n2*k1)) exceed 2**20, or its
+    decoding factor is longer than 20 bits (it has no ``fail`` table).
     """
     if noise.kind == "independent_xz":
         p_x = exact_rate_enumeration(code, NoiseModel.x_only(noise.p_x))
@@ -378,23 +362,35 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
     if noise.kind not in ("x_only", "z_only"):
         raise ValueError("exact enumeration needs an x_only, z_only or "
                          "independent_xz channel")
-    n = code.n
-    if n > _EXACT_MAX_N:
-        raise ValueError(f"{n} sites would mean 2**{n} patterns; too many")
-    # Only one stage can fail: bit flips are decoded down the columns with
-    # code 1, phase flips along the rows with code 2.  Doubling over the
-    # sites gives that stage's lanes and the weight of every pattern.
-    axis, kernel = int(noise.kind == "z_only"), _Kernel(code)
-    sites = kernel.lanes[:, (1 + axis) * n:][:, :n]  # X or Z hits, (lanes, n)
-    lanes = np.zeros((len(sites), 1 << n), np.int64)
-    weights = np.zeros(1 << n, np.uint8)
-    for s in range(n):
-        lanes[:, 1 << s:2 << s] = lanes[:, :1 << s] ^ sites[:, s, None]
-        weights[1 << s:2 << s] = weights[:1 << s] + 1
-    failing = np.bincount(weights[kernel.fails(axis, lanes)], minlength=n + 1)
-    p = noise.p
-    return math.fsum(int(count) * p ** w * (1.0 - p) ** (n - w)
-                     for w, count in enumerate(failing) if count)
+    # The decoding factor, and the one whose generator signs each line.
+    dec, line = code.c1, code.c2
+    if noise.kind == "z_only":
+        dec, line = line, dec
+    for what, bits in (("line patterns", line.n),
+                       ("joint signatures", dec.n * line.k)):
+        if bits > _EXACT_MAX_BITS:
+            raise ValueError(f"exact {noise.kind} enumeration on this grid "
+                             f"would walk 2**{bits} {what}; the limit is "
+                             f"2**{_EXACT_MAX_BITS}")
+    if dec.n > _TABLE_MAX_N:
+        raise ValueError(f"exact {noise.kind} enumeration decodes with an "
+                         f"n={dec.n} code; fail tables stop at {_TABLE_MAX_N}")
+    p, n, k = noise.p, line.n, line.k
+    # A pattern weighs 1-p or p per bit.  Each signature is taken by
+    # 2**(n-k) patterns, so sorted by signature they fill the rows of a
+    # (2**k, 2**(n-k)) array, summed pairwise.
+    bit = np.array([1.0 - p, p])
+    pattern = functools.reduce(np.multiply.outer, [bit] * n).ravel()
+    signature = _span_words(_bit_weights(line.generator), np.int64)
+    line_prob = pattern[np.argsort(signature)].reshape(1 << k, -1).sum(axis=1)
+    # The joint signatures list the lines' signatures, line 0 on top; their
+    # bits regrouped by signature bit are the k words, each read by fail.
+    joint = functools.reduce(np.multiply.outer, [line_prob] * dec.n)
+    prob = joint.reshape((2,) * (dec.n * k)).transpose(
+        [i * k + j for j in range(k) for i in range(dec.n)]).ravel()
+    failing = functools.reduce(np.logical_or.outer, [dec.fail] * k,
+                               np.zeros((), bool)).ravel()
+    return math.fsum(prob[failing].tolist())
 
 
 def _classical_summary(c: LinearCode) -> dict:

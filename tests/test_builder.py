@@ -13,6 +13,7 @@ from subqec import (
     ShorCode,
     SubsystemCode,
     gf2,
+    hamming_7_4,
     repetition,
 )
 
@@ -240,9 +241,12 @@ def test_verification_catches_corruption(rep3, corrupt, message):
 @pytest.mark.parametrize("cls", [SubsystemCode, ShorCode])
 def test_verification_catches_a_broken_factor(cls, rep3):
     """A factor whose complements are not dual to its own rows fails
-    D E^T = I, and the Gram check words the error."""
+    D E^T = I, and the Gram check words the error.  The factor is
+    corrupted before any grid reads it, and the False it caches fails
+    every grid built on it."""
     broken = repetition(3)
-    broken.check_complement = np.zeros_like(broken.check_complement)
+    object.__setattr__(broken, "check_complement",
+                       np.zeros_like(broken.check_complement))
     for c1, c2 in ((broken, rep3), (rep3, broken), (broken, broken)):
         with pytest.raises(ValueError, match="internal error"):
             cls(c1, c2)
@@ -252,10 +256,13 @@ def test_shor_verify_accepts_intact_code(rep3):
     ShorCode(rep3, rep3)._verify()
 
 
-def test_construction_wraps_stacks_and_verifies_one_block(rep3, ham,
-                                                          monkeypatch):
+def test_construction_wraps_stacks_and_verifies_one_block(monkeypatch):
     """No PauliGrid is built, not even on first access of the lists; the
-    check is one D E^T product per factor, and nothing is ranked."""
+    check is one D E^T product per distinct factor on the first grid and
+    none on a later grid over the same factors, and nothing is ranked.
+    The factors are built here, as the shared fixtures may have been
+    checked already."""
+    rep3, ham = repetition(3), hamming_7_4()
     inits, products, ranked = [], [], []
     init, mat_mul, rank = PauliGrid.__init__, gf2.mat_mul, gf2.rank
 
@@ -274,14 +281,20 @@ def test_construction_wraps_stacks_and_verifies_one_block(rep3, ham,
     monkeypatch.setattr(PauliGrid, "__init__", counting_init)
     monkeypatch.setattr(gf2, "mat_mul", counting_mat_mul)
     monkeypatch.setattr(gf2, "rank", counting_rank)
-    for cls, c1, c2 in ((SubsystemCode, rep3, ham), (ShorCode, ham, rep3)):
+    for cls, c1, c2, checked in ((SubsystemCode, rep3, ham, (rep3, ham)),
+                                 (ShorCode, ham, rep3, ()),
+                                 (SubsystemCode, ham, ham, ())):
         products.clear()
         ranked.clear()
         code = cls(c1, c2)
-        assert products == [((c.n, c.n), (c.n, c.n)) for c in (c1, c2)]
+        assert products == [((c.n, c.n), (c.n, c.n)) for c in checked]
         assert ranked == []
         code.stabilizers, code.gauge_pairs, code.logicals
     assert inits == []
+    rep4 = repetition(4)
+    products.clear()
+    SubsystemCode(rep4, rep4)
+    assert products == [((4, 4), (4, 4))]
 
 
 def test_verify_logs_at_debug_only(rep3, caplog):

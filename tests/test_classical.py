@@ -278,6 +278,28 @@ def test_tables_are_read_only(ham):
         ham.fail[0] = True
 
 
+def test_attributes_cannot_be_rebound_or_deleted():
+    """Rebinding or deleting any attribute raises, so ``dual_basis`` and
+    ``check_complement`` cannot get out of step; what is derived lazily
+    still caches."""
+    code = LinearCode.from_parity(hamming_7_4().check)
+    assert code.d is None
+    assert code.min_distance() == 3 and code.d == 3
+    code.fail, code.bases_are_dual
+    for name in [*vars(code), "decode_table", "min_distance", "unset"]:
+        with pytest.raises(AttributeError, match="immutable: cannot set"):
+            setattr(code, name, None)
+        with pytest.raises(AttributeError, match="immutable: cannot delete"):
+            delattr(code, name)
+    assert code.params == (7, 4, 3) and code.bases_are_dual
+    for part, whole in (("generator_complement", "basis"),
+                        ("check_complement", "dual_basis")):
+        assert np.shares_memory(getattr(code, part), getattr(code, whole))
+    for m in (code.generator, code.check, code.generator_complement,
+              code.check_complement, code.basis, code.dual_basis):
+        assert not m.flags.writeable
+
+
 def test_debug_records_name_their_caller(caplog):
     # Two builds, so the second goes through the logger bound by the first.
     with caplog.at_level(logging.DEBUG, logger="subqec"):

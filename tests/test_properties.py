@@ -3,8 +3,9 @@ raw-word Monte Carlo kernel against the reference recovery, run_trials'
 independence of workers and batching, the decomposition along the grid's
 two bases, the generator lists as views of the generator stacks, the
 construction check on the factors against the Gram check on the stacks,
-and the brute-force distance against the paper's min(d1, d2), found at d
-and not below it."""
+the brute-force distance against the paper's min(d1, d2), found at d and
+not below it, and the exact rate's line route against walking every grid
+pattern."""
 
 import numpy as np
 import pytest
@@ -24,12 +25,9 @@ from subqec import (
     recover,
     run_trials,
 )
-from subqec.simulate import (
-    _Kernel,
-    _batch_failures,
-    _count_chunk,
-    _trial_uniforms,
-)
+from subqec.simulate import _Kernel, _count_chunk
+
+from references import batch_failures, trial_uniforms, walked_exact_rate
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -71,6 +69,15 @@ def grid_codes(draw):
     return SubsystemCode(draw(linear_codes()), draw(linear_codes()))
 
 
+@st.composite
+def small_grids(draw):
+    """Grids of at most 20 sites from two :func:`any_codes` factors, the
+    longer one either way round."""
+    a = draw(any_codes(n_max=10))
+    b = draw(any_codes(n_max=20 // a.n))
+    return SubsystemCode(a, b) if draw(st.booleans()) else SubsystemCode(b, a)
+
+
 noises = st.one_of(
     st.builds(NoiseModel.depolarizing, st.floats(0.0, 0.5)),
     st.builds(NoiseModel.x_only, st.floats(0.0, 0.5)),
@@ -85,7 +92,7 @@ def test_batch_matches_recover_on_random_codes(code, seed):
     rng = np.random.default_rng(seed)
     z = rng.integers(0, 2, (24, code.n1, code.n2), dtype=np.uint8)
     x = rng.integers(0, 2, (24, code.n1, code.n2), dtype=np.uint8)
-    batch = _batch_failures(code, z, x)
+    batch = batch_failures(code, z, x)
     for i in range(24):
         assert batch[i] == (not recover(code, PauliGrid(z[i], x[i])).logical_ok)
 
@@ -122,7 +129,7 @@ def test_raw_word_kernel_matches_float_reference(c1, c2, noise, seed):
     trials = 12
     got = [tuple(_count_chunk(kernel, noise, seed, 8192, (t, t + 1)))
            for t in range(trials)]
-    u = _trial_uniforms(seed, 0, trials, noise.draws_per_site * code.n)
+    u = trial_uniforms(seed, 0, trials, noise.draws_per_site * code.n)
     zbits, xbits = noise.errors_from_uniforms(u, code.n)
     shape = (code.n1, code.n2)
     for t in range(trials):
@@ -262,3 +269,17 @@ def test_distance_bruteforce_is_min_of_factor_distances(pair):
     # over-reports shows here.
     if d > 1:
         assert distance_bruteforce(code, d - 1) is None
+
+
+@PROPERTY_SETTINGS
+@given(code=small_grids(), kind=st.sampled_from(["x_only", "z_only"]),
+       p=st.sampled_from([0.0, 0.03, 0.5, 1.0]))
+def test_exact_rate_line_route_matches_pattern_walk(code, kind, p):
+    """The i.i.d.-line route equals walking all 2**n grid patterns through
+    the kernel's lanes, exactly at p = 0 and p = 1."""
+    noise = getattr(NoiseModel, kind)(p)
+    got, want = exact_rate_enumeration(code, noise), walked_exact_rate(code, noise)
+    if p in (0.0, 1.0):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12)

@@ -24,11 +24,11 @@ from subqec import simulate
 from subqec.simulate import (
     _WILSON_Z,
     _Kernel,
-    _batch_failures,
     _below,
     _count_chunk,
-    _trial_uniforms,
 )
+
+from references import batch_failures, trial_uniforms
 
 
 @pytest.fixture(scope="module")
@@ -160,18 +160,18 @@ def test_independent_xz_layout():
 # -- counter-based RNG ---------------------------------------------------------
 
 def test_uniforms_are_partition_independent():
-    whole = _trial_uniforms(42, 0, 200, 9)
+    whole = trial_uniforms(42, 0, 200, 9)
     pieces = np.vstack([
-        _trial_uniforms(42, 0, 13, 9),
-        _trial_uniforms(42, 13, 100, 9),
-        _trial_uniforms(42, 100, 200, 9),
+        trial_uniforms(42, 0, 13, 9),
+        trial_uniforms(42, 13, 100, 9),
+        trial_uniforms(42, 100, 200, 9),
     ])
     assert np.array_equal(whole, pieces)
 
 
 def test_uniforms_depend_on_seed():
-    assert not np.array_equal(_trial_uniforms(1, 0, 10, 9),
-                              _trial_uniforms(2, 0, 10, 9))
+    assert not np.array_equal(trial_uniforms(1, 0, 10, 9),
+                              trial_uniforms(2, 0, 10, 9))
 
 
 # -- batched recovery ------------------------------------------------------------
@@ -181,8 +181,8 @@ def test_batch_matches_reference_recovery_exhaustive(code9):
     zero = np.zeros((3, 3), np.uint8)
     pats = ((np.arange(512)[:, None] >> np.arange(9)) & 1).astype(np.uint8)
     grids = pats.reshape(-1, 3, 3)
-    batch_x = _batch_failures(code9, np.zeros_like(grids), grids)
-    batch_z = _batch_failures(code9, grids, np.zeros_like(grids))
+    batch_x = batch_failures(code9, np.zeros_like(grids), grids)
+    batch_z = batch_failures(code9, grids, np.zeros_like(grids))
     for i, g in enumerate(grids):
         assert batch_x[i] == (not recover(code9, PauliGrid(zero, g)).logical_ok)
         assert batch_z[i] == (not recover(code9, PauliGrid(g, zero)).logical_ok)
@@ -192,7 +192,7 @@ def test_batch_matches_reference_recovery_mixed(code49):
     rng = np.random.default_rng(61)
     z = rng.integers(0, 2, (200, 7, 7), dtype=np.uint8)
     x = rng.integers(0, 2, (200, 7, 7), dtype=np.uint8)
-    batch = _batch_failures(code49, z, x)
+    batch = batch_failures(code49, z, x)
     for i in range(200):
         single = not recover(code49, PauliGrid(z[i], x[i])).logical_ok
         assert batch[i] == single
@@ -332,7 +332,7 @@ def test_batch_replays_recover_above_table_limit():
     code = SubsystemCode(LinearCode.from_parity(check), repetition(1))
     noise = NoiseModel.x_only(0.05)
     report = run_trials(code, noise, 60, seed=4)
-    xbits = noise.errors_from_uniforms(_trial_uniforms(4, 0, 60, 21), 21)[1]
+    xbits = noise.errors_from_uniforms(trial_uniforms(4, 0, 60, 21), 21)[1]
     zero = np.zeros((21, 1), np.uint8)
     expect = sum(not recover(code, PauliGrid(zero, x.reshape(21, 1))).logical_ok
                  for x in xbits)
@@ -347,11 +347,11 @@ def test_run_trials_above_sixteen_bits(rep3):
     report = run_trials(code, noise, 3000, seed=8)
     assert report.trials == 3000
     assert 0 < report.logical_failures < 3000
-    u = _trial_uniforms(8, 0, 40, noise.draws_per_site * code.n)
+    u = trial_uniforms(8, 0, 40, noise.draws_per_site * code.n)
     zbits, xbits = noise.errors_from_uniforms(u, code.n)
     z = zbits.reshape(-1, 17, 3)
     x = xbits.reshape(-1, 17, 3)
-    batch = _batch_failures(code, z, x)
+    batch = batch_failures(code, z, x)
     for i in range(40):
         assert batch[i] == (not recover(code, PauliGrid(z[i], x[i])).logical_ok)
 
@@ -368,8 +368,8 @@ def grid_code(pair):
 
 def replayed_outcomes(code, noise, trials, seed, t0=0):
     """recover() on trials [t0, t0 + trials) of a run, drawn through the
-    float reference: _trial_uniforms -> errors_from_uniforms."""
-    u = _trial_uniforms(seed, t0, t0 + trials, noise.draws_per_site * code.n)
+    float reference: trial_uniforms -> errors_from_uniforms."""
+    u = trial_uniforms(seed, t0, t0 + trials, noise.draws_per_site * code.n)
     zbits, xbits = noise.errors_from_uniforms(u, code.n)
     shape = (code.n1, code.n2)
     return [recover(code, PauliGrid(z.reshape(shape), x.reshape(shape)))
@@ -513,7 +513,7 @@ def test_trial_uniforms_follow_the_replayed_layout():
     bg.advance(7 * blocks)
     u = np.random.Generator(bg).random(30 * blocks * 4)
     want = u.reshape(30, blocks * 4)[:, :draws]
-    assert np.array_equal(_trial_uniforms(seed, 7, 37, draws), want)
+    assert np.array_equal(trial_uniforms(seed, 7, 37, draws), want)
     raw = np.random.Philox(key=seed)
     raw.advance(7 * blocks)
     words = raw.random_raw(30 * blocks * 4)
@@ -563,6 +563,20 @@ def test_exact_rate_long_repetition_matches_majority(n):
     assert got == pytest.approx(majority_failure(n, 0.3), rel=1e-12)
 
 
+@pytest.mark.parametrize("n1,n2", [(5, 5), (4, 7), (20, 5)])
+@pytest.mark.parametrize("p", [0.05, 0.3])
+def test_exact_rate_repetition_grids_match_closed_form(n1, n2, p):
+    # Past the 20 sites that walking every pattern allowed.  Under x_only
+    # each row's parity flips with probability q = (1 - (1 - 2p)**n2) / 2
+    # and code 1 decodes the n1 row parities; z_only mirrors this with the
+    # columns and code 2.  rep4 and rep20 take the even-n tie-break.
+    code = SubsystemCode(repetition(n1), repetition(n2))
+    for kind, lines, length in (("x_only", n1, n2), ("z_only", n2, n1)):
+        q = (1 - (1 - 2 * p) ** length) / 2
+        got = exact_rate_enumeration(code, getattr(NoiseModel, kind)(p))
+        assert got == pytest.approx(majority_failure(lines, q), rel=1e-12)
+
+
 def test_exact_rate_agrees_with_monte_carlo(code9):
     noise = NoiseModel.x_only(0.05)
     exact = exact_rate_enumeration(code9, noise)
@@ -602,9 +616,20 @@ def test_exact_rate_refuses_mixed_channels(code9):
 
 
 def test_exact_rate_refuses_large_grids():
-    code = SubsystemCode(repetition(5), repetition(5))
-    with pytest.raises(ValueError):
-        exact_rate_enumeration(code, NoiseModel.x_only(0.1))
+    # Each bound of the line route is checked before any table is built:
+    # hamming^2's 7 rows have 2**(7*4) joint signatures, rep1 x rep21's
+    # single row has 2**21 patterns, and rep21 x (a k = 0 code) decodes
+    # with a 21-bit code.
+    ham, rep21 = hamming_7_4(), repetition(21)
+    empty = LinearCode.from_parity([[1]])
+    for c1, c2, match in (
+            (ham, ham, r"2\*\*28 joint signatures; the limit is 2\*\*20"),
+            (repetition(1), rep21, r"2\*\*21 line patterns"),
+            (rep21, empty, r"decodes with an n=21 code")):
+        with pytest.raises(ValueError, match=match):
+            exact_rate_enumeration(SubsystemCode(c1, c2),
+                                   NoiseModel.x_only(0.1))
+        assert "fail" not in vars(c1) and "fail" not in vars(c2)
 
 
 # -- failure-rate scaling ---------------------------------------------------------

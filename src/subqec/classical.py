@@ -14,24 +14,24 @@ code: ``check_complement`` rows play the role of encoded-Z operators and
 two n x n bases, ``basis`` E = [generator_complement; generator] and
 ``dual_basis`` D = [check; check_complement], with D E^T = I.
 
-For n <= 20 a code also carries two lazily built, read-only lookup tables,
-each filled by a vectorised pass over all 2**n words:
+A word is an int whose binary numeral has position 0 as its top bit.  A
+syndrome's coset leader is the least word of its coset in (weight,
+lexicographic) order; :attr:`LinearCode.leaders` lists them, found weight
+by weight.  :attr:`LinearCode.fails` is the code's one per-word failure
+rule, all a grid code's Monte Carlo kernel needs (see
+:mod:`subqec.simulate`): int64 words in, whether decoding leaves a logical
+error (``C_c (v xor leader(P v)) != 0``) out.  Its route is picked from
+(n, k), and any other code, n > 63 included, raises ValueError:
 
-    decode_table  (2**(n-k), n)  row s is the coset leader of syndrome int s
-                                 (syndrome bit r has weight 2**r), chosen by
-                                 (weight, lexicographic) order
-    fail          (2**n,)        fail[v] is True when decoding word v leaves
-                                 a logical error: C_c (v xor leader(P v)) != 0
-
-``fail`` is indexed by the word read as a binary numeral, position 0 being
-the most significant bit.  It is all a grid code's Monte Carlo kernel needs
-from the code (see :mod:`subqec.simulate`).
+    n <= 20                     the ``fail`` table of all 2**n words
+    n <= 63, k <= min(16, n-k)  v fails iff some codeword c != 0 gives
+                                (wt(v^c), v^c) < (wt(v), v)
+    n <= 63, n-k <= 20          v fails iff C_c v != C_c leader(P v)
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import sys
 import time
 from typing import Optional
@@ -40,12 +40,10 @@ import numpy as np
 
 from . import gf2
 
-# Syndrome decoding uses a full coset-leader table when the block length
-# allows one; above this the decoder searches errors of weight at most
-# DECODE_WEIGHT_CAP.  The tables' build enumerates all 2**n words.
-_TABLE_MAX_N = 20
+_TABLE_MAX_N = 20  # fail tables: one entry per n-bit word
+_WORD_MAX_N = 63  # the other routes: a word in one int64
+_WALK_MAX_WORDS = 1 << 20  # the leader walk, weight by weight
 _DISTANCE_MAX_K = 24
-DECODE_WEIGHT_CAP = 4
 
 
 _loggers: dict = {}
@@ -85,6 +83,48 @@ def _span_words(images: np.ndarray, dtype) -> np.ndarray:
 def _bit_weights(rows: np.ndarray) -> np.ndarray:
     """Per-column integer ``sum_r rows[r, i] << r`` of a 0/1 matrix."""
     return rows.T.astype(np.int64) @ (1 << np.arange(rows.shape[0], dtype=np.int64))
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits per int64 >= 0, by SWAR (numpy 1.x has no bitwise_count)."""
+    x = x - (x >> 1 & 0x5555555555555555)
+    x = (x & 0x3333333333333333) + (x >> 2 & 0x3333333333333333)
+    return ((x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F) * 0x0101010101010101 >> 56
+
+
+def _syndrome_rule(code: "LinearCode"):
+    """v fails iff ``C_c v != C_c leader(P v)``, read off ``D v`` (the
+    syndrome in its low n-k bits), which one table per byte of v gives."""
+    n, m, weights = code.n, code.n - code.k, _bit_weights(code.dual_basis)
+    tables = [(b, _span_words(weights[max(0, n - b - 8):n - b], np.int64))
+              for b in range(0, n, 8)]  # bits [b, b+8): positions n-b-8..
+
+    def image(words):
+        return functools.reduce(np.bitwise_xor, (
+            t[words >> b & 255] for b, t in tables), np.zeros_like(words))
+    logical = image(code.leaders) >> m
+
+    def fails(words):
+        d = image(words)
+        return d >> m != logical[d & ((1 << m) - 1)]
+    return fails
+
+
+def _codeword_rule(code: "LinearCode"):
+    """v fails iff some codeword c != 0 gives (wt(v^c), v^c) < (wt(v), v),
+    i.e. v is not its coset's leader, trying about 2**20 pairs at a time."""
+    codewords = code._codewords
+
+    def fails(words):
+        out = np.zeros(words.shape, bool)
+        weight, words = _popcount(words)[..., None], words[..., None]
+        step = max(1, (1 << 20) // max(1, out.size))
+        for c in range(0, len(codewords), step):
+            x = words ^ codewords[c:c + step]
+            w = _popcount(x)
+            out |= ((w < weight) | (w == weight) & (x < words)).any(axis=-1)
+        return out
+    return fails
 
 
 class LinearCode:
@@ -235,83 +275,94 @@ class LinearCode:
         return (self.check @ e) & 1
 
     def decode(self, s) -> np.ndarray:
-        """Coset-leader decoding: a minimum-weight error matching syndrome s.
-
-        Deterministic; ties inside a weight class go to the
-        lexicographically smallest vector.  For n <= 20 this is a row of
-        :attr:`decode_table`.  For larger n the decoder searches weights
-        0..DECODE_WEIGHT_CAP and raises if no error within the cap matches.
-        """
+        """Coset-leader decoding of syndrome s: a row of :attr:`leaders`,
+        or the least of the coset's 2**k words for a code decoded by its
+        codewords.  ValueError for a code no route covers."""
         s = np.asarray(s, dtype=np.uint8).reshape(-1)
-        if s.shape[0] != self.n - self.k:
-            raise ValueError(
-                f"syndrome length {s.shape[0]} != n-k={self.n - self.k}")
-        if self.n <= _TABLE_MAX_N:
-            return self.decode_table[self._syndrome_key(s)].copy()
-        return self._bounded_search(s)
-
-    def _syndrome_key(self, s: np.ndarray) -> int:
-        return int(s @ (1 << np.arange(s.shape[0], dtype=np.int64)))
-
-    def _coset_leaders(self) -> tuple:
-        """Syndrome int of every n-bit word, and the leader word of every
-        syndrome int, both as int arrays (words as in :attr:`fail`)."""
         n, m = self.n, self.n - self.k
-        if n > _TABLE_MAX_N:
-            raise ValueError(
-                f"no lookup table for n={n} > {_TABLE_MAX_N}; it would have "
-                f"2**{n} entries")
-        syndromes = _span_words(_bit_weights(self.check), np.int32)
-        weights = np.zeros(1 << n, np.int64)
-        for b in range(n):
-            weights[1 << b:2 << b] = weights[:1 << b] + 1
-        # (weight, word) order is (weight, lexicographic) order, since a
-        # word's numeral puts position 0 first.
-        keys = (weights << n) | np.arange(1 << n, dtype=np.int64)
-        best = np.full(1 << m, np.iinfo(np.int64).max)
-        np.minimum.at(best, syndromes, keys)
-        return syndromes, best & ((1 << n) - 1)
+        if s.shape[0] != m:
+            raise ValueError(f"syndrome length {s.shape[0]} != n-k={m}")
+        if self._by_codewords:  # s G_c has syndrome s
+            coset = np.append(0, self._codewords) ^ (
+                s @ self.generator_complement & 1) @ (1 << np.arange(
+                    n - 1, -1, -1, dtype=np.int64))
+            word = coset[np.lexsort((coset, _popcount(coset)))[0]]
+        else:
+            word = self.leaders[s @ (1 << np.arange(m, dtype=np.int64))]
+        return (int(word) >> np.arange(n - 1, -1, -1) & 1).astype(np.uint8)
+
+    @property
+    def _by_codewords(self) -> bool:
+        """Whether the route is the codeword rule (module docstring)."""
+        n, k = self.n, self.k
+        return _TABLE_MAX_N < n <= _WORD_MAX_N and k <= min(16, n - k)
 
     @functools.cached_property
-    def decode_table(self) -> np.ndarray:
-        """Coset leaders as rows, indexed by syndrome int; n <= 20 only."""
+    def _codewords(self) -> np.ndarray:
+        return _span_words(np.array(self._generator_rows, np.int64),
+                           np.int64)[1:]
+
+    @functools.cached_property
+    def fails(self):
+        """The per-word failure rule, by the route of the module docstring:
+        int64 words, read as :attr:`fail` reads them, to bools."""
+        if self._by_codewords:
+            return _codeword_rule(self)
+        if self.n <= _TABLE_MAX_N:
+            return self.fail.__getitem__
+        return _syndrome_rule(self)
+
+    @functools.cached_property
+    def leaders(self) -> np.ndarray:
+        """The leader word of each syndrome int (bit r at 2**r), read-only;
+        n <= 63 and n-k <= 20 only.  Words are taken weight by weight (a
+        word of the next weight adds one bit below its lowest), and a
+        syndrome's leader is its least word of the first weight to reach
+        it.  The walk is refused past 2**20 words."""
+        n, m = self.n, self.n - self.k
+        if n > _WORD_MAX_N or m > _TABLE_MAX_N:
+            raise ValueError(f"no leader table for the [{n},{self.k}] code: "
+                             f"it needs n <= 63 and n-k <= 20")
         start = time.perf_counter()
-        _, leaders = self._coset_leaders()
-        table = np.empty((leaders.shape[0], self.n), np.uint8)
-        for i in range(self.n):
-            table[:, i] = (leaders >> (self.n - 1 - i)) & 1
-        table.setflags(write=False)
-        _log_debug(__name__, "decode_table of %r (n=%d) built in %.2f ms",
-                   self, self.n, 1e3 * (time.perf_counter() - start))
-        return table
+        syndrome = _bit_weights(self.check)[::-1]  # of bit b, position n-1-b
+        unled = np.iinfo(np.int64).max  # above every word of weight < 63
+        leaders = np.full(1 << m, unled)
+        words = syndromes = np.zeros(1, np.int64)
+        low, walked = np.array([n]), 1  # low: each word's lowest set bit
+        while True:
+            new = leaders[syndromes] == unled
+            np.minimum.at(leaders, syndromes[new], words[new])
+            if not (leaders == unled).any():
+                break
+            walked += int(low.sum())
+            if walked > _WALK_MAX_WORDS:
+                raise ValueError(f"the [{n},{self.k}] code's leader walk "
+                                 f"passes 2**20 words before every syndrome "
+                                 f"has a leader")
+            bit = np.arange(low.sum()) - np.repeat(np.cumsum(low) - low, low)
+            words = np.repeat(words, low) | 1 << bit
+            syndromes = np.repeat(syndromes, low) ^ syndrome[bit]
+            low = bit
+        leaders.setflags(write=False)
+        _log_debug(__name__, "leader table of %r (n=%d) built in %.2f ms",
+                   self, n, 1e3 * (time.perf_counter() - start))
+        return leaders
 
     @functools.cached_property
     def fail(self) -> np.ndarray:
-        """Per n-bit word v: does coset-leader decoding of v leave a logical
-        error (``C_c (v xor leader(P v)) != 0``)?  n <= 20 only."""
-        start = time.perf_counter()
-        syndromes, leaders = self._coset_leaders()
-        logical = _span_words(_bit_weights(self.check_complement), np.int32)
-        table = logical != logical[leaders[syndromes]]
+        """Per n-bit word v, read-only: does decoding v leave a logical
+        error?  The syndrome rule on every word, with ``D v`` spanned over
+        all of them at once; n <= 20 only."""
+        if self.n > _TABLE_MAX_N:
+            raise ValueError(f"no fail table for n={self.n} > {_TABLE_MAX_N}"
+                             f"; it would have 2**{self.n} entries")
+        start, m = time.perf_counter(), self.n - self.k
+        d = _span_words(_bit_weights(self.dual_basis), np.int64)
+        table = d >> m != (d[self.leaders] >> m)[d & ((1 << m) - 1)]
         table.setflags(write=False)
         _log_debug(__name__, "fail table of %r (n=%d) built in %.2f ms",
                    self, self.n, 1e3 * (time.perf_counter() - start))
         return table
-
-    def _bounded_search(self, s: np.ndarray) -> np.ndarray:
-        for w in range(DECODE_WEIGHT_CAP + 1):
-            matches = []
-            for support in itertools.combinations(range(self.n), w):
-                v = np.zeros(self.n, dtype=np.uint8)
-                v[list(support)] = 1
-                if np.array_equal(self.syndrome(v), s):
-                    matches.append(tuple(v))
-            if matches:
-                return np.array(min(matches), dtype=np.uint8)
-        raise ValueError(
-            f"the [{self.n},{self.k}] code is longer than {_TABLE_MAX_N} "
-            f"bits, so it has no coset-leader table, and no error of weight "
-            f"<= {DECODE_WEIGHT_CAP} matches this syndrome")
 
     def codewords(self) -> np.ndarray:
         """All 2**k codewords as rows (guarded like min_distance)."""

@@ -12,7 +12,7 @@ a row's pivot column is its leading bit, and pivot rows are kept in a dict
 keyed on that bit.  The ``*_rows`` functions work on such lists of ints,
 and :func:`dual_complete_columns` on the columns of the check packed the
 same way (``pack_rows(p.T)``), so ``LinearCode`` builds a code without a
-transpose in Python; the matrix functions pack once, eliminate and unpack.
+transpose in Python.  :func:`rank` packs a matrix once and eliminates.
 
 :func:`mat_mul` keeps small products on a uint8 ``@`` masked to the low
 bit, which is exact because uint8 wraps modulo 256, an even number.  Larger
@@ -26,7 +26,6 @@ numpy-2-only API (such as ``np.bitwise_count``) is used.
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -150,23 +149,12 @@ def _rref_rows(rows) -> tuple:
 
 
 def kernel_rows(rows, cols: int) -> list:
-    """:func:`kernel_basis` of the matrix with these packed rows."""
+    """Packed basis rows of the right kernel ``{v : m v = 0}`` of the
+    matrix m with these packed rows, one per free column, lowest first."""
     reduced, leads = _rref_rows(rows)
     pivot_bits = set(leads)
     return [sum(1 << lead for row, lead in zip(reduced, leads) if row >> b & 1)
             | 1 << b for b in range(cols - 1, -1, -1) if b not in pivot_bits]
-
-
-def gram_rows(a, b) -> list:
-    """Packed rows of ``a @ b.T``: bit len(b)-1-j of row i is the parity of
-    ``a[i] & b[j]``."""
-    out = []
-    for u in a:
-        v = 0
-        for w in b:
-            v = v << 1 | (u & w).bit_count() & 1
-        out.append(v)
-    return out
 
 
 def _solve_tagged(rows, low: int) -> tuple:
@@ -175,8 +163,7 @@ def _solve_tagged(rows, low: int) -> tuple:
 
     Returns the tags of the reduced pivot rows, highest pivot first, and
     the tags that the other rows reduced to, in input order (each row
-    dependent on the rows before it).  For ``[m | I]`` the first list is the
-    inverse of m.
+    dependent on the rows before it).
     """
     pivots: dict = {}
     mask = (1 << low) - 1
@@ -194,18 +181,13 @@ def _solve_tagged(rows, low: int) -> tuple:
     return [pivots[lead] & mask for lead in _reduce(pivots)], dropped
 
 
-def _inverse_rows(rows) -> Optional[list]:
-    """Packed inverse of n packed n-bit rows; None when singular."""
-    n = len(rows)
-    inv, dropped = _solve_tagged(
-        [v << n | 1 << (n - 1 - i) for i, v in enumerate(rows)], n)
-    return None if dropped else inv
-
-
 def dual_complete_columns(p_cols, g, n: int) -> tuple:
-    """:func:`dual_complete` on the n columns of p, packed as ints with row
-    0 the top bit (``pack_rows(p.T)``), and the packed rows of g, where p
-    has n - len(g) rows; returns the packed rows of ``(p_c, g_c)``.
+    """Complete a full-rank check p and generator g with ``p g^T = 0`` to
+    a dual basis: ``(p_c, g_c)`` with ``p_c g^T = I``, ``p g_c^T = I`` and
+    ``p_c g_c^T = 0``.  Takes the n columns of p packed as ints with row 0
+    the top bit (``pack_rows(p.T)``) and the packed rows of g, where p has
+    n - len(g) rows; returns the packed rows of ``(p_c, g_c)``, and raises
+    ValueError for dependent rows or a p that does not annihilate g.
 
     It eliminates the columns of p once, last column first, each tagged
     with its own unit row.  Column c reduces to a bare tag exactly when it
@@ -307,123 +289,6 @@ def mat_mul(a, b) -> np.ndarray:
     return out
 
 
-class Rref(NamedTuple):
-    """Result of Gauss-Jordan elimination."""
-
-    reduced: np.ndarray
-    rank: int
-    pivot_cols: list
-
-
-def rref(m) -> Rref:
-    """Reduced row-echelon form over GF(2).
-
-    Pivots are eliminated both above and below, so the pivot columns of the
-    result are standard basis vectors.  The input is not modified.
-
-    Returns:
-        ``Rref(reduced, rank, pivot_cols)`` where ``pivot_cols`` lists the
-        pivot column indices in increasing order.
-    """
-    m = as_bits(m)
-    rows, cols = m.shape
-    reduced, leads = _rref_rows(pack_rows(m))
-    return Rref(unpack_rows(reduced + [0] * (rows - len(reduced)), cols),
-                len(leads), [cols - 1 - lead for lead in leads])
-
-
 def rank(m) -> int:
     """Rank of ``m`` over GF(2)."""
     return rank_rows(pack_rows(m))
-
-
-def kernel_basis(m) -> np.ndarray:
-    """Basis for the right kernel ``{v : m @ v = 0}`` as matrix rows.
-
-    Returns:
-        A ``(cols - rank, cols)`` matrix whose rows are linearly independent
-        and span the kernel.  Rows are emitted in order of increasing free
-        column, so the result is deterministic.
-    """
-    m = as_bits(m)
-    return unpack_rows(kernel_rows(pack_rows(m), m.shape[1]), m.shape[1])
-
-
-def solve(m, y) -> Optional[np.ndarray]:
-    """Solve ``m @ x = y`` over GF(2).
-
-    Args:
-        m: coefficient matrix, shape (r, c).
-        y: right-hand side of length r.
-
-    Returns:
-        One solution ``x`` (free variables set to zero), or ``None`` when the
-        system is inconsistent.
-
-    Raises:
-        ValueError: if the length of ``y`` does not match the row count.
-    """
-    m = as_bits(m)
-    y = as_bits(np.reshape(y, (-1, 1)))
-    if y.shape[0] != m.shape[0]:
-        raise ValueError(f"rhs length {y.shape[0]} does not match {m.shape[0]} rows")
-    # y is the last column of the augmented rows, their bit 0.
-    reduced, leads = _rref_rows(pack_rows(np.hstack([m, y])))
-    if leads and leads[-1] == 0:
-        return None
-    x = np.zeros(m.shape[1], dtype=np.uint8)
-    for row, lead in zip(reduced, leads):
-        x[m.shape[1] - lead] = row & 1
-    return x
-
-
-def inverse(m) -> np.ndarray:
-    """Inverse of a square matrix over GF(2).
-
-    Raises:
-        ValueError: if ``m`` is not square or is singular.
-    """
-    m = as_bits(m)
-    n = m.shape[0]
-    if m.shape[1] != n:
-        raise ValueError(f"matrix {m.shape} is not square")
-    inv = _inverse_rows(pack_rows(m))
-    if inv is None:
-        raise ValueError("matrix is singular")
-    return unpack_rows(inv, n)
-
-
-def dual_complete(p, g) -> tuple:
-    """Complete a parity-check/generator pair to a full dual basis.
-
-    Given a full-rank parity check ``p`` ((n-k) x n) and a full-rank
-    generator ``g`` (k x n) with ``p @ g.T = 0``, produce the two complement
-    matrices ``(p_c, g_c)`` satisfying the four pairing identities
-
-        p   @ g.T   = 0        p_c @ g.T   = I_k
-        p   @ g_c.T = I_(n-k)  p_c @ g_c.T = 0
-
-    The construction is deterministic: rows of ``p`` are greedily extended
-    to a basis of the full space with standard basis vectors (lowest index
-    first), the extension is dualized by matrix inversion, and the k x k
-    block is re-based so that ``p_c`` pairs with the given ``g`` rather than
-    with an arbitrary generator of the same code.
-
-    Returns:
-        ``(p_c, g_c)`` with shapes (k, n) and (n-k, n).
-
-    Raises:
-        ValueError: if shapes are inconsistent, either input is rank
-            deficient, or ``p @ g.T != 0``.
-    """
-    p = as_bits(p)
-    g = as_bits(g)
-    n = p.shape[1]
-    if g.shape[1] != n:
-        raise ValueError(f"column counts differ: {p.shape} vs {g.shape}")
-    if p.shape[0] + g.shape[0] != n:
-        raise ValueError(
-            f"row counts {p.shape[0]} + {g.shape[0]} do not add up to {n} columns"
-        )
-    p_c, g_c = dual_complete_columns(pack_rows(p.T), pack_rows(g), n)
-    return unpack_rows(p_c, n), unpack_rows(g_c, n)

@@ -11,17 +11,18 @@ No uniform is formed: ``Generator.random`` would return ``(w >> 11) * 2**-53``
 for a raw word w, and ``u < c`` iff ``(w >> 11) < ceil(c * 2**53)``, so the
 channel's probabilities become exact integer limits on the raw words.
 
-Whether a trial fails reduces to one table lookup per classical word.  The
-bit-flip stage decodes column b of the syndrome ``s_z = P1 x G2^T`` with
-code 1 and spreads the estimate along row b of ``C2`` (code 2's
-check_complement).  Since ``C2 G2^T = I``, the logical residual's column b is
+Whether a trial fails reduces to one call of a factor's per-word failure
+rule (``LinearCode.fails``) per classical word.  The bit-flip stage decodes
+column b of the syndrome ``s_z = P1 x G2^T`` with code 1 and spreads the
+estimate along row b of ``C2`` (code 2's check_complement).  Since
+``C2 G2^T = I``, the logical residual's column b is
 ``C1 (y_b xor leader1(P1 y_b))`` with ``y_b = x G2[b]^T``, the XOR of the
 grid's columns over the support of row b of ``G2``.  So the stage fails iff
-``c1.fail[y_b]`` is set for some b.  The phase-flip stage mirrors this
-through ``G1 C1^T = I``: with ``w_a = G1[a] z``, the XOR of the grid's rows
-over the support of row a of ``G1``, it fails iff ``c2.fail[w_a]`` is set
-for some a.  The words are linear in the hits, of which a trial has few,
-so :class:`_Kernel` XORs per-(Pauli, slot) contributions over each trial's
+``c1.fails(y_b)`` for some b.  The phase-flip stage mirrors this through
+``G1 C1^T = I``: with ``w_a = G1[a] z``, the XOR of the grid's rows over
+the support of row a of ``G1``, it fails iff ``c2.fails(w_a)`` for some a.
+The words are linear in the hits, of which a trial has few, so
+:class:`_Kernel` XORs per-(Pauli, slot) contributions over each trial's
 hits alone; :func:`subqec.recovery.recover` stays its reference.
 """
 
@@ -47,10 +48,9 @@ _RAW_WORDS = 1 << 17  # most raw words drawn per batch, to stay in cache
 _EXACT_MAX_BITS = 20  # exact enumeration: most line patterns, joint signatures
 _NOISE_KINDS = ("depolarizing", "x_only", "z_only", "independent_xz")
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
-# Imported where _Kernel._replay runs, so a Monte Carlo run loads neither
-# recovery nor pauli; still readable as attributes of this module, as
-# perfbench's tracer reads simulate.recover.
-_LAZY = {"recover": "recovery", "PauliGrid": "pauli"}
+# No code here calls recover; it stays readable as an attribute of this
+# module, loaded on first access, because perfbench's smoke check reads it.
+_LAZY = {"recover": "recovery"}
 
 
 def __getattr__(name: str):
@@ -188,17 +188,16 @@ class _Kernel:
     A trial owns ``width`` slots: X hits count at [0, n), Z hits at
     [z_offset, z_offset + n).  Row r of ``lanes`` is an int64 table whose
     entry ``(x + 2 z) * width + slot`` holds the bits such a hit flips in
-    the stage words packed into lane r.  A stage whose factor has no fail
-    table (n > 20) replays :func:`subqec.recovery.recover` instead."""
+    the stage words packed into lane r.  Each stage reads its words with
+    its factor's ``fails`` rule, built here, so a factor that no decoding
+    route covers raises ValueError before any trial."""
 
     def __init__(self, code: SubsystemCode, width: int = 0, z_offset: int = 0):
-        self.code, self.width, self.z_offset = code, width or code.n, z_offset
+        self.width = width or code.n
         lanes, used, self.words = [np.zeros((4, self.width), np.int64)], 0, []
         for axis, (own, other) in enumerate(((code.c1, code.c2),
                                              (code.c2, code.c1))):
-            if own.n > _TABLE_MAX_N:
-                self.words.append(None)
-                continue
+            fails = own.fails
             # A hit at (i, j) sets position i (bit n1-1-i) of each y_b with
             # G2[b, j] = 1, or position j of each w_a with G1[a, i] = 1.
             place = (own.n - 1 - np.arange(own.n))[:, None, None]
@@ -213,13 +212,13 @@ class _Kernel:
                 lane[b], shift[b] = len(lanes) - 1, used
                 lanes[-1][[1 << axis, 3], sites] |= bits[:, b] << used
                 used += own.n
-            self.words.append((own.fail, lane[:, 0], shift))
+            self.words.append((fails, lane[:, 0], shift, (1 << own.n) - 1))
         self.lanes = np.array(lanes).reshape(len(lanes), -1)
 
     def fails(self, axis: int, acc: np.ndarray) -> np.ndarray:
         """Whether the stage fails, per column of XOR-reduced lanes."""
-        fail, lane, shift = self.words[axis]
-        return fail[(acc[lane] >> shift) & (len(fail) - 1)].any(axis=0)
+        fails, lane, shift, mask = self.words[axis]
+        return fails((acc[lane] >> shift) & mask).any(axis=0)
 
     def __call__(self, idx: np.ndarray, z, x) -> tuple:
         """(trials, bit-flip fails, phase-flip fails) over the trials that
@@ -231,29 +230,9 @@ class _Kernel:
         pauli = (0 if x is None else x) + (0 if z is None else 2 * z)
         rows = idx + (pauli - trial) * self.width  # pauli * width + slot
         first = np.flatnonzero(np.concatenate(([True], trial[1:] != trial[:-1])))
-        trials = trial[first]
         acc = np.array([np.bitwise_xor.reduceat(np.take(lane, rows), first)
                         for lane in self.lanes])
-        return (trials, *(self.fails(axis, acc) if self.words[axis]
-                          else self._replay(axis, trial, rows, trials)
-                          for axis in (0, 1)))
-
-    def _replay(self, axis: int, trial, rows, trials) -> np.ndarray:
-        """recover() on each trial's hits on this stage's axis, which alone
-        decide the stage."""
-        from .pauli import PauliGrid
-        from .recovery import recover
-
-        pauli, site = np.divmod(rows, self.width)
-        site -= axis * self.z_offset
-        on = (pauli >> axis & 1 == 1) & (site >= 0) & (site < self.code.n)
-        grids = np.zeros((len(trials), self.code.n1, self.code.n2), np.uint8)
-        grids.reshape(len(trials), -1)[
-            np.searchsorted(trials, trial[on]), site[on]] = 1
-        zero = np.zeros_like(grids[0])
-        return np.array([g.any() and not recover(self.code, PauliGrid(
-            zero, g) if axis == 0 else PauliGrid(g, zero)).logical_ok
-            for g in grids], bool)
+        return trial[first], self.fails(0, acc), self.fails(1, acc)
 
 
 def _count_chunk(kernel: _Kernel, noise: NoiseModel, seed: int,

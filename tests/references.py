@@ -1,12 +1,19 @@
 """Reference helpers shared by the tests: the float replay of a run's draw
 layout, the hit-list kernel over whole error arrays, and the exact rate by
 walking every grid pattern through the kernel's lanes, which pins the line
-route of :func:`subqec.exact_rate_enumeration` on grids of up to 20 sites."""
+route of :func:`subqec.exact_rate_enumeration` on grids of up to 20 sites.
+
+It also keeps the GF(2) matrix helpers that the tests use as references
+and that the package no longer needs: ``rref``, ``kernel_basis``,
+``solve``, ``inverse``, ``dual_complete`` and ``gram_rows``, each a thin
+layer over :mod:`subqec.gf2`'s packed-row elimination."""
 
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from subqec import gf2
 from subqec.simulate import _Kernel
 
 
@@ -51,3 +58,99 @@ def walked_exact_rate(code, noise) -> float:
     p = noise.p
     return math.fsum(int(count) * p ** w * (1.0 - p) ** (n - w)
                      for w, count in enumerate(failing) if count)
+
+
+class Rref(NamedTuple):
+    """Result of Gauss-Jordan elimination."""
+
+    reduced: np.ndarray
+    rank: int
+    pivot_cols: list
+
+
+def rref(m) -> Rref:
+    """Reduced row-echelon form over GF(2), pivots cleared above and below;
+    ``pivot_cols`` lists the pivot columns in increasing order."""
+    m = gf2.as_bits(m)
+    rows, cols = m.shape
+    reduced, leads = gf2._rref_rows(gf2.pack_rows(m))
+    return Rref(gf2.unpack_rows(reduced + [0] * (rows - len(reduced)), cols),
+                len(leads), [cols - 1 - lead for lead in leads])
+
+
+def kernel_basis(m) -> np.ndarray:
+    """Rows spanning the right kernel ``{v : m @ v = 0}``, one per free
+    column in increasing order."""
+    m = gf2.as_bits(m)
+    return gf2.unpack_rows(gf2.kernel_rows(gf2.pack_rows(m), m.shape[1]),
+                           m.shape[1])
+
+
+def solve(m, y) -> Optional[np.ndarray]:
+    """One solution of ``m @ x = y`` (free variables 0), or None when the
+    system is inconsistent; ValueError when y's length is not m's rows."""
+    m = gf2.as_bits(m)
+    y = gf2.as_bits(np.reshape(y, (-1, 1)))
+    if y.shape[0] != m.shape[0]:
+        raise ValueError(f"rhs length {y.shape[0]} does not match "
+                         f"{m.shape[0]} rows")
+    # y is the last column of the augmented rows, their bit 0.
+    reduced, leads = gf2._rref_rows(gf2.pack_rows(np.hstack([m, y])))
+    if leads and leads[-1] == 0:
+        return None
+    x = np.zeros(m.shape[1], dtype=np.uint8)
+    for row, lead in zip(reduced, leads):
+        x[m.shape[1] - lead] = row & 1
+    return x
+
+
+def inverse(m) -> np.ndarray:
+    """Inverse of a square matrix over GF(2): the tags of ``[m | I]``
+    reduced; ValueError when m is not square or is singular."""
+    m = gf2.as_bits(m)
+    n = m.shape[0]
+    if m.shape[1] != n:
+        raise ValueError(f"matrix {m.shape} is not square")
+    inv, dropped = gf2._solve_tagged(
+        [v << n | 1 << (n - 1 - i) for i, v in enumerate(gf2.pack_rows(m))], n)
+    if dropped:
+        raise ValueError("matrix is singular")
+    return gf2.unpack_rows(inv, n)
+
+
+def dual_complete(p, g) -> tuple:
+    """``(p_c, g_c)`` completing a check p and generator g to a dual basis
+    (``gf2.dual_complete_columns`` on matrices)."""
+    p, g = gf2.as_bits(p), gf2.as_bits(g)
+    n = p.shape[1]
+    if g.shape[1] != n:
+        raise ValueError(f"column counts differ: {p.shape} vs {g.shape}")
+    if p.shape[0] + g.shape[0] != n:
+        raise ValueError(f"row counts {p.shape[0]} + {g.shape[0]} do not "
+                         f"add up to {n} columns")
+    p_c, g_c = gf2.dual_complete_columns(gf2.pack_rows(p.T),
+                                         gf2.pack_rows(g), n)
+    return gf2.unpack_rows(p_c, n), gf2.unpack_rows(g_c, n)
+
+
+def gram_rows(a, b) -> list:
+    """Packed rows of ``a @ b.T``: bit len(b)-1-j of row i is the parity of
+    ``a[i] & b[j]``."""
+    out = []
+    for u in a:
+        v = 0
+        for w in b:
+            v = v << 1 | (u & w).bit_count() & 1
+        out.append(v)
+    return out
+
+
+def golay_23_12():
+    """The [23, 12, 7] binary Golay code, cyclic with generator polynomial
+    g(x) = 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11: row i is x^i g(x)."""
+    from subqec import LinearCode
+
+    g = np.zeros((12, 23), np.uint8)
+    for i in range(12):
+        g[i, [i + e for e in (0, 2, 4, 5, 6, 10, 11)]] = 1
+    return LinearCode.from_generator(g, name="golay23")

@@ -6,14 +6,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subqec import LinearCode, builtin, gf2, hamming_7_4, repetition
-from subqec.classical import DECODE_WEIGHT_CAP
+from subqec.classical import _codeword_rule, _syndrome_rule
+
+from references import golay_23_12, rref
 
 
 def same_row_space(a, b):
-    ra = gf2.rref(a).reduced
-    rb = gf2.rref(b).reduced
+    ra = rref(a).reduced
+    rb = rref(b).reduced
     return np.array_equal(ra[: gf2.rank(a)], rb[: gf2.rank(b)])
 
 
@@ -215,18 +219,6 @@ def test_decode_minimality_exhaustive(rep3):
         assert tuple(decoded) == best
 
 
-def test_decode_bounded_search_matches_table():
-    # Drive the bounded-weight search directly on a code small enough to
-    # also have a full table; the two paths must agree wherever the search
-    # cap allows an answer.
-    code = repetition(6)
-    for s_int in range(1 << 5):
-        s = np.array([(s_int >> i) & 1 for i in range(5)], np.uint8)
-        expect = code.decode(s)
-        if expect.sum() <= DECODE_WEIGHT_CAP:
-            assert np.array_equal(code._bounded_search(s), expect)
-
-
 def weight_lex_leader(code, s):
     """Oracle: the (weight, lexicographic) smallest vector with syndrome s,
     by scanning all 2^n vectors."""
@@ -254,10 +246,12 @@ TABLE_CODES = {
 def test_decode_table_matches_weight_lex_scan(codename):
     code = TABLE_CODES[codename]()
     m = code.n - code.k
-    assert code.decode_table.shape == (1 << m, code.n)
+    assert code.leaders.shape == (1 << m,)
     for s_int in range(1 << m):
         s = np.array([(s_int >> i) & 1 for i in range(m)], np.uint8)
-        assert tuple(code.decode_table[s_int]) == weight_lex_leader(code, s)
+        want = weight_lex_leader(code, s)
+        assert tuple(word_bits(code.leaders[s_int], code.n)) == want
+        assert tuple(code.decode(s)) == want
 
 
 @pytest.mark.parametrize("codename", sorted(TABLE_CODES))
@@ -273,7 +267,7 @@ def test_fail_table_matches_decode(codename):
 
 def test_tables_are_read_only(ham):
     with pytest.raises(ValueError):
-        ham.decode_table[0, 0] = 1
+        ham.leaders[0] = 1
     with pytest.raises(ValueError):
         ham.fail[0] = True
 
@@ -286,7 +280,7 @@ def test_attributes_cannot_be_rebound_or_deleted():
     assert code.d is None
     assert code.min_distance() == 3 and code.d == 3
     code.fail, code.bases_are_dual
-    for name in [*vars(code), "decode_table", "min_distance", "unset"]:
+    for name in [*vars(code), "leaders", "min_distance", "unset"]:
         with pytest.raises(AttributeError, match="immutable: cannot set"):
             setattr(code, name, None)
         with pytest.raises(AttributeError, match="immutable: cannot delete"):
@@ -303,61 +297,169 @@ def test_attributes_cannot_be_rebound_or_deleted():
 def test_debug_records_name_their_caller(caplog):
     # Two builds, so the second goes through the logger bound by the first.
     with caplog.at_level(logging.DEBUG, logger="subqec"):
-        repetition(3).fail
-        repetition(4).fail
+        repetition(3).leaders
+        repetition(4).leaders
     assert len(caplog.records) == 2
     for record in caplog.records:
         assert record.name == "subqec.classical"
         assert record.levelno == logging.DEBUG
-        assert record.funcName == "fail"
+        assert record.funcName == "leaders"
         assert record.filename == "classical.py"
-        assert record.getMessage().startswith("fail table of <LinearCode 'rep")
+        assert record.getMessage().startswith(
+            "leader table of <LinearCode 'rep")
 
 
 def test_table_builds_log_at_debug_only(caplog):
     quiet, loud = repetition(5), repetition(6)
-    quiet.decode_table, quiet.fail
+    quiet.leaders, quiet.fail
     assert not caplog.records
     with caplog.at_level(logging.DEBUG, logger="subqec"):
-        loud.decode_table, loud.fail
+        loud.leaders, loud.fail
     assert [r.name for r in caplog.records] == ["subqec.classical"] * 2
-    for record, table in zip(caplog.records, ("decode_table", "fail table")):
+    for record, table in zip(caplog.records, ("leader table", "fail table")):
         assert re.fullmatch(rf"{table} of <LinearCode 'rep6' \[6,1,6\]> "
                             rf"\(n=6\) built in \d+\.\d\d ms",
                             record.getMessage())
 
 
 def test_tables_refused_above_twenty_bits():
-    code = repetition(21)
-    with pytest.raises(ValueError):
-        code.fail
-    with pytest.raises(ValueError):
-        code.decode_table
+    # The fail table has one entry per word, the leader table one per
+    # syndrome.
+    with pytest.raises(ValueError, match=r"no fail table for n=21 > 20"):
+        repetition(21).fail
+    with pytest.raises(ValueError, match=r"n <= 63 and n-k <= 20"):
+        repetition(22).leaders
+    assert "leaders" not in vars(repetition(22))
 
 
 def test_decode_above_table_limit_names_the_real_limit():
+    # rep25 decodes by its codewords: every error of weight up to 12 is its
+    # own coset's leader, far past the weight-4 search that once stood here.
     code = repetition(25)
-    heavy = np.zeros(code.n, np.uint8)
-    heavy[:5] = 1
-    with pytest.raises(ValueError, match=r"longer than 20 bits.*weight <= 4"):
-        code.decode(code.syndrome(heavy))
+    rng = np.random.default_rng(25)
+    for w in range(5, 13):
+        for _ in range(5):
+            e = np.zeros(code.n, np.uint8)
+            e[rng.choice(code.n, size=w, replace=False)] = 1
+            assert np.array_equal(code.decode(code.syndrome(e)), e)
+            assert np.array_equal(code.decode(code.syndrome(1 - e)), e)
 
 
 def test_decode_rep17_uses_table_and_matches_bounded_search():
     # n = 17 is above the old 16-bit table limit; syndromes whose leader
-    # needs more than DECODE_WEIGHT_CAP flips used to raise.
+    # needs more than 4 flips once raised.
     code = repetition(17)
     far = np.zeros(code.n, np.uint8)
     far[:8] = 1
     assert np.array_equal(code.decode(code.syndrome(far)), far)
     rng = np.random.default_rng(170)
     for _ in range(30):
-        w = int(rng.integers(0, DECODE_WEIGHT_CAP + 1))
+        w = int(rng.integers(0, 9))
         e = np.zeros(code.n, np.uint8)
         e[rng.choice(code.n, size=w, replace=False)] = 1
-        s = code.syndrome(e)
-        assert np.array_equal(code.decode(s), e)
-        assert np.array_equal(code._bounded_search(s), e)
+        assert np.array_equal(code.decode(code.syndrome(e)), e)
+
+
+def word_array_bits(words, n):
+    """Rows of bits of int64 words, position 0 first."""
+    return (words[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(np.uint8)
+
+
+def popcounts(words):
+    return np.array([bin(int(v)).count("1") for v in words])
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_codeword_and_syndrome_routes_match_fail_table(data):
+    """Both routes the table-less codes take, called directly on codes
+    short enough for a fail table, against that table on every word; and
+    the weight-by-weight leaders against keys sorted over every word."""
+    n = data.draw(st.integers(1, 12), label="n")
+    k = data.draw(st.integers(0, n), label="k")
+    free = np.array(data.draw(st.lists(st.integers(0, 1), min_size=k * (n - k),
+                                       max_size=k * (n - k))), np.uint8)
+    order = data.draw(st.permutations(range(n)), label="column order")
+    g = np.hstack([np.eye(k, dtype=np.uint8), free.reshape(k, n - k)])
+    code = LinearCode.from_generator(g[:, order])
+    words = np.arange(1 << n, dtype=np.int64)
+    bits, m = word_array_bits(words, n), n - k
+    syndromes = (bits @ code.check.T & 1) @ (1 << np.arange(m))
+    first = np.lexsort((words, bits.sum(axis=1)))
+    found, at = np.unique(syndromes[first], return_index=True)
+    assert len(found) == 1 << m
+    assert np.array_equal(code.leaders, words[first][at])
+    residual = bits ^ word_array_bits(code.leaders[syndromes], n)
+    assert np.array_equal(code.fail,
+                          (residual @ code.check_complement.T & 1).any(axis=1))
+    if n <= 10:  # 2**n words times 2**k codewords
+        assert np.array_equal(_codeword_rule(code)(words), code.fail)
+    assert np.array_equal(_syndrome_rule(code)(words), code.fail)
+    two_d = words.reshape(2, -1) if n > 1 else words[None]
+    assert np.array_equal(code.fails(two_d), code.fail[two_d])
+
+
+def test_long_repetition_decodes_by_majority():
+    # rep(n) past 20 bits decodes by its two-word cosets: the lighter word,
+    # and at a tie (even n) the lexicographically smaller.
+    rng = np.random.default_rng(2163)
+    for n in range(21, 64):
+        code = repetition(n)
+        for w in {0, 1, n // 2 - 1, n // 2, (n + 1) // 2, n - 1, n,
+                  *rng.integers(0, n + 1, 6).tolist()}:
+            e = np.zeros(n, np.uint8)
+            e[rng.choice(n, size=w, replace=False)] = 1
+            if 2 * w != n:
+                want = e if 2 * w < n else 1 - e
+            else:
+                want = min(e, 1 - e, key=tuple)
+            assert np.array_equal(code.decode(code.syndrome(e)), want), (n, w)
+
+
+def test_golay_decodes_every_error_within_radius():
+    # The perfect [23, 12, 7] code: 2**11 syndromes, one per error of
+    # weight <= 3, and each such error decodes to itself.
+    code = golay_23_12()
+    assert (code.n, code.k, code.min_distance()) == (23, 12, 7)
+    for w in range(4):
+        for support in itertools.combinations(range(23), w):
+            e = np.zeros(23, np.uint8)
+            e[list(support)] = 1
+            assert np.array_equal(code.decode(code.syndrome(e)), e)
+    assert np.array_equal(np.sort(popcounts(code.leaders)),
+                          np.repeat(np.arange(4), [1, 23, 253, 1771]))
+
+
+def test_leaders_of_21_bit_code_match_low_weight_scan():
+    # Three copies of the Hamming check columns: a [21,18] code whose
+    # leaders all weigh at most 1, found without a 2**21-word table.
+    code = LinearCode.from_parity(np.tile(hamming_7_4().check, 3))
+    words = np.array([0] + [1 << i for i in range(21)]
+                     + [(1 << i) | (1 << j) for i in range(21)
+                        for j in range(i)], np.int64)
+    weights = popcounts(words)
+    syndromes = (word_array_bits(words, 21) @ code.check.T & 1) @ (
+        1 << np.arange(3))
+    for s in range(8):
+        mine = syndromes == s
+        best = min(zip(weights[mine], words[mine]))[1]
+        assert code.leaders[s] == best
+    assert popcounts(code.leaders).max() == 1
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: repetition(64), r"\[64,1\] code: it needs n <= 63"),
+    # k = 17 > 16 and n-k = 21 > 20: neither route applies.
+    (lambda: LinearCode.from_generator(np.hstack(
+        [np.eye(17, dtype=np.uint8), np.ones((17, 21), np.uint8)])),
+     r"\[38,17\] code: it needs n <= 63 and n-k <= 20"),
+])
+def test_codes_no_route_covers_are_refused(make, match):
+    code = make()
+    for use in (lambda: code.fails,
+                lambda: code.decode(np.zeros(code.n - code.k, np.uint8))):
+        with pytest.raises(ValueError, match=match):
+            use()
 
 
 def test_decode_length_check(rep3):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from subqec import cli
+from subqec import cli, simulate
 from subqec.cli import (
     format_matrix,
     load_code,
@@ -248,6 +248,30 @@ def test_simulate_rejects_unread_noise_flags(capsys, noise, given, unread):
     assert code == 1
     assert out == ""
     assert f"{noise} noise does not read {unread}" in err
+
+
+@pytest.mark.parametrize("p", ["0.2", "0.02"])
+def test_simulate_decodes_factors_past_twenty_bits(capsys, p):
+    # rep21 once had no decoder for syndromes whose leader weighs over 4.
+    code, out, err = run_cli(capsys, "simulate", "--c1", "rep:21", "--c2",
+                             "rep:3", "--noise", "x_only", "--p", p,
+                             "--trials", "2000", "--seed", "1")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["phase_flip_failures"] == 0
+    assert (payload["logical_failures"] > 0) == (p == "0.2")
+
+
+def test_simulate_refuses_factor_past_63_bits(capsys, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(simulate, "_count_chunk", no_trial)
+    code, out, err = run_cli(capsys, "simulate", "--c1", "rep:64", "--c2",
+                             "rep:3", "--noise", "x_only", "--p", "0.1",
+                             "--trials", "100", "--seed", "1")
+    assert code == 1 and out == ""
+    assert "[64,1] code: it needs n <= 63" in err
 
 
 def test_simulate_zero_failures_reports_interval(capsys):

@@ -28,7 +28,7 @@ from subqec.simulate import (
     _count_chunk,
 )
 
-from references import batch_failures, trial_uniforms
+from references import batch_failures, golay_23_12, trial_uniforms
 
 
 @pytest.fixture(scope="module")
@@ -327,7 +327,8 @@ def test_wilson_interval(code9):
 
 def test_batch_replays_recover_above_table_limit():
     # A [21,18] code: three copies of the Hamming check columns, so every
-    # syndrome has a weight-1 leader, but no 2^21-word table is built.
+    # syndrome has a weight-1 leader, but no 2^21-word table is built; the
+    # kernel reads its syndrome rule, and recover() is the reference.
     check = np.tile(hamming_7_4().check, 3)
     code = SubsystemCode(LinearCode.from_parity(check), repetition(1))
     noise = NoiseModel.x_only(0.05)
@@ -341,7 +342,7 @@ def test_batch_replays_recover_above_table_limit():
 
 def test_run_trials_above_sixteen_bits(rep3):
     # rep17 has syndromes whose leaders weigh up to 8; the coset-leader
-    # table now covers them.  The first trials are replayed through recover.
+    # table covers them.  The first trials are checked against recover.
     code = SubsystemCode(repetition(17), rep3)
     noise = NoiseModel.depolarizing(0.2)
     report = run_trials(code, noise, 3000, seed=8)
@@ -356,9 +357,56 @@ def test_run_trials_above_sixteen_bits(rep3):
         assert batch[i] == (not recover(code, PauliGrid(z[i], x[i])).logical_ok)
 
 
+@pytest.mark.parametrize("n", [21, 32, 63])
+@pytest.mark.parametrize("kind,p", [("x_only", 0.2), ("z_only", 0.01)])
+def test_long_repetition_grids_match_majority(n, kind, p):
+    # rep(n) x rep3 past 20 bits: under x_only rep(n) decodes by its
+    # codewords the n row parities, each odd with probability
+    # q = (1 - (1 - 2p)**3) / 2; under z_only rep3 decodes the three column
+    # parities over n sites.
+    lines, length = (n, 3) if kind == "x_only" else (3, n)
+    expect = majority_failure(lines, (1 - (1 - 2 * p) ** length) / 2)
+    assert 0.01 < expect < 0.5
+    code = SubsystemCode(repetition(n), repetition(3))
+    report = run_trials(code, getattr(NoiseModel, kind)(p), 20000, seed=n)
+    assert report.ci_low <= expect <= report.ci_high
+
+
+def test_golay_grid_fails_from_weight_four():
+    # Golay x rep1 under x_only decodes one 23-bit Golay word, which is
+    # perfect: decoding fails exactly when the error weighs 4 or more.
+    code = SubsystemCode(golay_23_12(), repetition(1))
+    p = 0.1
+    expect = 1 - sum(comb(23, w) * p ** w * (1 - p) ** (23 - w)
+                     for w in range(4))
+    report = run_trials(code, NoiseModel.x_only(p), 20000, seed=23)
+    assert report.ci_low <= expect <= report.ci_high
+
+
+def test_long_repetition_reports_identical_across_workers_and_batches():
+    code = SubsystemCode(repetition(21), repetition(3))
+    noise = NoiseModel.depolarizing(0.15)
+    base = run_trials(code, noise, 3001, seed=21)
+    assert base.bit_flip_failures > 0 and base.phase_flip_failures > 0
+    for workers, batch_size in ((2, 8192), (3, 1000), (1, 7)):
+        assert run_trials(code, noise, 3001, 21, workers=workers,
+                          batch_size=batch_size) == base
+
+
+def test_kernel_refuses_a_factor_no_route_covers(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(simulate, "_count_chunk", no_trial)
+    code = SubsystemCode(repetition(3), repetition(64))
+    with pytest.raises(ValueError, match=r"\[64,1\] code: it needs n <= 63"):
+        run_trials(code, NoiseModel.x_only(0.1), 100, seed=1)
+
+
 def grid_code(pair):
     """rep(n) for an int, hamming for "ham", and for "ham21" a [21,18] code
-    with no fail table (three copies of the Hamming check columns)."""
+    with no fail table (three copies of the Hamming check columns), which
+    decodes by its syndrome rule."""
     def factor(c):
         if c == "ham21":
             return LinearCode.from_parity(np.tile(hamming_7_4().check, 3))
@@ -386,8 +434,8 @@ def replayed_outcomes(code, noise, trials, seed, t0=0):
     (("ham21", 3), NoiseModel.depolarizing(0.03)),
 ])
 def test_failures_by_axis_match_recover(pair, noise):
-    # The last pairs have a 21-bit code 1, so the bit-flip stage replays
-    # recover; the phase-flip stage of the last one still uses rep3's table.
+    # The last pairs have a 21-bit code 1, so the bit-flip stage reads its
+    # syndrome rule; the phase-flip stage of the last one uses rep3's table.
     code = grid_code(pair)
     report = run_trials(code, noise, 300, seed=31)
     outcomes = replayed_outcomes(code, noise, 300, 31)
@@ -430,8 +478,8 @@ def test_reports_identical_across_batch_sizes(code9, ham, noise):
     ((3, 3), NoiseModel.depolarizing(0.2), 7, 61, 8192),  # odd t0
     ((3, 3), NoiseModel.independent_xz(0.2, 0.3), 7, 61, 1),
     (("ham", 2), NoiseModel.depolarizing(0.1), 0, 40, 1),
-    # The bit-flip stage replays recover, on X slots [0, 21) of 44; then
-    # the phase-flip stage, on Z slots [21, 42).
+    # A 21-bit factor's syndrome rule on the bit-flip stage, from X slots
+    # [0, 21) of 44; then on the phase-flip stage, from Z slots [21, 42).
     (("ham21", 1), NoiseModel.independent_xz(0.1, 0.3), 3, 43, 2),
     ((1, "ham21"), NoiseModel.independent_xz(0.3, 0.1), 3, 43, 2),
     # Four 17-bit bit-flip words fill more than one 63-bit lane.

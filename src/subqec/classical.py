@@ -12,7 +12,8 @@ The two complements are what make the code usable as one axis of a grid
 code: ``check_complement`` rows play the role of encoded-Z operators and
 ``generator_complement`` rows the role of pure errors.  Stacked, they form
 two n x n bases, ``basis`` E = [generator_complement; generator] and
-``dual_basis`` D = [check; check_complement], with D E^T = I.
+``dual_basis`` D = [check; check_complement], with D E^T = I: the two
+halves of one read-only (2n, n) array, of which all six are views.
 
 A word is an int whose binary numeral has position 0 as its top bit.  A
 syndrome's coset leader is the least word of its coset in (weight,
@@ -143,45 +144,47 @@ class LinearCode:
                  name: Optional[str] = None):
         if generator is None and check is None:
             raise ValueError("need a generator or a check matrix")
-        # The algebra runs on packed bits (see gf2): g holds the rows of the
-        # generator, and the dual completion reads the columns of the
-        # check.  The given matrices are copied, since they are frozen below
-        # and as_bits may return the caller's array.
+        # The algebra runs on packed bits (see gf2): g and p hold the rows
+        # of the generator and the check, and the dual completion reads the
+        # columns of the check.  Each given matrix is checked once and
+        # packed; the matrices kept are unpacked from the packed rows, so
+        # the caller's arrays are neither frozen nor shared.
         if generator is not None:
-            generator = gf2.as_bits(generator).copy()
-            g = gf2.pack_rows(generator)
+            generator = gf2.as_bits(generator)
+            g = gf2._pack(generator)
         if check is not None:
-            check = gf2.as_bits(check).copy()
+            check = gf2.as_bits(check)
+            p = gf2._pack(check)
         if generator is None:
-            g = gf2.kernel_rows(gf2.pack_rows(check), check.shape[1])
-            generator = gf2.unpack_rows(g, check.shape[1])
+            g = gf2.kernel_rows(p, check.shape[1])
         elif check is None:
-            check = gf2.unpack_rows(gf2.kernel_rows(g, generator.shape[1]),
-                                    generator.shape[1])
-        if generator.shape[1] != check.shape[1]:
+            p = gf2.kernel_rows(g, generator.shape[1])
+            check = gf2.unpack_rows(p, generator.shape[1])
+        elif generator.shape[1] != check.shape[1]:
             raise ValueError("generator and check column counts differ")
-        n = generator.shape[1]
+        n = check.shape[1]
         if n < 1:
             raise ValueError("block length must be at least 1")
         # A kernel is full rank, so a derived matrix never trips these.
-        if len(g) + len(check) != n:
+        if len(g) + len(p) != n:
             if gf2.rank_rows(g) != len(g):
                 raise ValueError("generator rows are linearly dependent")
-            if gf2.rank(check) != len(check):
+            if gf2.rank_rows(p) != len(p):
                 raise ValueError("check rows are linearly dependent")
             raise ValueError("generator and check ranks do not add up to n")
-        h_c, g_c = gf2.dual_complete_columns(gf2.pack_rows(check.T), g, n)
+        h_c, g_c = gf2.dual_complete_columns(gf2._pack(check.T), g, n)
 
         k = len(g)
-        complements = gf2.unpack_rows(g_c + h_c, n)
-        basis = np.concatenate([complements[:n - k], generator])
-        dual_basis = np.concatenate([check, complements[n - k:]])
-        for m in (generator, check, basis, dual_basis):
-            m.setflags(write=False)  # the complements are views, read-only too
+        # E = [G_c; G] and D = [P; C_c] are the two halves of one array,
+        # frozen before the views are taken (a view taken earlier would
+        # stay writable).
+        bases = gf2.unpack_rows(g_c + g + p + h_c, n)
+        bases.setflags(write=False)
+        basis, dual_basis = bases[:n], bases[n:]
         # Written once here; __setattr__ refuses every later binding.
         vars(self).update(
-            n=n, k=k, generator=generator, check=check, name=name,
-            basis=basis, dual_basis=dual_basis,
+            n=n, k=k, generator=basis[n - k:], check=dual_basis[:n - k],
+            name=name, basis=basis, dual_basis=dual_basis,
             generator_complement=basis[:n - k],
             check_complement=dual_basis[n - k:],
             _generator_rows=g, _distance=None)
@@ -256,8 +259,10 @@ class LinearCode:
         read it."""
         d = np.concatenate([self.check, self.check_complement])
         e = np.concatenate([self.generator_complement, self.generator])
-        return np.array_equal(gf2.mat_mul(d, e.T),
-                              np.eye(self.n, dtype=np.uint8))
+        product = gf2._mat_mul(d, e.T)
+        # A 0/1 matrix is I iff it has n ones, all on the diagonal.
+        return (np.count_nonzero(product) == self.n
+                == np.count_nonzero(product.diagonal()))
 
     def distance_if_enumerable(self) -> Optional[int]:
         """:meth:`min_distance` (cached like it), or None when the code is

@@ -80,7 +80,11 @@ def _require_int(name: str, value) -> int:
 
 def pack_rows(m) -> list:
     """The rows of a 0/1 matrix as ints, column 0 being the top bit."""
-    a = as_bits(m)
+    return _pack(as_bits(m))
+
+
+def _pack(a: np.ndarray) -> list:
+    """:func:`pack_rows` of a matrix already checked by :func:`as_bits`."""
     width = (a.shape[1] + 7) // 8
     if not width:
         return [0] * a.shape[0]
@@ -257,6 +261,12 @@ def mat_mul(a, b) -> np.ndarray:
     b = as_bits(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
+    return _mat_mul(a, b)
+
+
+def _mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`mat_mul` of 0/1 uint8 matrices whose inner dimensions agree,
+    unchecked."""
     rows, cols = a.shape[0], b.shape[1]
     if rows * a.shape[1] * cols < _PACKED_MIN_WORK:
         return (a @ b) & 1

@@ -6,6 +6,12 @@ flips, the X-stabilizer syndrome row by row with code 2 and fixes phase
 flips.  Success means the residual (error times correction) lies in the
 gauge group, i.e. both logical coefficient blocks vanish; the residual is
 allowed to move gauge qubits freely.
+
+:func:`distance_bruteforce` searches the two Pauli types apart: code 1
+detects an operator's X part and code 2 its Z part, so the lightest
+undetectable logical is of pure X or pure Z type.  At each weight it runs
+over the first site in order and tries both types there, and its guard
+counts the ``2 * sum_w C(n, w)`` operators it may visit.
 """
 
 from __future__ import annotations
@@ -114,68 +120,96 @@ def recover(code: SubsystemCode, err: PauliGrid) -> RecoveryOutcome:
     return RecoveryOutcome(correction, dec.z_logical, dec.x_logical, ok)
 
 
+def _spread_columns(m: np.ndarray, width: int) -> list:
+    """Column i of ``m`` as an int, row 0 on top, with bit p moved to bit
+    ``p * width``."""
+    return [sum(1 << p * width for p in range(c.bit_length()) if c >> p & 1)
+            for c in gf2._pack(m.T)]
+
+
 def distance_bruteforce(code: SubsystemCode, w_max: int,
                         candidate_guard: int = DISTANCE_CANDIDATE_GUARD):
     """Minimum weight of an undetectable logical error, by enumeration.
 
-    Scans weights 1..w_max over all site subsets and all three non-identity
-    Paulis per site, looking for an operator with all-zero syndrome and a
-    nonzero logical coefficient block.  Returns the weight of the first hit
-    (the true distance when it is <= w_max) or ``None`` if none exists
-    within the bound.
+    An X part is detected by code 1 and a Z part by code 2 alone, so a
+    Pauli is an undetectable logical exactly when its X part or its Z part
+    is one, and neither part is heavier than the whole: the minimum over
+    all Paulis is the minimum over pure X-type and pure Z-type operators.
+    Scans weights 1..w_max over all site subsets with one Pauli type at a
+    time, looking for an operator with all-zero syndrome and a nonzero
+    logical coefficient block.  At each weight the first site runs in
+    order with both types tried there, so a light operator of either type
+    is met as early in the scan as the other.  Returns the weight of the
+    first hit (the true distance when it is <= w_max) or ``None`` if none
+    exists within the bound.
 
     Raises:
-        ValueError: when the candidate count exceeds ``candidate_guard``.
+        ValueError: when the candidates, ``2 * sum_w C(n, w)`` over
+            w = 1..w_max, exceed ``candidate_guard``.
     """
     w_max = gf2._require_int("w_max", w_max)
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
     n = code.n
-    total = sum(math.comb(n, w) * 3 ** w for w in range(1, w_max + 1))
+    total = 2 * sum(math.comb(n, w) for w in range(1, w_max + 1))
     if total > candidate_guard:
         raise ValueError(
             f"{total} candidates exceed the guard of {candidate_guard}; "
             f"lower w_max or raise candidate_guard")
 
     c1, c2 = code.c1, code.c2
-    # A single X at site (i, j) has the detect and logical coordinates
+    # An X at site (i, j) has the detect and logical coordinates
     # D1[:, i] (x) G2[:, j], whose rows below n1-k1 are its Z-stabilizer
-    # syndrome; a single Z has G1[:, i] (x) D2[:, j], whose columns below
-    # n2-k2 are its X-stabilizer syndrome.  A site's X, Z and Y signatures
-    # are [x bits | z bits] packed into an int, so any candidate operator's
-    # signature is the XOR of its sites'.
-    x_bits = np.einsum("ai,bj->ijab", c1.dual_basis, c2.generator)
-    z_bits = np.einsum("ai,bj->ijab", c1.generator, c2.dual_basis)
-    x_bits, z_bits = x_bits.reshape(n, -1), z_bits.reshape(n, -1)
-    x_sig = np.hstack([x_bits, 0 * z_bits])
-    z_sig = np.hstack([0 * x_bits, z_bits])
-    syndrome = np.concatenate([
-        np.repeat(np.arange(c1.n) < c1.n - c1.k, c2.k),
-        np.tile(np.arange(c2.n) < c2.n - c2.k, c1.k)])
+    # syndrome; a Z has G1[:, i] (x) D2[:, j], whose columns below n2-k2
+    # are its X-stabilizer syndrome.  Each is packed into an int with the
+    # syndrome on top of the k1*k2 logical bits, so an operator's signature
+    # is the XOR of its sites', and its syndrome is that shifted down.
+    # With columns packed row 0 on top, the X signature is
+    # spread(D1[:, i], k2) * G2[:, j], where spread moves bit p to bit
+    # p * k2; the factor is below 2**k2, so the product carries nowhere.
+    # The Z signature is G1[:, i] * spread(D2[:, j], k1) alike.
+    logical = c1.k * c2.k
+    tables = []
+    for cols1, cols2 in ((_spread_columns(c1.dual_basis, c2.k),
+                          gf2._pack(c2.generator.T)),
+                         (gf2._pack(c1.generator.T),
+                          _spread_columns(c2.dual_basis, c1.k))):
+        sigs = [u * v for u in cols1 for v in cols2]
+        # The last site is looked up, not scanned: acc ^ sig has zero
+        # syndrome iff sig's syndrome equals acc's, and is nonzero iff
+        # sig != acc.
+        last_sites: dict = {}
+        for s, sig in enumerate(sigs):
+            last_sites.setdefault(sig >> logical, []).append((s, sig))
+        tables.append((sigs, last_sites))
 
-    syn_mask = gf2.pack_rows(syndrome[None, :])[0]
-    sigs = [(x, z, x ^ z)
-            for x, z in zip(gf2.pack_rows(x_sig), gf2.pack_rows(z_sig))]
-    # The last site is looked up, not scanned: acc ^ sig has zero syndrome
-    # iff sig's syndrome bits equal acc's, and is nonzero iff sig != acc.
-    last_sites: dict = {}
-    for s, triple in enumerate(sigs):
-        for sig in triple:
-            last_sites.setdefault(sig & syn_mask, []).append((s, sig))
-
-    def scan(start: int, remaining: int, acc: int) -> bool:
+    def scan(sigs, last_sites, start: int, remaining: int, acc: int) -> bool:
         if remaining == 1:
-            for s, sig in last_sites.get(acc & syn_mask, ()):
+            for s, sig in last_sites.get(acc >> logical, ()):
                 if s >= start and sig != acc:
                     return True
             return False
+        if remaining == 2:
+            # The level above the lookup, unrolled: a call per site would
+            # cost more than the lookup.
+            for s in range(start, n - 1):
+                a = acc ^ sigs[s]
+                for t, sig in last_sites.get(a >> logical, ()):
+                    if t > s and sig != a:
+                        return True
+            return False
         for s in range(start, n - remaining + 1):
-            for sig in sigs[s]:
-                if scan(s + 1, remaining - 1, acc ^ sig):
-                    return True
+            if scan(sigs, last_sites, s + 1, remaining - 1, acc ^ sigs[s]):
+                return True
         return False
 
-    for w in range(1, w_max + 1):
-        if scan(0, w, 0):
-            return w
+    # Weight 1 is one lookup per type; above it, each first site in turn
+    # with both types.
+    if any(scan(sigs, last_sites, 0, 1, 0) for sigs, last_sites in tables):
+        return 1
+    for w in range(2, w_max + 1):
+        for first in range(n - w + 1):
+            for sigs, last_sites in tables:
+                if scan(sigs, last_sites, first + 1, w - 1, sigs[first]):
+                    return w
     return None

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import itertools
 import math
 import numbers
 import os
@@ -46,6 +47,7 @@ RNG_LAYOUT = "philox4x64/trial-blocks/raw-limits/v1"
 _MAX_SEED = (1 << 64) - 1
 _RAW_WORDS = 1 << 17  # most raw words drawn per batch, to stay in cache
 _EXACT_MAX_BITS = 20  # exact enumeration: most line patterns, joint signatures
+_FSUM_CHUNK = 1 << 12  # floats handed to math.fsum per chunk
 _NOISE_KINDS = ("depolarizing", "x_only", "z_only", "independent_xz")
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 # No code here calls recover; it stays readable as an attribute of this
@@ -369,7 +371,13 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
         [i * k + j for j in range(k) for i in range(dec.n)]).ravel()
     failing = functools.reduce(np.logical_or.outer, [dec.fail] * k,
                                np.zeros((), bool)).ravel()
-    return math.fsum(prob[failing].tolist())
+    # fsum is correctly rounded, so feeding it a chunk of Python floats at
+    # a time gives the same float without one float object per failing
+    # signature alive at once.
+    terms = prob[failing]
+    return math.fsum(itertools.chain.from_iterable(
+        terms[i:i + _FSUM_CHUNK].tolist()
+        for i in range(0, len(terms), _FSUM_CHUNK)))
 
 
 def _classical_summary(c: LinearCode) -> dict:

@@ -3,6 +3,11 @@ layout, the hit-list kernel over whole error arrays, and the exact rate by
 walking every grid pattern through the kernel's lanes, which pins the line
 route of :func:`subqec.exact_rate_enumeration` on grids of up to 20 sites.
 
+:func:`distance_by_three_paulis` is the distance search that tries X, Z
+and Y at every site, the reference for
+:func:`subqec.distance_bruteforce`, which searches the two Pauli types
+apart.
+
 It also keeps the GF(2) matrix helpers that the tests use as references
 and that the package no longer needs: ``rref``, ``kernel_basis``,
 ``solve``, ``inverse``, ``dual_complete`` and ``gram_rows``, each a thin
@@ -58,6 +63,45 @@ def walked_exact_rate(code, noise) -> float:
     p = noise.p
     return math.fsum(int(count) * p ** w * (1.0 - p) ** (n - w)
                      for w, count in enumerate(failing) if count)
+
+
+def distance_by_three_paulis(code, w_max: int):
+    """Minimum weight of an undetectable logical error, or None past
+    ``w_max``: weights 1..w_max over all site subsets and all three
+    non-identity Paulis per site.
+
+    A single X at site (i, j) has the detect and logical coordinates
+    D1[:, i] (x) G2[:, j], whose rows below n1-k1 are its Z-stabilizer
+    syndrome; a single Z has G1[:, i] (x) D2[:, j], whose columns below
+    n2-k2 are its X-stabilizer syndrome.  A site's X, Z and Y signatures
+    are [x bits | z bits] packed into an int, so a candidate's signature is
+    the XOR of its sites'; the last site is looked up by its syndrome
+    bits."""
+    n, c1, c2 = code.n, code.c1, code.c2
+    x_bits = np.einsum("ai,bj->ijab", c1.dual_basis, c2.generator)
+    z_bits = np.einsum("ai,bj->ijab", c1.generator, c2.dual_basis)
+    x_bits, z_bits = x_bits.reshape(n, -1), z_bits.reshape(n, -1)
+    x_sig = np.hstack([x_bits, 0 * z_bits])
+    z_sig = np.hstack([0 * x_bits, z_bits])
+    syndrome = np.concatenate([
+        np.repeat(np.arange(c1.n) < c1.n - c1.k, c2.k),
+        np.tile(np.arange(c2.n) < c2.n - c2.k, c1.k)])
+    syn_mask = gf2.pack_rows(syndrome[None, :])[0]
+    sigs = [(x, z, x ^ z)
+            for x, z in zip(gf2.pack_rows(x_sig), gf2.pack_rows(z_sig))]
+    last_sites: dict = {}
+    for s, triple in enumerate(sigs):
+        for sig in triple:
+            last_sites.setdefault(sig & syn_mask, []).append((s, sig))
+
+    def scan(start: int, remaining: int, acc: int) -> bool:
+        if remaining == 1:
+            return any(s >= start and sig != acc
+                       for s, sig in last_sites.get(acc & syn_mask, ()))
+        return any(scan(s + 1, remaining - 1, acc ^ sig)
+                   for s in range(start, n - remaining + 1) for sig in sigs[s])
+
+    return next((w for w in range(1, w_max + 1) if scan(0, w, 0)), None)
 
 
 class Rref(NamedTuple):

@@ -266,7 +266,7 @@ def test_construction_wraps_stacks_and_verifies_one_block(monkeypatch):
     checked already."""
     rep3, ham = repetition(3), hamming_7_4()
     inits, products, ranked = [], [], []
-    init, mat_mul, rank = PauliGrid.__init__, gf2.mat_mul, gf2.rank
+    init, mat_mul, rank = PauliGrid.__init__, gf2._mat_mul, gf2.rank
 
     def counting_init(self, *args, **kwargs):
         inits.append(args)
@@ -281,7 +281,8 @@ def test_construction_wraps_stacks_and_verifies_one_block(monkeypatch):
         return rank(m)
 
     monkeypatch.setattr(PauliGrid, "__init__", counting_init)
-    monkeypatch.setattr(gf2, "mat_mul", counting_mat_mul)
+    # The unchecked product, which gf2.mat_mul also ends in.
+    monkeypatch.setattr(gf2, "_mat_mul", counting_mat_mul)
     monkeypatch.setattr(gf2, "rank", counting_rank)
     for cls, c1, c2, checked in ((SubsystemCode, rep3, ham, (rep3, ham)),
                                  (ShorCode, ham, rep3, ()),

@@ -180,6 +180,14 @@ def test_distance_golden(capsys):
                                "k": 1, "n": 4, "w_max": 3}
 
 
+def test_distance_rep6_grid_within_guard(capsys):
+    code, out, _ = run_cli(capsys, "distance", "--c1", "rep:6",
+                           "--c2", "rep:6", "--wmax", "6")
+    assert code == 0
+    assert json.loads(out) == {"distance": 6, "found_within_bound": True,
+                               "k": 1, "n": 36, "w_max": 6}
+
+
 def test_distance_bound_too_small(capsys):
     code, out, _ = run_cli(capsys, "distance", "--c1", "rep:3",
                            "--c2", "rep:3", "--wmax", "2")

@@ -3,9 +3,9 @@ raw-word Monte Carlo kernel against the reference recovery, run_trials'
 independence of workers and batching, the decomposition along the grid's
 two bases, the generator lists as views of the generator stacks, the
 construction check on the factors against the Gram check on the stacks,
-the brute-force distance against the paper's min(d1, d2), found at d and
-not below it, and the exact rate's line route against walking every grid
-pattern."""
+the brute-force distance against the paper's min(d1, d2) (found at d and
+not below it) and against the search over all three Paulis per site, and
+the exact rate's line route against walking every grid pattern."""
 
 import numpy as np
 import pytest
@@ -27,7 +27,12 @@ from subqec import (
 )
 from subqec.simulate import _Kernel, _count_chunk
 
-from references import batch_failures, trial_uniforms, walked_exact_rate
+from references import (
+    batch_failures,
+    distance_by_three_paulis,
+    trial_uniforms,
+    walked_exact_rate,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -269,6 +274,19 @@ def test_distance_bruteforce_is_min_of_factor_distances(pair):
     # over-reports shows here.
     if d > 1:
         assert distance_bruteforce(code, d - 1) is None
+
+
+@PROPERTY_SETTINGS
+@given(code=small_grids(), shor=st.booleans())
+def test_distance_by_type_matches_three_pauli_search(code, shor):
+    """Searching pure X-type and pure Z-type operators finds what trying
+    X, Z and Y at every site finds, for every bound, on grids of up to 20
+    sites with k = 0..n factors."""
+    if shor:
+        code = ShorCode(code.c1, code.c2)
+    for w_max in range(1, 5):
+        assert distance_bruteforce(code, w_max) == distance_by_three_paulis(
+            code, w_max)
 
 
 @PROPERTY_SETTINGS

@@ -5,7 +5,9 @@ import pytest
 
 from subqec import (
     PauliGrid,
+    ShorCode,
     SubsystemCode,
+    builtin,
     decode_bitflip,
     decode_phaseflip,
     distance_bruteforce,
@@ -13,6 +15,8 @@ from subqec import (
     recover,
     repetition,
 )
+
+from references import distance_by_three_paulis
 
 
 def random_pauli(rng, code):
@@ -269,6 +273,40 @@ def test_distance_asymmetric_grid():
 def test_distance_guard_triggers(code49):
     with pytest.raises(ValueError):
         distance_bruteforce(code49, 9)
+
+
+def test_distance_guard_counts_one_operator_per_type_and_subset(code9):
+    # 2 * (C(9, 1) + C(9, 2)) = 90 candidates: an X-type and a Z-type
+    # operator on each set of at most 2 sites.
+    with pytest.raises(ValueError, match=r"^90 candidates exceed the guard "
+                                         r"of 89;"):
+        distance_bruteforce(code9, 2, candidate_guard=89)
+    assert distance_bruteforce(code9, 2, candidate_guard=90) is None
+
+
+@pytest.mark.parametrize("cls", [SubsystemCode, ShorCode])
+@pytest.mark.parametrize("spec1,spec2,d", [
+    ("rep:5", "hamming:7-4", 3), ("hamming:7-4", "rep:5", 3),
+    ("rep:2", "rep:4", 2)])
+def test_distance_on_grids_whose_types_differ(cls, spec1, spec2, d):
+    """Grids whose X-type and Z-type distances differ (rep5 x hamming has
+    5 and 3) give the three-Pauli search's answer at every bound."""
+    code = cls(builtin(spec1), builtin(spec2))
+    for w_max in range(1, 5):
+        assert distance_bruteforce(code, w_max) == distance_by_three_paulis(
+            code, w_max)
+    assert distance_bruteforce(code, 4) == d
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_distance_repetition_grids(n):
+    # rep6^2 at w <= 6 is 2 * sum_w C(36, w), about 4.8e6 candidates, inside
+    # the default guard; with X, Z and Y at every site it would be 1.5e9.
+    code = SubsystemCode(repetition(n), repetition(n))
+    assert distance_bruteforce(code, n) == n
+    assert distance_bruteforce(code, n - 1) is None
+    if n == 5:
+        assert distance_by_three_paulis(code, n) == n
 
 
 def test_distance_rejects_bad_bound(code9):

@@ -625,6 +625,18 @@ def test_exact_rate_repetition_grids_match_closed_form(n1, n2, p):
         assert got == pytest.approx(majority_failure(lines, q), rel=1e-12)
 
 
+def test_exact_rate_over_a_million_failing_signatures():
+    # rep1 x the [20,20] code: the one row's 2**20 patterns are its
+    # signatures, and all but the zero one fail, so the rate is
+    # 1 - (1-p)**20.  fsum over chunks is correctly rounded, as over one
+    # list was, so the float is pinned exactly.
+    code = SubsystemCode(repetition(1),
+                         LinearCode.from_generator(np.eye(20, dtype=np.uint8)))
+    got = exact_rate_enumeration(code, NoiseModel.x_only(0.05))
+    assert got == 0.6415140775914572
+    assert got == pytest.approx(1 - 0.95 ** 20, rel=1e-14)
+
+
 def test_exact_rate_agrees_with_monte_carlo(code9):
     noise = NoiseModel.x_only(0.05)
     exact = exact_rate_enumeration(code9, noise)

@@ -1,0 +1,5 @@
+"""``python -m subqec``: the ``subqec`` command line."""
+from .cli import console_entry
+
+if __name__ == "__main__":
+    console_entry()

@@ -380,6 +380,7 @@ class LinearCode:
 
 def repetition(n: int) -> LinearCode:
     """The [n, 1, n] repetition code with the bidiagonal check matrix."""
+    n = gf2._require_int("repetition length", n)
     if n < 1:
         raise ValueError("repetition length must be >= 1")
     g = np.ones((1, n), dtype=np.uint8)

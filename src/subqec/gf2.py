@@ -16,11 +16,10 @@ transpose in Python.  :func:`rank` packs a matrix once and eliminates.
 
 :func:`mat_mul` keeps small products on a uint8 ``@`` masked to the low
 bit, which is exact because uint8 wraps modulo 256, an even number.  Larger
-ones AND the rows of both operands packed into uint64 words and XOR across
-words; each entry's parity then takes two shift-XORs, which leave every
-nibble's parity in its low bit, an AND with ``0x1111...1`` and a multiply
-by it, which adds the 16 nibble parities into the top nibble.  No
-numpy-2-only API (such as ``np.bitwise_count``) is used.
+ones are one BLAS ``@`` on float copies: float32 while the inner dimension
+is below 2**24, so every partial sum is an integer the type holds exactly,
+and float64 past it.  The sums go through int64 before the mask, since a
+float sum of 256 or more has no defined uint8 cast.
 """
 
 from __future__ import annotations
@@ -30,13 +29,11 @@ import operator
 import numpy as np
 
 # Products of fewer multiply-adds than this stay on the uint8 ``@``, which
-# is faster there than packing both operands into words.
-_PACKED_MIN_WORK = 1 << 15
-# Output entries per chunk of rows of a packed product: keeps each uint64
-# temporary at 256 KB.
-_PACKED_CHUNK = 1 << 15
-_NIBBLE_LOW_BITS = np.uint64(0x1111111111111111)
-_ONE, _TWO, _TOP_NIBBLE = np.uint64(1), np.uint64(2), np.uint64(60)
+# is faster there than BLAS on float copies of both operands.
+_BLAS_MIN_WORK = 1 << 12
+# float32 holds every integer up to this one exactly, so with a smaller
+# inner dimension every partial sum of a product is exact.
+_FLOAT32_EXACT = 1 << 24
 
 
 def as_bits(m) -> np.ndarray:
@@ -244,13 +241,6 @@ def _reject(g, reason: str):
 
 # -- matrix functions --------------------------------------------------------
 
-def _words(a: np.ndarray) -> np.ndarray:
-    """The rows of a 0/1 matrix packed into uint64 words."""
-    padded = np.zeros((len(a), -(-a.shape[1] // 64) * 64), np.uint8)
-    padded[:, :a.shape[1]] = a
-    return np.packbits(padded, axis=1).view(np.uint64)
-
-
 def mat_mul(a, b) -> np.ndarray:
     """Matrix product over GF(2).
 
@@ -267,36 +257,10 @@ def mat_mul(a, b) -> np.ndarray:
 def _mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """:func:`mat_mul` of 0/1 uint8 matrices whose inner dimensions agree,
     unchecked."""
-    rows, cols = a.shape[0], b.shape[1]
-    if rows * a.shape[1] * cols < _PACKED_MIN_WORK:
+    if a.shape[0] * a.shape[1] * b.shape[1] < _BLAS_MIN_WORK:
         return (a @ b) & 1
-    aw, bw = _words(a), _words(b.T)
-    out = np.empty((rows, cols), np.uint8)
-    step = max(1, _PACKED_CHUNK // cols)
-    # Two buffers reused by every chunk: a fresh 256 KB temporary per
-    # operation would cost more than the operation.
-    acc_buf = np.empty((min(step, rows), cols), np.uint64)
-    tmp_buf = np.empty_like(acc_buf)
-    for r0 in range(0, rows, step):
-        chunk = aw[r0:r0 + step]
-        acc, tmp = acc_buf[:len(chunk)], tmp_buf[:len(chunk)]
-        np.bitwise_and(chunk[:, 0, None], bw[:, 0], out=acc)
-        for w in range(1, aw.shape[1]):
-            np.bitwise_and(chunk[:, w, None], bw[:, w], out=tmp)
-            acc ^= tmp
-        # Two shift-XORs leave each nibble's parity in its low bit; the
-        # multiply adds those 16 bits into the top nibble, which no lower
-        # nibble carries into, so its low bit is the parity of the word.
-        np.right_shift(acc, _ONE, out=tmp)
-        acc ^= tmp
-        np.right_shift(acc, _TWO, out=tmp)
-        acc ^= tmp
-        acc &= _NIBBLE_LOW_BITS
-        acc *= _NIBBLE_LOW_BITS
-        acc >>= _TOP_NIBBLE
-        acc &= _ONE
-        out[r0:r0 + step] = acc
-    return out
+    f = np.float32 if a.shape[1] < _FLOAT32_EXACT else np.float64
+    return ((a.astype(f) @ b.astype(f)).astype(np.int64) & 1).astype(np.uint8)
 
 
 def rank(m) -> int:

@@ -148,6 +148,7 @@ def distance_bruteforce(code: SubsystemCode, w_max: int,
             w = 1..w_max, exceed ``candidate_guard``.
     """
     w_max = gf2._require_int("w_max", w_max)
+    candidate_guard = gf2._require_int("candidate_guard", candidate_guard)
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
     n = code.n

@@ -106,6 +106,15 @@ def test_repetition_distance(n):
     assert repetition(n).min_distance() == n
 
 
+@pytest.mark.parametrize("n", [2.0, 2.5, True, "3"])
+def test_repetition_rejects_non_integer_length(n):
+    # 2.0 and True used to raise TypeError from numpy's shape arguments.
+    with pytest.raises(ValueError, match="repetition length must be an "
+                                         "integer"):
+        repetition(n)
+    assert repetition(np.int64(3)).n == 3
+
+
 def test_hamming_distance(ham):
     assert ham.min_distance() == 3
 

@@ -3,10 +3,15 @@ error-string parsing, and exit codes."""
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import subqec
 from subqec import cli, simulate
 from subqec.cli import (
     format_matrix,
@@ -422,3 +427,22 @@ def test_missing_rate_for_independent_xz(capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == "0.1.0"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = pathlib.Path(subqec.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "subqec", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    built = run("build", "--c1", "rep:3", "--c2", "rep:3")
+    assert built.returncode == 0, built.stderr
+    assert json.loads(built.stdout)["n"] == 9
+    assert run_cli(capsys, "build", "--c1", "rep:3", "--c2", "rep:3") == (
+        0, built.stdout, "")
+    bad = run("build", "--c1", "rep:0", "--c2", "rep:3")
+    assert bad.returncode == 1
+    assert bad.stdout == ""

@@ -56,12 +56,14 @@ def test_mat_mul_matches_int_arithmetic():
     rng = np.random.default_rng(100)
     shapes = [(rng.integers(1, 10), rng.integers(1, 10), rng.integers(1, 10))
               for _ in range(20)]
-    # Inner dimensions at and around the 64-bit word edges, each with an
-    # output on either side of the switch to the packed product.
+    # Inner dimensions from empty up to 130, each with an output on either
+    # side of the switch to the BLAS product.
     for inner in (0, 1, 63, 64, 65, 130):
         for rows, cols in ((2, 3), (5, 5), (40, 33), (111, 111), (300, 7)):
             shapes.append((rows, inner, cols))
-    small = packed = 0
+    # Both sides of the switch itself.
+    shapes += [(15, 15, 15), (16, 16, 16)]
+    small = blas = 0
     for rows, inner, cols in shapes:
         a = random_bits(rng, rows, inner)
         b = random_bits(rng, inner, cols)
@@ -69,21 +71,45 @@ def test_mat_mul_matches_int_arithmetic():
         got = gf2.mat_mul(a, b)
         assert got.dtype == np.uint8
         assert np.array_equal(got, expect.astype(np.uint8)), (rows, inner, cols)
-        if rows * inner * cols >= gf2._PACKED_MIN_WORK:
-            packed += 1
+        if rows * inner * cols >= gf2._BLAS_MIN_WORK:
+            blas += 1
         else:
             small += 1
-    assert small and packed
+    assert small and blas, (small, blas)
 
 
 def test_mat_mul_packed_product_in_row_chunks():
     rng = np.random.default_rng(101)
-    # More output rows than one chunk holds, and a last chunk cut short.
-    rows = 3 * (gf2._PACKED_CHUNK // 40) + 7
+    # A tall product: many more output rows than columns, and an odd count
+    # of them.
+    rows = 2467
     a = random_bits(rng, rows, 70)
     b = random_bits(rng, 70, 40)
     expect = (a.astype(int) @ b.astype(int)) % 2
+    assert rows * 70 * 40 >= gf2._BLAS_MIN_WORK
     assert np.array_equal(gf2.mat_mul(a, b), expect)
+
+
+@pytest.mark.parametrize("inner", [255, 256, 257])
+@pytest.mark.parametrize("outer", [1, 16])
+def test_mat_mul_exact_on_sums_past_uint8(inner, outer):
+    # All-ones operands: every entry is the sum ``inner``.  The uint8
+    # product wraps it modulo 256; the float one must reach the mask through
+    # an integer type, since a float-to-uint8 cast of 256 or more is
+    # undefined.
+    a = np.ones((outer, inner), np.uint8)
+    b = np.ones((inner, outer), np.uint8)
+    assert (outer * inner * outer >= gf2._BLAS_MIN_WORK) == (outer > 1)
+    assert np.array_equal(gf2.mat_mul(a, b),
+                          np.full((outer, outer), inner % 2, np.uint8))
+
+
+def test_mat_mul_exact_past_float32_integers():
+    # float32 rounds the sum 2**24 + 1 to 2**24, which has parity 0.
+    inner = (1 << 24) + 1
+    assert inner > gf2._FLOAT32_EXACT
+    a = np.ones((1, inner), np.uint8)
+    assert gf2.mat_mul(a, a.T).tolist() == [[1]]
 
 
 # -- as_bits and packed rows -----------------------------------------------

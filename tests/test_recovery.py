@@ -326,3 +326,11 @@ def test_distance_rejects_non_integer_bound(code9, w_max):
     with pytest.raises(ValueError, match="w_max must be an integer"):
         distance_bruteforce(code9, w_max)
     assert distance_bruteforce(code9, np.int64(4)) == 3
+
+
+@pytest.mark.parametrize("guard", [True, 1e9, 90.0, "90"])
+def test_distance_rejects_non_integer_guard(code9, guard):
+    # True ran as a guard of 1, and 1e9 was accepted as a float.
+    with pytest.raises(ValueError, match="candidate_guard must be an integer"):
+        distance_bruteforce(code9, 2, candidate_guard=guard)
+    assert distance_bruteforce(code9, 2, candidate_guard=np.int64(90)) is None

@@ -123,6 +123,14 @@ def _stabilizer_counts(n1: int, k1: int, n2: int, k2: int,
     return (n1 - k1) * (n2 if shor else k2), k1 * (n2 - k2)
 
 
+def _refuse_shor(code) -> None:
+    """ValueError for a ShorCode: recovery and the failure rates decode the
+    subsystem syndrome ``P1 x G2^T``, not its column checks ``P1 x``."""
+    if code.shor:
+        raise ValueError("no decoder for a ShorCode: recovery reads the "
+                         "subsystem syndrome, not its column checks")
+
+
 def _bits(define, doc: str) -> functools.cached_property:
     """A stack attribute, ``define(c1, c2)`` made read-only, built on first
     access.  :meth:`SubsystemCode._verify` rebuilds it through ``func``."""

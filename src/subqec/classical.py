@@ -21,13 +21,15 @@ lexicographic) order; :attr:`LinearCode.leaders` lists them, found weight
 by weight.  :attr:`LinearCode.fails` is the code's one per-word failure
 rule, all a grid code's Monte Carlo kernel needs (see
 :mod:`subqec.simulate`): int64 words in, whether decoding leaves a logical
-error (``C_c (v xor leader(P v)) != 0``) out.  Its route is picked from
-(n, k), and any other code, n > 63 included, raises ValueError:
+error (``C_c (v xor leader(P v)) != 0``) out: whether v is not its coset's
+leader, as ``v xor leader(P v)`` is a codeword and ``C_c G^T = I``.  The
+route evaluating it is picked from (n, k); any other code, n > 63
+included, raises ValueError:
 
     n <= 20                     the ``fail`` table of all 2**n words
     n <= 63, k <= min(16, n-k)  v fails iff some codeword c != 0 gives
                                 (wt(v^c), v^c) < (wt(v), v)
-    n <= 63, n-k <= 20          v fails iff C_c v != C_c leader(P v)
+    n <= 63, n-k <= 20          v fails iff leader(P v) != v
 """
 
 from __future__ import annotations
@@ -67,15 +69,15 @@ def _log_debug(logger: str, msg: str, *args) -> None:
     bound.debug(msg, *args, stacklevel=2)
 
 
-def _span_words(images: np.ndarray, dtype) -> np.ndarray:
+def _span_words(images: np.ndarray) -> np.ndarray:
     """XOR of ``images[i]`` over the positions i set in each n-bit word.
 
     Word v has position i at bit n-1-i.  Built by doubling: the words with
     top bit b are the words below 2**b with position n-1-b added.
     """
     n = images.shape[0]
-    images = images.astype(dtype)
-    out = np.zeros(1 << n, dtype)
+    images = images.astype(np.int64)
+    out = np.zeros(1 << n, np.int64)
     for b in range(n):
         out[1 << b:2 << b] = out[:1 << b] ^ images[n - 1 - b]
     return out
@@ -94,20 +96,16 @@ def _popcount(x: np.ndarray) -> np.ndarray:
 
 
 def _syndrome_rule(code: "LinearCode"):
-    """v fails iff ``C_c v != C_c leader(P v)``, read off ``D v`` (the
-    syndrome in its low n-k bits), which one table per byte of v gives."""
-    n, m, weights = code.n, code.n - code.k, _bit_weights(code.dual_basis)
-    tables = [(b, _span_words(weights[max(0, n - b - 8):n - b], np.int64))
+    """v fails iff ``leader(P v) != v``, with the syndrome ``P v`` read off
+    one table per byte of v."""
+    n, weights, leaders = code.n, _bit_weights(code.check), code.leaders
+    tables = [(b, _span_words(weights[max(0, n - b - 8):n - b]))
               for b in range(0, n, 8)]  # bits [b, b+8): positions n-b-8..
 
-    def image(words):
-        return functools.reduce(np.bitwise_xor, (
-            t[words >> b & 255] for b, t in tables), np.zeros_like(words))
-    logical = image(code.leaders) >> m
-
     def fails(words):
-        d = image(words)
-        return d >> m != logical[d & ((1 << m) - 1)]
+        return leaders[functools.reduce(np.bitwise_xor, (
+            t[words >> b & 255] for b, t in tables),
+            np.zeros_like(words))] != words
     return fails
 
 
@@ -145,21 +143,23 @@ class LinearCode:
         if generator is None and check is None:
             raise ValueError("need a generator or a check matrix")
         # The algebra runs on packed bits (see gf2): g and p hold the rows
-        # of the generator and the check, and the dual completion reads the
-        # columns of the check.  Each given matrix is checked once and
-        # packed; the matrices kept are unpacked from the packed rows, so
-        # the caller's arrays are neither frozen nor shared.
+        # of the generator and the check, a missing one is the kernel of
+        # the other's columns, and the dual completion reads the check's
+        # columns.  Each given matrix is checked once and packed; the
+        # matrices kept are unpacked from the packed rows, so the caller's
+        # arrays are neither frozen nor shared.
         if generator is not None:
             generator = gf2.as_bits(generator)
             g = gf2._pack(generator)
-        if check is not None:
+        if check is None:
+            p = gf2.kernel_columns(gf2._pack(generator.T), generator.shape[1])
+            check = gf2.unpack_rows(p, generator.shape[1])
+        else:
             check = gf2.as_bits(check)
             p = gf2._pack(check)
+        p_cols = gf2._pack(check.T)
         if generator is None:
-            g = gf2.kernel_rows(p, check.shape[1])
-        elif check is None:
-            p = gf2.kernel_rows(g, generator.shape[1])
-            check = gf2.unpack_rows(p, generator.shape[1])
+            g = gf2.kernel_columns(p_cols, check.shape[1])
         elif generator.shape[1] != check.shape[1]:
             raise ValueError("generator and check column counts differ")
         n = check.shape[1]
@@ -172,7 +172,7 @@ class LinearCode:
             if gf2.rank_rows(p) != len(p):
                 raise ValueError("check rows are linearly dependent")
             raise ValueError("generator and check ranks do not add up to n")
-        h_c, g_c = gf2.dual_complete_columns(gf2._pack(check.T), g, n)
+        h_c, g_c = gf2.dual_complete_columns(p_cols, g, n)
 
         k = len(g)
         # E = [G_c; G] and D = [P; C_c] are the two halves of one array,
@@ -304,8 +304,7 @@ class LinearCode:
 
     @functools.cached_property
     def _codewords(self) -> np.ndarray:
-        return _span_words(np.array(self._generator_rows, np.int64),
-                           np.int64)[1:]
+        return _span_words(np.array(self._generator_rows, np.int64))[1:]
 
     @functools.cached_property
     def fails(self):
@@ -355,15 +354,15 @@ class LinearCode:
 
     @functools.cached_property
     def fail(self) -> np.ndarray:
-        """Per n-bit word v, read-only: does decoding v leave a logical
-        error?  The syndrome rule on every word, with ``D v`` spanned over
-        all of them at once; n <= 20 only."""
+        """Per n-bit word v, read-only: is v not its coset's leader, so
+        that decoding it leaves a logical error?  ``leaders[P v] != v``,
+        with ``P v`` spanned over every word at once; n <= 20 only."""
         if self.n > _TABLE_MAX_N:
             raise ValueError(f"no fail table for n={self.n} > {_TABLE_MAX_N}"
                              f"; it would have 2**{self.n} entries")
-        start, m = time.perf_counter(), self.n - self.k
-        d = _span_words(_bit_weights(self.dual_basis), np.int64)
-        table = d >> m != (d[self.leaders] >> m)[d & ((1 << m) - 1)]
+        start, leaders = time.perf_counter(), self.leaders
+        table = (leaders[_span_words(_bit_weights(self.check))]
+                 != np.arange(1 << self.n))
         table.setflags(write=False)
         _log_debug(__name__, "fail table of %r (n=%d) built in %.2f ms",
                    self, self.n, 1e3 * (time.perf_counter() - start))

@@ -315,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("decode", help="run recovery on a Pauli error")
-    _add_pair(p)
+    _add_pair(p, shor_flag=False)
     p.add_argument("--error", required=True,
                    help="comma-separated P@(row,col) terms, P in X,Y,Z")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("simulate", help="Monte Carlo logical failure rate")
-    _add_pair(p)
+    _add_pair(p, shor_flag=False)
     p.add_argument("--noise", required=True,
                    choices=["depolarizing", "x_only", "z_only",
                             "independent_xz"])

@@ -9,9 +9,11 @@ empty generator.
 Elimination runs on packed rows: :func:`pack_rows` makes each row one
 Python int with column 0 as its top bit, so a row operation is one XOR and
 a row's pivot column is its leading bit, and pivot rows are kept in a dict
-keyed on that bit.  The ``*_rows`` functions work on such lists of ints,
-and :func:`dual_complete_columns` on the columns of the check packed the
-same way (``pack_rows(p.T)``), so ``LinearCode`` builds a code without a
+keyed on that bit.  One loop, ``_eliminate``, runs every elimination; a
+row's bits below a given one are its tag, which the row operations carry
+along.  :func:`kernel_columns` and :func:`dual_complete_columns`
+eliminate the columns of a matrix packed the same way (``pack_rows(m.T)``)
+tagged with their unit rows, so ``LinearCode`` builds a code without a
 transpose in Python.  :func:`rank` packs a matrix once and eliminates.
 
 :func:`mat_mul` keeps small products on a uint8 ``@`` masked to the low
@@ -99,30 +101,32 @@ def unpack_rows(rows: list, cols: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=cols)
 
 
-def _insert(pivots: dict, v: int) -> bool:
-    """Reduce ``v`` by the pivot rows until its leading bit has no pivot
-    and store it there (True), or until it vanishes (False)."""
-    while v:
-        lead = v.bit_length() - 1
-        p = pivots.get(lead)
-        if p is None:
-            pivots[lead] = v
-            return True
-        v ^= p
-    return False
+def _eliminate(rows, low: int = 0) -> tuple:
+    """Forward elimination of ``rows`` on their bits from ``low`` up, with
+    the bits below ``low`` carried along as each row's tag.
 
-
-def _echelon(rows) -> dict:
-    """Pivot rows spanning ``rows``, keyed on their leading bits."""
+    Returns the pivot rows, keyed on their leading bits, and the tags that
+    the other rows reduced to, in input order (each row dependent on the
+    rows before it).
+    """
     pivots: dict = {}
+    dropped = []
     for v in rows:
-        _insert(pivots, v)
-    return pivots
+        while v >> low:
+            lead = v.bit_length() - 1
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = v
+                break
+            v ^= p
+        else:
+            dropped.append(v)
+    return pivots, dropped
 
 
 def rank_rows(rows) -> int:
     """Rank of packed rows (forward elimination only)."""
-    return len(_echelon(rows))
+    return len(_eliminate(rows)[0])
 
 
 def _reduce(pivots: dict) -> list:
@@ -141,45 +145,26 @@ def _reduce(pivots: dict) -> list:
     return leads
 
 
-def _rref_rows(rows) -> tuple:
-    """The nonzero rows of the reduced row-echelon form, in pivot order,
-    and their leading bits."""
-    pivots = _echelon(rows)
-    leads = _reduce(pivots)
-    return [pivots[lead] for lead in leads], leads
-
-
-def kernel_rows(rows, cols: int) -> list:
-    """Packed basis rows of the right kernel ``{v : m v = 0}`` of the
-    matrix m with these packed rows, one per free column, lowest first."""
-    reduced, leads = _rref_rows(rows)
-    pivot_bits = set(leads)
-    return [sum(1 << lead for row, lead in zip(reduced, leads) if row >> b & 1)
-            | 1 << b for b in range(cols - 1, -1, -1) if b not in pivot_bits]
-
-
 def _solve_tagged(rows, low: int) -> tuple:
-    """Gauss-Jordan elimination of ``rows`` on their bits from ``low`` up,
-    with the bits below ``low`` carried along as each row's tag.
-
-    Returns the tags of the reduced pivot rows, highest pivot first, and
-    the tags that the other rows reduced to, in input order (each row
-    dependent on the rows before it).
-    """
-    pivots: dict = {}
+    """:func:`_eliminate` then :func:`_reduce`: the tags of the reduced
+    pivot rows, highest pivot first, and the dropped tags."""
+    pivots, dropped = _eliminate(rows, low)
     mask = (1 << low) - 1
-    dropped = []
-    for v in rows:
-        while v >> low:
-            lead = v.bit_length() - 1
-            p = pivots.get(lead)
-            if p is None:
-                pivots[lead] = v
-                break
-            v ^= p
-        else:
-            dropped.append(v)
     return [pivots[lead] & mask for lead in _reduce(pivots)], dropped
+
+
+def kernel_columns(cols, n: int) -> list:
+    """Packed basis rows of the right kernel ``{v : m v = 0}`` of the
+    matrix m whose n columns are packed as ints (``pack_rows(m.T)``).
+
+    The columns are eliminated first column first, each tagged with its
+    own unit row.  A column drops out exactly when it is a sum of the
+    pivot columns before it, and its tag then names that sum: so the
+    dropped tags are the reduced row-echelon kernel basis, one row per
+    free column, lowest first.
+    """
+    return _eliminate([v << n | 1 << (n - 1 - c)
+                       for c, v in enumerate(cols)], n)[1]
 
 
 def dual_complete_columns(p_cols, g, n: int) -> tuple:

@@ -5,7 +5,7 @@ Z-stabilizer syndrome is decoded column by column with code 1 and fixes bit
 flips, the X-stabilizer syndrome row by row with code 2 and fixes phase
 flips.  Success means the residual (error times correction) lies in the
 gauge group, i.e. both logical coefficient blocks vanish; the residual is
-allowed to move gauge qubits freely.
+allowed to move gauge qubits freely.  A ShorCode is refused.
 
 :func:`distance_bruteforce` searches the two Pauli types apart: code 1
 detects an operator's X part and code 2 its Z part, so the lightest
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .builder import SubsystemCode
+from .builder import SubsystemCode, _refuse_shor
 from .pauli import PauliGrid
 
 DISTANCE_CANDIDATE_GUARD = 10 ** 8
@@ -65,6 +65,7 @@ def extract_syndrome(code: SubsystemCode, err: PauliGrid) -> Syndrome:
     computed directly: s_z = P1 B G2^T from the X part and s_x = G1 A P2^T
     from the Z part.
     """
+    _refuse_shor(code)
     if err.shape != (code.n1, code.n2):
         raise ValueError(f"error shape {err.shape} is not ({code.n1},{code.n2})")
     c1, c2 = code.c1, code.c2
@@ -80,6 +81,7 @@ def decode_bitflip(code: SubsystemCode, s_z: np.ndarray) -> PauliGrid:
     are spread back over the grid along the rows of code 2's
     check_complement.
     """
+    _refuse_shor(code)
     c1, c2 = code.c1, code.c2
     s_z = np.asarray(s_z, dtype=np.uint8)
     if s_z.shape != (c1.n - c1.k, c2.k):
@@ -97,6 +99,7 @@ def decode_phaseflip(code: SubsystemCode, s_x: np.ndarray) -> PauliGrid:
     """Z-type correction for an X-stabilizer syndrome (mirror of
     :func:`decode_bitflip`: rows decoded with code 2, spread along code 1's
     check_complement columns)."""
+    _refuse_shor(code)
     c1, c2 = code.c1, code.c2
     s_x = np.asarray(s_x, dtype=np.uint8)
     if s_x.shape != (c1.k, c2.n - c2.k):

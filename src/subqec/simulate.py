@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import _require_int
-from .classical import _TABLE_MAX_N, LinearCode, _bit_weights, _span_words
-from .builder import SubsystemCode, _stabilizer_counts
+from .classical import LinearCode, _bit_weights, _span_words
+from .builder import SubsystemCode, _refuse_shor, _stabilizer_counts
 
 # Tags the draw layout the module docstring describes; change it with it.
 RNG_LAYOUT = "philox4x64/trial-blocks/raw-limits/v1"
@@ -266,8 +266,10 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
     over any number of workers or any batch size returns a byte-identical
     report.  ``workers`` sets how many trial ranges the run is split into;
     at most one thread per core runs them.  A batch draws the words of at
-    most ``batch_size`` trials, and of about 2**17 words at most.
+    most ``batch_size`` trials, and of about 2**17 words at most.  A
+    ShorCode is refused.
     """
+    _refuse_shor(code)
     trials, seed, workers, batch_size = (
         _require_int(name, value) for name, value in (
             ("trials", trials), ("seed", seed), ("workers", workers),
@@ -333,9 +335,11 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
     site and is refused.
 
     A grid is refused before any work when its line patterns or joint
-    signatures (for ``z_only``, 2**n1 and 2**(n2*k1)) exceed 2**20, or its
-    decoding factor is longer than 20 bits (it has no ``fail`` table).
+    signatures (for ``z_only``, 2**n1 and 2**(n2*k1)) exceed 2**20, which
+    keeps the decoding factor within a ``fail`` table if the line code has
+    k >= 1; with k = 0 the rate is 0.0.  A ShorCode is refused.
     """
+    _refuse_shor(code)
     if noise.kind == "independent_xz":
         p_x = exact_rate_enumeration(code, NoiseModel.x_only(noise.p_x))
         p_z = exact_rate_enumeration(code, NoiseModel.z_only(noise.p_z))
@@ -353,24 +357,22 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
             raise ValueError(f"exact {noise.kind} enumeration on this grid "
                              f"would walk 2**{bits} {what}; the limit is "
                              f"2**{_EXACT_MAX_BITS}")
-    if dec.n > _TABLE_MAX_N:
-        raise ValueError(f"exact {noise.kind} enumeration decodes with an "
-                         f"n={dec.n} code; fail tables stop at {_TABLE_MAX_N}")
+    if not line.k:  # the stage decodes no word, so it never fails
+        return 0.0
     p, n, k = noise.p, line.n, line.k
     # A pattern weighs 1-p or p per bit.  Each signature is taken by
     # 2**(n-k) patterns, so sorted by signature they fill the rows of a
     # (2**k, 2**(n-k)) array, summed pairwise.
     bit = np.array([1.0 - p, p])
     pattern = functools.reduce(np.multiply.outer, [bit] * n).ravel()
-    signature = _span_words(_bit_weights(line.generator), np.int64)
+    signature = _span_words(_bit_weights(line.generator))
     line_prob = pattern[np.argsort(signature)].reshape(1 << k, -1).sum(axis=1)
     # The joint signatures list the lines' signatures, line 0 on top; their
     # bits regrouped by signature bit are the k words, each read by fail.
     joint = functools.reduce(np.multiply.outer, [line_prob] * dec.n)
     prob = joint.reshape((2,) * (dec.n * k)).transpose(
         [i * k + j for j in range(k) for i in range(dec.n)]).ravel()
-    failing = functools.reduce(np.logical_or.outer, [dec.fail] * k,
-                               np.zeros((), bool)).ravel()
+    failing = functools.reduce(np.logical_or.outer, [dec.fail] * k).ravel()
     # fsum is correctly rounded, so feeding it a chunk of Python floats at
     # a time gives the same float without one float object per failing
     # signature alive at once.

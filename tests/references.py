@@ -11,7 +11,7 @@ apart.
 It also keeps the GF(2) matrix helpers that the tests use as references
 and that the package no longer needs: ``rref``, ``kernel_basis``,
 ``solve``, ``inverse``, ``dual_complete`` and ``gram_rows``, each a thin
-layer over :mod:`subqec.gf2`'s packed-row elimination."""
+layer over :mod:`subqec.gf2`'s one packed-row elimination loop."""
 
 import math
 from typing import NamedTuple, Optional
@@ -112,12 +112,20 @@ class Rref(NamedTuple):
     pivot_cols: list
 
 
+def _rref_rows(rows) -> tuple:
+    """The nonzero rows of the reduced row-echelon form of packed rows, in
+    pivot order, and their leading bits."""
+    pivots, _ = gf2._eliminate(rows)
+    leads = gf2._reduce(pivots)
+    return [pivots[lead] for lead in leads], leads
+
+
 def rref(m) -> Rref:
     """Reduced row-echelon form over GF(2), pivots cleared above and below;
     ``pivot_cols`` lists the pivot columns in increasing order."""
     m = gf2.as_bits(m)
     rows, cols = m.shape
-    reduced, leads = gf2._rref_rows(gf2.pack_rows(m))
+    reduced, leads = _rref_rows(gf2.pack_rows(m))
     return Rref(gf2.unpack_rows(reduced + [0] * (rows - len(reduced)), cols),
                 len(leads), [cols - 1 - lead for lead in leads])
 
@@ -126,7 +134,7 @@ def kernel_basis(m) -> np.ndarray:
     """Rows spanning the right kernel ``{v : m @ v = 0}``, one per free
     column in increasing order."""
     m = gf2.as_bits(m)
-    return gf2.unpack_rows(gf2.kernel_rows(gf2.pack_rows(m), m.shape[1]),
+    return gf2.unpack_rows(gf2.kernel_columns(gf2.pack_rows(m.T), m.shape[1]),
                            m.shape[1])
 
 
@@ -139,7 +147,7 @@ def solve(m, y) -> Optional[np.ndarray]:
         raise ValueError(f"rhs length {y.shape[0]} does not match "
                          f"{m.shape[0]} rows")
     # y is the last column of the augmented rows, their bit 0.
-    reduced, leads = gf2._rref_rows(gf2.pack_rows(np.hstack([m, y])))
+    reduced, leads = _rref_rows(gf2.pack_rows(np.hstack([m, y])))
     if leads and leads[-1] == 0:
         return None
     x = np.zeros(m.shape[1], dtype=np.uint8)

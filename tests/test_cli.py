@@ -416,6 +416,18 @@ def test_unknown_subcommand_exits_two(capsys):
     assert main(["bogus"]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ("simulate", "--noise", "x_only", "--p", "0.1", "--trials", "20",
+     "--seed", "11"),
+    ("decode", "--error", "X@(0,0),X@(1,1)")])
+def test_simulate_and_decode_take_no_shor_flag(capsys, command):
+    # Their recovery reads the subsystem syndrome, which a Shor code does
+    # not measure, so the flag is a usage error.
+    code, out, _ = run_cli(capsys, command[0], "--c1", "rep:3", "--c2",
+                           "rep:3", *command[1:], "--shor")
+    assert code == 2 and out == ""
+
+
 def test_missing_rate_for_independent_xz(capsys):
     code, _, err = run_cli(capsys, "simulate", "--c1", "rep:2", "--c2",
                            "rep:2", "--noise", "independent_xz",

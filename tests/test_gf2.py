@@ -528,3 +528,25 @@ def test_dual_completion_matches_earlier_construction(n, data):
     for name, matrix in want.items():
         got = getattr(code, name)
         assert got.dtype == np.uint8 and np.array_equal(got, matrix), name
+
+
+@pytest.mark.parametrize("n, k", [(130, 61), (255, 127)])
+def test_elimination_past_64_columns(n, k):
+    """Packed rows are ints of any width: on wide systematic codes with
+    permuted columns, the derived matrices, both complements and the dual
+    bases match the uint8 references."""
+    rng = np.random.default_rng(n)
+    g = np.hstack([np.eye(k, dtype=np.uint8),
+                   random_bits(rng, k, n - k)])[:, rng.permutation(n)]
+    p = reference_kernel(g)
+    by_generator, by_parity = (LinearCode.from_generator(g),
+                               LinearCode.from_parity(p))
+    assert np.array_equal(by_generator.check, p)
+    assert np.array_equal(by_parity.generator, reference_kernel(p))
+    for code in (by_generator, by_parity):
+        p_c, g_c = reference_dual_complete_rows(
+            gf2.pack_rows(code.check), gf2.pack_rows(code.generator), n)
+        assert np.array_equal(code.check_complement, gf2.unpack_rows(p_c, n))
+        assert np.array_equal(code.generator_complement,
+                              gf2.unpack_rows(g_c, n))
+        assert code.bases_are_dual

@@ -229,15 +229,24 @@ STACKS = tuple(stack for _, stack, _ in FAMILIES)
 def test_verification_on_the_factors(c1, c2, shor, held, data):
     """The factor check and the Gram reference both accept an intact code,
     whichever stacks it holds; one flipped bit in a held stack is caught.
-    Construction and the Monte Carlo and exact rates build no stack."""
+    Construction and the Monte Carlo and exact rates build no stack, and
+    both rates refuse a ShorCode, which their decoding does not fit."""
     cls = ShorCode if shor else SubsystemCode
     code = cls(c1, c2)
     noise = NoiseModel.independent_xz(0.1, 0.2)
-    report = run_trials(code, noise, 200, seed=3)
-    exact_rate_enumeration(code, noise)
+    if shor:
+        with pytest.raises(ValueError, match="ShorCode"):
+            run_trials(code, noise, 200, seed=3)
+        with pytest.raises(ValueError, match="ShorCode"):
+            exact_rate_enumeration(code, noise)
+    else:
+        report = run_trials(code, noise, 200, seed=3)
+        exact_rate_enumeration(code, noise)
     assert not set(vars(code)) & set(STACKS + LISTS)
-    assert report.code_params[3] == (len(code.z_stabilizer_bits)
-                                     + len(code.x_stabilizer_bits))
+    counted = sum(code.stabilizer_counts)
+    assert counted == (len(code.z_stabilizer_bits)
+                       + len(code.x_stabilizer_bits))
+    assert shor or report.code_params[3] == counted
     cls(c1, c2)._verify_gram()
     code = cls(c1, c2)
     for name in held:

@@ -247,6 +247,18 @@ def test_correctable_family_sampled_hamming(code49):
                                                      np.uint8))).logical_ok
 
 
+def test_recovery_refuses_shor_codes(shor9):
+    # A Shor code checks P1 x column by column, while every stage reads the
+    # subsystem syndrome P1 x G2^T: each entry point refuses it up front.
+    err = PauliGrid.single(3, 3, 0, 0, "X") * PauliGrid.single(3, 3, 1, 1, "X")
+    for call in (lambda: recover(shor9, err),
+                 lambda: extract_syndrome(shor9, err),
+                 lambda: decode_bitflip(shor9, np.zeros((2, 1), np.uint8)),
+                 lambda: decode_phaseflip(shor9, np.zeros((1, 2), np.uint8))):
+        with pytest.raises(ValueError, match="ShorCode"):
+            call()
+
+
 # -- distance -------------------------------------------------------------------
 
 def test_distance_rep2_grid(rep2):

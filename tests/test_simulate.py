@@ -677,19 +677,24 @@ def test_exact_rate_refuses_mixed_channels(code9):
 
 def test_exact_rate_refuses_large_grids():
     # Each bound of the line route is checked before any table is built:
-    # hamming^2's 7 rows have 2**(7*4) joint signatures, rep1 x rep21's
-    # single row has 2**21 patterns, and rep21 x (a k = 0 code) decodes
-    # with a 21-bit code.
+    # hamming^2's 7 rows have 2**(7*4) joint signatures, and rep1 x rep21's
+    # single row has 2**21 patterns.
     ham, rep21 = hamming_7_4(), repetition(21)
-    empty = LinearCode.from_parity([[1]])
     for c1, c2, match in (
             (ham, ham, r"2\*\*28 joint signatures; the limit is 2\*\*20"),
-            (repetition(1), rep21, r"2\*\*21 line patterns"),
-            (rep21, empty, r"decodes with an n=21 code")):
+            (repetition(1), rep21, r"2\*\*21 line patterns")):
         with pytest.raises(ValueError, match=match):
             exact_rate_enumeration(SubsystemCode(c1, c2),
                                    NoiseModel.x_only(0.1))
         assert "fail" not in vars(c1) and "fail" not in vars(c2)
+    # rep21 x (a k = 0 code) decodes with a 21-bit code, past any fail
+    # table, but its line signs no word: the rate is exactly 0, as in
+    # Monte Carlo, and no table is built.
+    code = SubsystemCode(rep21, LinearCode.from_parity([[1]]))
+    assert exact_rate_enumeration(code, NoiseModel.x_only(0.1)) == 0.0
+    assert run_trials(code, NoiseModel.x_only(0.1), 2000,
+                      seed=5).logical_failures == 0
+    assert "fail" not in vars(rep21)
 
 
 # -- failure-rate scaling ---------------------------------------------------------

@@ -133,30 +133,40 @@ class LinearCode:
     with both matrices.  Instances are immutable: the matrices are
     read-only, and rebinding or deleting an attribute raises
     ``AttributeError``, so ``basis``/``dual_basis`` and the four matrices
-    they stack cannot get out of step.  What is derived later (the
-    distance, the lookup tables, :attr:`bases_are_dual`) is computed once
-    and cached in the instance ``__dict__``.
+    they stack cannot get out of step.  What is derived later is computed
+    once and cached in the instance ``__dict__``:
+
+    - the distance and :attr:`bases_are_dual`;
+    - the decoding tables :attr:`leaders` and :attr:`fail`, and the
+      failure rule :attr:`fails`;
+    - the tables the oracles read, so a factor reused across calls or
+      grids is packed once: the generator's packed columns, the dual
+      basis's columns spread for each partner k met (one tuple per k,
+      for ``distance_bruteforce``), and the read-only order that sorts
+      the 2**n line signatures (int64, at most 2**20 entries under
+      ``exact_rate_enumeration``'s cap).
     """
 
     def __init__(self, generator=None, check=None, distance: Optional[int] = None,
                  name: Optional[str] = None):
         if generator is None and check is None:
             raise ValueError("need a generator or a check matrix")
-        # The algebra runs on packed bits (see gf2): g and p hold the rows
-        # of the generator and the check, a missing one is the kernel of
-        # the other's columns, and the dual completion reads the check's
-        # columns.  Each given matrix is checked once and packed; the
-        # matrices kept are unpacked from the packed rows, so the caller's
-        # arrays are neither frozen nor shared.
+        # The algebra runs on packed bits (see gf2), and elimination reads
+        # only the generator's rows g and the check's columns: a missing
+        # matrix is the kernel of the other's columns, and the dual
+        # completion reads the check's columns.  Each given matrix is
+        # checked once; the bases are one new array of the check and the
+        # unpacked rows, so the caller's arrays are neither frozen nor
+        # shared.
         if generator is not None:
             generator = gf2.as_bits(generator)
             g = gf2._pack(generator)
         if check is None:
-            p = gf2.kernel_columns(gf2._pack(generator.T), generator.shape[1])
-            check = gf2.unpack_rows(p, generator.shape[1])
+            check = gf2.unpack_rows(
+                gf2.kernel_columns(gf2._pack(generator.T), generator.shape[1]),
+                generator.shape[1])
         else:
             check = gf2.as_bits(check)
-            p = gf2._pack(check)
         p_cols = gf2._pack(check.T)
         if generator is None:
             g = gf2.kernel_columns(p_cols, check.shape[1])
@@ -166,10 +176,10 @@ class LinearCode:
         if n < 1:
             raise ValueError("block length must be at least 1")
         # A kernel is full rank, so a derived matrix never trips these.
-        if len(g) + len(p) != n:
+        if len(g) + len(check) != n:
             if gf2.rank_rows(g) != len(g):
                 raise ValueError("generator rows are linearly dependent")
-            if gf2.rank_rows(p) != len(p):
+            if gf2.rank_rows(gf2._pack(check)) != len(check):
                 raise ValueError("check rows are linearly dependent")
             raise ValueError("generator and check ranks do not add up to n")
         h_c, g_c = gf2.dual_complete_columns(p_cols, g, n)
@@ -177,8 +187,9 @@ class LinearCode:
         k = len(g)
         # E = [G_c; G] and D = [P; C_c] are the two halves of one array,
         # frozen before the views are taken (a view taken earlier would
-        # stay writable).
-        bases = gf2.unpack_rows(g_c + g + p + h_c, n)
+        # stay writable).  E and C_c are unpacked in one call.
+        unpacked = gf2.unpack_rows(g_c + g + h_c, n)
+        bases = np.concatenate([unpacked[:n], check, unpacked[n:]])
         bases.setflags(write=False)
         basis, dual_basis = bases[:n], bases[n:]
         # Written once here; __setattr__ refuses every later binding.
@@ -187,7 +198,7 @@ class LinearCode:
             name=name, basis=basis, dual_basis=dual_basis,
             generator_complement=basis[:n - k],
             check_complement=dual_basis[n - k:],
-            _generator_rows=g, _distance=None)
+            _generator_rows=g, _spread_dual={}, _distance=None)
         if distance is not None:
             if self.min_distance() != distance:
                 raise ValueError(
@@ -305,6 +316,33 @@ class LinearCode:
     @functools.cached_property
     def _codewords(self) -> np.ndarray:
         return _span_words(np.array(self._generator_rows, np.int64))[1:]
+
+    @functools.cached_property
+    def _generator_columns(self) -> tuple:
+        """Column i of ``generator`` as a k-bit int, row 0 on top."""
+        return tuple(gf2._pack(self.generator.T))
+
+    def _spread_dual_columns(self, width: int) -> tuple:
+        """Column i of ``dual_basis`` as an int, row 0 on top, with bit p
+        moved to bit ``p * width``; kept per width."""
+        spread = self._spread_dual.get(width)
+        if spread is None:
+            spread = self._spread_dual[width] = tuple(
+                sum(1 << p * width for p in range(c.bit_length()) if c >> p & 1)
+                for c in gf2._pack(self.dual_basis.T))
+        return spread
+
+    @functools.cached_property
+    def _signature_order(self) -> np.ndarray:
+        """The order, read-only, that sorts the 2**n words v by their
+        signature ``G v`` (bit b from generator row b); n <= 20 only."""
+        if self.n > _TABLE_MAX_N:
+            raise ValueError(f"no signature order for n={self.n} > "
+                             f"{_TABLE_MAX_N}; it would have 2**{self.n} "
+                             f"entries")
+        order = np.argsort(_span_words(_bit_weights(self.generator)))
+        order.setflags(write=False)
+        return order
 
     @functools.cached_property
     def fails(self):

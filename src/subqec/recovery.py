@@ -123,13 +123,6 @@ def recover(code: SubsystemCode, err: PauliGrid) -> RecoveryOutcome:
     return RecoveryOutcome(correction, dec.z_logical, dec.x_logical, ok)
 
 
-def _spread_columns(m: np.ndarray, width: int) -> list:
-    """Column i of ``m`` as an int, row 0 on top, with bit p moved to bit
-    ``p * width``."""
-    return [sum(1 << p * width for p in range(c.bit_length()) if c >> p & 1)
-            for c in gf2._pack(m.T)]
-
-
 def distance_bruteforce(code: SubsystemCode, w_max: int,
                         candidate_guard: int = DISTANCE_CANDIDATE_GUARD):
     """Minimum weight of an undetectable logical error, by enumeration.
@@ -171,13 +164,15 @@ def distance_bruteforce(code: SubsystemCode, w_max: int,
     # With columns packed row 0 on top, the X signature is
     # spread(D1[:, i], k2) * G2[:, j], where spread moves bit p to bit
     # p * k2; the factor is below 2**k2, so the product carries nowhere.
-    # The Z signature is G1[:, i] * spread(D2[:, j], k1) alike.
+    # The Z signature is G1[:, i] * spread(D2[:, j], k1) alike.  Each
+    # factor keeps its packed and spread columns, so only the products
+    # are formed per call.
     logical = c1.k * c2.k
     tables = []
-    for cols1, cols2 in ((_spread_columns(c1.dual_basis, c2.k),
-                          gf2._pack(c2.generator.T)),
-                         (gf2._pack(c1.generator.T),
-                          _spread_columns(c2.dual_basis, c1.k))):
+    for cols1, cols2 in ((c1._spread_dual_columns(c2.k),
+                          c2._generator_columns),
+                         (c1._generator_columns,
+                          c2._spread_dual_columns(c1.k))):
         sigs = [u * v for u in cols1 for v in cols2]
         # The last site is looked up, not scanned: acc ^ sig has zero
         # syndrome iff sig's syndrome equals acc's, and is nonzero iff

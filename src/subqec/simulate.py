@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import _require_int
-from .classical import LinearCode, _bit_weights, _span_words
+from .classical import LinearCode
 from .builder import SubsystemCode, _refuse_shor, _stabilizer_counts
 
 # Tags the draw layout the module docstring describes; change it with it.
@@ -192,13 +192,17 @@ class _Kernel:
     entry ``(x + 2 z) * width + slot`` holds the bits such a hit flips in
     the stage words packed into lane r.  Each stage reads its words with
     its factor's ``fails`` rule, built here, so a factor that no decoding
-    route covers raises ValueError before any trial."""
+    route covers raises ValueError before any trial.  A stage whose partner
+    has k = 0 packs no word, never fails, and builds no rule."""
 
     def __init__(self, code: SubsystemCode, width: int = 0, z_offset: int = 0):
         self.width = width or code.n
         lanes, used, self.words = [np.zeros((4, self.width), np.int64)], 0, []
         for axis, (own, other) in enumerate(((code.c1, code.c2),
                                              (code.c2, code.c1))):
+            if not other.k:
+                self.words.append(None)
+                continue
             fails = own.fails
             # A hit at (i, j) sets position i (bit n1-1-i) of each y_b with
             # G2[b, j] = 1, or position j of each w_a with G1[a, i] = 1.
@@ -219,6 +223,8 @@ class _Kernel:
 
     def fails(self, axis: int, acc: np.ndarray) -> np.ndarray:
         """Whether the stage fails, per column of XOR-reduced lanes."""
+        if self.words[axis] is None:
+            return np.zeros(acc.shape[1], bool)
         fails, lane, shift, mask = self.words[axis]
         return fails((acc[lane] >> shift) & mask).any(axis=0)
 
@@ -365,8 +371,7 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
     # (2**k, 2**(n-k)) array, summed pairwise.
     bit = np.array([1.0 - p, p])
     pattern = functools.reduce(np.multiply.outer, [bit] * n).ravel()
-    signature = _span_words(_bit_weights(line.generator))
-    line_prob = pattern[np.argsort(signature)].reshape(1 << k, -1).sum(axis=1)
+    line_prob = pattern[line._signature_order].reshape(1 << k, -1).sum(axis=1)
     # The joint signatures list the lines' signatures, line 0 on top; their
     # bits regrouped by signature bit are the k words, each read by fail.
     joint = functools.reduce(np.multiply.outer, [line_prob] * dec.n)

@@ -4,8 +4,9 @@ independence of workers and batching, the decomposition along the grid's
 two bases, the generator lists as views of the generator stacks, the
 construction check on the factors against the Gram check on the stacks,
 the brute-force distance against the paper's min(d1, d2) (found at d and
-not below it) and against the search over all three Paulis per site, and
-the exact rate's line route against walking every grid pattern."""
+not below it) and against the search over all three Paulis per site, the
+exact rate's line route against walking every grid pattern, and the
+oracles on factors reused across grids against fresh copies."""
 
 import numpy as np
 import pytest
@@ -310,3 +311,36 @@ def test_exact_rate_line_route_matches_pattern_walk(code, kind, p):
         assert got == want
     else:
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def fresh_copy(c):
+    """``c`` rebuilt from its two matrices, with nothing cached."""
+    return LinearCode(generator=c.generator, check=c.check)
+
+
+@PROPERTY_SETTINGS
+@given(own=any_codes(n_max=4),
+       partners=st.lists(any_codes(n_max=4), min_size=2, max_size=3,
+                         unique_by=lambda c: c.k),
+       p_x=st.floats(0.0, 1.0), p_z=st.floats(0.0, 1.0))
+def test_per_factor_tables_never_change_an_answer(own, partners, p_x, p_z):
+    """One factor object on either axis of grids whose partners differ in
+    k keeps its packed and spread columns and its signature order across
+    them; every distance equals the three-Pauli search and the answer on
+    fresh copies of both factors, and every exact rate the fresh copies'
+    rate bit for bit."""
+    noises = (NoiseModel.x_only(p_x), NoiseModel.z_only(p_z),
+              NoiseModel.independent_xz(p_x, p_z))
+    for partner in partners:
+        for c1, c2 in ((own, partner), (partner, own)):
+            copies = (fresh_copy(c1), fresh_copy(c2))
+            for cls in (SubsystemCode, ShorCode):
+                code = cls(c1, c2)
+                assert (distance_bruteforce(code, 4)
+                        == distance_by_three_paulis(code, 4)
+                        == distance_bruteforce(cls(*copies), 4))
+            code, copy = SubsystemCode(c1, c2), SubsystemCode(*copies)
+            for noise in noises:
+                assert (exact_rate_enumeration(code, noise)
+                        == exact_rate_enumeration(copy, noise))
+    assert set(own._spread_dual) == {partner.k for partner in partners}

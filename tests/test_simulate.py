@@ -686,7 +686,7 @@ def test_exact_rate_refuses_large_grids():
         with pytest.raises(ValueError, match=match):
             exact_rate_enumeration(SubsystemCode(c1, c2),
                                    NoiseModel.x_only(0.1))
-        assert "fail" not in vars(c1) and "fail" not in vars(c2)
+        assert not {"fail", "_signature_order"} & {*vars(c1), *vars(c2)}
     # rep21 x (a k = 0 code) decodes with a 21-bit code, past any fail
     # table, but its line signs no word: the rate is exactly 0, as in
     # Monte Carlo, and no table is built.
@@ -695,6 +695,16 @@ def test_exact_rate_refuses_large_grids():
     assert run_trials(code, NoiseModel.x_only(0.1), 2000,
                       seed=5).logical_failures == 0
     assert "fail" not in vars(rep21)
+    # rep64 has no decoding route at all, but a stage with no word needs
+    # none: Monte Carlo builds no rule for it under either channel.
+    rep64 = repetition(64)
+    code = SubsystemCode(rep64, LinearCode.from_parity([[1]]))
+    assert exact_rate_enumeration(code, NoiseModel.x_only(0.1)) == 0.0
+    for noise in (NoiseModel.x_only(0.1), NoiseModel.independent_xz(0.1, 0.1)):
+        report = run_trials(code, noise, 2000, seed=5)
+        assert report.logical_failures == report.bit_flip_failures == 0
+        assert report.rate == 0.0
+    assert not {"fails", "fail", "leaders"} & set(vars(rep64))
 
 
 # -- failure-rate scaling ---------------------------------------------------------

@@ -133,18 +133,9 @@ class LinearCode:
     with both matrices.  Instances are immutable: the matrices are
     read-only, and rebinding or deleting an attribute raises
     ``AttributeError``, so ``basis``/``dual_basis`` and the four matrices
-    they stack cannot get out of step.  What is derived later is computed
-    once and cached in the instance ``__dict__``:
-
-    - the distance and :attr:`bases_are_dual`;
-    - the decoding tables :attr:`leaders` and :attr:`fail`, and the
-      failure rule :attr:`fails`;
-    - the tables the oracles read, so a factor reused across calls or
-      grids is packed once: the generator's packed columns, the dual
-      basis's columns spread for each partner k met (one tuple per k,
-      for ``distance_bruteforce``), and the read-only order that sorts
-      the 2**n line signatures (int64, at most 2**20 entries under
-      ``exact_rate_enumeration``'s cap).
+    they stack cannot get out of step.  What is derived later (the
+    distance, the lookup tables, :attr:`bases_are_dual`) is computed once
+    and cached in the instance ``__dict__``.
     """
 
     def __init__(self, generator=None, check=None, distance: Optional[int] = None,
@@ -198,7 +189,7 @@ class LinearCode:
             name=name, basis=basis, dual_basis=dual_basis,
             generator_complement=basis[:n - k],
             check_complement=dual_basis[n - k:],
-            _generator_rows=g, _spread_dual={}, _distance=None)
+            _generator_rows=g, _distance=None)
         if distance is not None:
             if self.min_distance() != distance:
                 raise ValueError(
@@ -316,33 +307,6 @@ class LinearCode:
     @functools.cached_property
     def _codewords(self) -> np.ndarray:
         return _span_words(np.array(self._generator_rows, np.int64))[1:]
-
-    @functools.cached_property
-    def _generator_columns(self) -> tuple:
-        """Column i of ``generator`` as a k-bit int, row 0 on top."""
-        return tuple(gf2._pack(self.generator.T))
-
-    def _spread_dual_columns(self, width: int) -> tuple:
-        """Column i of ``dual_basis`` as an int, row 0 on top, with bit p
-        moved to bit ``p * width``; kept per width."""
-        spread = self._spread_dual.get(width)
-        if spread is None:
-            spread = self._spread_dual[width] = tuple(
-                sum(1 << p * width for p in range(c.bit_length()) if c >> p & 1)
-                for c in gf2._pack(self.dual_basis.T))
-        return spread
-
-    @functools.cached_property
-    def _signature_order(self) -> np.ndarray:
-        """The order, read-only, that sorts the 2**n words v by their
-        signature ``G v`` (bit b from generator row b); n <= 20 only."""
-        if self.n > _TABLE_MAX_N:
-            raise ValueError(f"no signature order for n={self.n} > "
-                             f"{_TABLE_MAX_N}; it would have 2**{self.n} "
-                             f"entries")
-        order = np.argsort(_span_words(_bit_weights(self.generator)))
-        order.setflags(write=False)
-        return order
 
     @functools.cached_property
     def fails(self):

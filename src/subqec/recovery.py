@@ -9,9 +9,11 @@ allowed to move gauge qubits freely.  A ShorCode is refused.
 
 :func:`distance_bruteforce` searches the two Pauli types apart: code 1
 detects an operator's X part and code 2 its Z part, so the lightest
-undetectable logical is of pure X or pure Z type.  At each weight it runs
-over the first site in order and tries both types there, and its guard
-counts the ``2 * sum_w C(n, w)`` operators it may visit.
+undetectable logical is of pure X or pure Z type.  It scans the distinct
+nonzero site signatures of each type, as a lightest operator holds no two
+sites of one signature; at each weight it runs over the first signature
+in order and tries both types there.  Its guard counts the
+``2 * sum_w C(n, w)`` operators over all sites, a bound on what it visits.
 """
 
 from __future__ import annotations
@@ -123,6 +125,13 @@ def recover(code: SubsystemCode, err: PauliGrid) -> RecoveryOutcome:
     return RecoveryOutcome(correction, dec.z_logical, dec.x_logical, ok)
 
 
+def _spread_columns(m: np.ndarray, width: int) -> list:
+    """Column i of ``m`` as an int, row 0 on top, with bit p moved to bit
+    ``p * width``."""
+    return [sum(1 << p * width for p in range(c.bit_length()) if c >> p & 1)
+            for c in gf2._pack(m.T)]
+
+
 def distance_bruteforce(code: SubsystemCode, w_max: int,
                         candidate_guard: int = DISTANCE_CANDIDATE_GUARD):
     """Minimum weight of an undetectable logical error, by enumeration.
@@ -131,13 +140,15 @@ def distance_bruteforce(code: SubsystemCode, w_max: int,
     Pauli is an undetectable logical exactly when its X part or its Z part
     is one, and neither part is heavier than the whole: the minimum over
     all Paulis is the minimum over pure X-type and pure Z-type operators.
-    Scans weights 1..w_max over all site subsets with one Pauli type at a
-    time, looking for an operator with all-zero syndrome and a nonzero
-    logical coefficient block.  At each weight the first site runs in
-    order with both types tried there, so a light operator of either type
-    is met as early in the scan as the other.  Returns the weight of the
-    first hit (the true distance when it is <= w_max) or ``None`` if none
-    exists within the bound.
+    Scans weights 1..w_max over the subsets of distinct nonzero site
+    signatures with one Pauli type at a time, looking for an operator with
+    all-zero syndrome and a nonzero logical coefficient block; weights 1
+    and 2 are read off the table of signatures by syndrome.  At each
+    weight above 2, the first signature runs in order with both types
+    tried there, so a light operator of either type is met as early in
+    the scan as the other.  Returns the weight of the first hit (the true
+    distance when it is <= w_max) or ``None`` if none exists within the
+    bound.
 
     Raises:
         ValueError: when the candidates, ``2 * sum_w C(n, w)`` over
@@ -164,16 +175,21 @@ def distance_bruteforce(code: SubsystemCode, w_max: int,
     # With columns packed row 0 on top, the X signature is
     # spread(D1[:, i], k2) * G2[:, j], where spread moves bit p to bit
     # p * k2; the factor is below 2**k2, so the product carries nowhere.
-    # The Z signature is G1[:, i] * spread(D2[:, j], k1) alike.  Each
-    # factor keeps its packed and spread columns, so only the products
-    # are formed per call.
+    # The Z signature is G1[:, i] * spread(D2[:, j], k1) alike, so it is 0
+    # when a column is and otherwise names both columns.  Sites of one
+    # signature are interchangeable, and a lightest operator holds at most
+    # one of them (two cancel, leaving a lighter operator of the same
+    # signature) and none of signature 0.  So each type scans the products
+    # of its distinct nonzero columns: on rep(m) x rep(n), m signatures of
+    # X type and n of Z type.
     logical = c1.k * c2.k
     tables = []
-    for cols1, cols2 in ((c1._spread_dual_columns(c2.k),
-                          c2._generator_columns),
-                         (c1._generator_columns,
-                          c2._spread_dual_columns(c1.k))):
-        sigs = [u * v for u in cols1 for v in cols2]
+    for cols1, cols2 in ((_spread_columns(c1.dual_basis, c2.k),
+                          gf2._pack(c2.generator.T)),
+                         (gf2._pack(c1.generator.T),
+                          _spread_columns(c2.dual_basis, c1.k))):
+        cols2 = [v for v in dict.fromkeys(cols2) if v]
+        sigs = [u * v for u in dict.fromkeys(cols1) if u for v in cols2]
         # The last site is looked up, not scanned: acc ^ sig has zero
         # syndrome iff sig's syndrome equals acc's, and is nonzero iff
         # sig != acc.
@@ -182,33 +198,34 @@ def distance_bruteforce(code: SubsystemCode, w_max: int,
             last_sites.setdefault(sig >> logical, []).append((s, sig))
         tables.append((sigs, last_sites))
 
+    # The signatures are distinct and nonzero, so weight 1 is a signature
+    # of zero syndrome and weight 2 two signatures of one syndrome.
+    if any(0 in last_sites for _, last_sites in tables):
+        return 1
+    if w_max >= 2 and any(len(last_sites) < len(sigs)
+                          for sigs, last_sites in tables):
+        return 2
+
     def scan(sigs, last_sites, start: int, remaining: int, acc: int) -> bool:
-        if remaining == 1:
-            for s, sig in last_sites.get(acc >> logical, ()):
-                if s >= start and sig != acc:
-                    return True
-            return False
         if remaining == 2:
             # The level above the lookup, unrolled: a call per site would
             # cost more than the lookup.
-            for s in range(start, n - 1):
+            for s in range(start, len(sigs) - 1):
                 a = acc ^ sigs[s]
                 for t, sig in last_sites.get(a >> logical, ()):
                     if t > s and sig != a:
                         return True
             return False
-        for s in range(start, n - remaining + 1):
+        for s in range(start, len(sigs) - remaining + 1):
             if scan(sigs, last_sites, s + 1, remaining - 1, acc ^ sigs[s]):
                 return True
         return False
 
-    # Weight 1 is one lookup per type; above it, each first site in turn
-    # with both types.
-    if any(scan(sigs, last_sites, 0, 1, 0) for sigs, last_sites in tables):
-        return 1
-    for w in range(2, w_max + 1):
+    # Above weight 2, each first signature in turn with both types.
+    for w in range(3, w_max + 1):
         for first in range(n - w + 1):
             for sigs, last_sites in tables:
-                if scan(sigs, last_sites, first + 1, w - 1, sigs[first]):
+                if first <= len(sigs) - w and scan(
+                        sigs, last_sites, first + 1, w - 1, sigs[first]):
                     return w
     return None

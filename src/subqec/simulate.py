@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import _require_int
-from .classical import LinearCode
+from .classical import LinearCode, _bit_weights, _span_words
 from .builder import SubsystemCode, _refuse_shor, _stabilizer_counts
 
 # Tags the draw layout the module docstring describes; change it with it.
@@ -371,7 +371,8 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
     # (2**k, 2**(n-k)) array, summed pairwise.
     bit = np.array([1.0 - p, p])
     pattern = functools.reduce(np.multiply.outer, [bit] * n).ravel()
-    line_prob = pattern[line._signature_order].reshape(1 << k, -1).sum(axis=1)
+    signature = _span_words(_bit_weights(line.generator))
+    line_prob = pattern[np.argsort(signature)].reshape(1 << k, -1).sum(axis=1)
     # The joint signatures list the lines' signatures, line 0 on top; their
     # bits regrouped by signature bit are the k words, each read by fail.
     joint = functools.reduce(np.multiply.outer, [line_prob] * dec.n)

@@ -289,14 +289,6 @@ def test_attributes_cannot_be_rebound_or_deleted():
     assert code.d is None
     assert code.min_distance() == 3 and code.d == 3
     code.fail, code.bases_are_dual
-    # The oracles' packed tables: generator columns, dual columns spread
-    # for two partner widths, and the signature sort order.
-    code._generator_columns, code._signature_order
-    code._spread_dual_columns(1), code._spread_dual_columns(4)
-    assert sorted(code._spread_dual) == [1, 4]
-    assert not code._signature_order.flags.writeable
-    with pytest.raises(ValueError, match=r"2\*\*21 entries"):
-        repetition(21)._signature_order
     for name in [*vars(code), "leaders", "min_distance", "unset"]:
         with pytest.raises(AttributeError, match="immutable: cannot set"):
             setattr(code, name, None)

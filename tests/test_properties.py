@@ -6,7 +6,8 @@ construction check on the factors against the Gram check on the stacks,
 the brute-force distance against the paper's min(d1, d2) (found at d and
 not below it) and against the search over all three Paulis per site, the
 exact rate's line route against walking every grid pattern, and the
-oracles on factors reused across grids against fresh copies."""
+distance search on grids whose sites share signatures against the
+three-Pauli search."""
 
 import numpy as np
 import pytest
@@ -313,34 +314,30 @@ def test_exact_rate_line_route_matches_pattern_walk(code, kind, p):
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def fresh_copy(c):
-    """``c`` rebuilt from its two matrices, with nothing cached."""
-    return LinearCode(generator=c.generator, check=c.check)
+@st.composite
+def codes_with_repeated_columns(draw):
+    """An :func:`any_codes` factor of length <= 3 with copies of its own
+    columns and zero columns appended to its generator, so that grid sites
+    share signatures and some have signature 0."""
+    c = draw(any_codes(n_max=3))
+    picks = draw(st.lists(st.integers(-1, c.n - 1), min_size=1, max_size=3))
+    extra = [np.zeros((c.k, 1), np.uint8) if i < 0 else c.generator[:, [i]]
+             for i in picks]
+    return LinearCode.from_generator(np.hstack([c.generator, *extra]))
 
 
 @PROPERTY_SETTINGS
-@given(own=any_codes(n_max=4),
-       partners=st.lists(any_codes(n_max=4), min_size=2, max_size=3,
-                         unique_by=lambda c: c.k),
-       p_x=st.floats(0.0, 1.0), p_z=st.floats(0.0, 1.0))
-def test_per_factor_tables_never_change_an_answer(own, partners, p_x, p_z):
-    """One factor object on either axis of grids whose partners differ in
-    k keeps its packed and spread columns and its signature order across
-    them; every distance equals the three-Pauli search and the answer on
-    fresh copies of both factors, and every exact rate the fresh copies'
-    rate bit for bit."""
-    noises = (NoiseModel.x_only(p_x), NoiseModel.z_only(p_z),
-              NoiseModel.independent_xz(p_x, p_z))
-    for partner in partners:
-        for c1, c2 in ((own, partner), (partner, own)):
-            copies = (fresh_copy(c1), fresh_copy(c2))
-            for cls in (SubsystemCode, ShorCode):
-                code = cls(c1, c2)
-                assert (distance_bruteforce(code, 4)
-                        == distance_by_three_paulis(code, 4)
-                        == distance_bruteforce(cls(*copies), 4))
-            code, copy = SubsystemCode(c1, c2), SubsystemCode(*copies)
-            for noise in noises:
-                assert (exact_rate_enumeration(code, noise)
-                        == exact_rate_enumeration(copy, noise))
-    assert set(own._spread_dual) == {partner.k for partner in partners}
+@given(c1=codes_with_repeated_columns(), c2=any_codes(n_max=4),
+       swap=st.booleans())
+def test_distance_on_repeated_signatures_matches_three_pauli_search(
+        c1, c2, swap):
+    """The search over distinct nonzero site signatures finds what trying
+    X, Z and Y at every site finds, for every bound, on grids where many
+    sites share a signature or have none, on both constructions."""
+    if swap:
+        c1, c2 = c2, c1
+    for cls in (SubsystemCode, ShorCode):
+        code = cls(c1, c2)
+        for w_max in range(1, 5):
+            assert distance_bruteforce(code, w_max) == distance_by_three_paulis(
+                code, w_max)

@@ -317,11 +317,6 @@ class SubsystemCode:
 
     # -- verification ----------------------------------------------------
 
-    def _symplectic_rows(self, ops) -> np.ndarray:
-        return np.array(
-            [np.concatenate([op.z.ravel(), op.x.ravel()]) for op in ops],
-            dtype=np.uint8).reshape(len(ops), 2 * self.n)
-
     def _verify(self):
         """Check the construction on the two factors.
 

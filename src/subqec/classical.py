@@ -26,7 +26,7 @@ leader, as ``v xor leader(P v)`` is a codeword and ``C_c G^T = I``.  The
 route evaluating it is picked from (n, k); any other code, n > 63
 included, raises ValueError:
 
-    n <= 20                     the ``fail`` table of all 2**n words
+    n <= 20                     a table of all 2**n words
     n <= 63, k <= min(16, n-k)  v fails iff some codeword c != 0 gives
                                 (wt(v^c), v^c) < (wt(v), v)
     n <= 63, n-k <= 20          v fails iff leader(P v) != v
@@ -311,12 +311,20 @@ class LinearCode:
     @functools.cached_property
     def fails(self):
         """The per-word failure rule, by the route of the module docstring:
-        int64 words, read as :attr:`fail` reads them, to bools."""
+        int64 words (position i at bit n-1-i) to bools.  For n <= 20 it
+        reads a read-only table of every word v, ``leaders[P v] != v``,
+        with ``P v`` spanned over all 2**n words at once."""
         if self._by_codewords:
             return _codeword_rule(self)
-        if self.n <= _TABLE_MAX_N:
-            return self.fail.__getitem__
-        return _syndrome_rule(self)
+        if self.n > _TABLE_MAX_N:
+            return _syndrome_rule(self)
+        start, leaders = time.perf_counter(), self.leaders
+        table = (leaders[_span_words(_bit_weights(self.check))]
+                 != np.arange(1 << self.n))
+        table.setflags(write=False)
+        _log_debug(__name__, "fail table of %r (n=%d) built in %.2f ms",
+                   self, self.n, 1e3 * (time.perf_counter() - start))
+        return table.__getitem__
 
     @functools.cached_property
     def leaders(self) -> np.ndarray:
@@ -353,30 +361,6 @@ class LinearCode:
         _log_debug(__name__, "leader table of %r (n=%d) built in %.2f ms",
                    self, n, 1e3 * (time.perf_counter() - start))
         return leaders
-
-    @functools.cached_property
-    def fail(self) -> np.ndarray:
-        """Per n-bit word v, read-only: is v not its coset's leader, so
-        that decoding it leaves a logical error?  ``leaders[P v] != v``,
-        with ``P v`` spanned over every word at once; n <= 20 only."""
-        if self.n > _TABLE_MAX_N:
-            raise ValueError(f"no fail table for n={self.n} > {_TABLE_MAX_N}"
-                             f"; it would have 2**{self.n} entries")
-        start, leaders = time.perf_counter(), self.leaders
-        table = (leaders[_span_words(_bit_weights(self.check))]
-                 != np.arange(1 << self.n))
-        table.setflags(write=False)
-        _log_debug(__name__, "fail table of %r (n=%d) built in %.2f ms",
-                   self, self.n, 1e3 * (time.perf_counter() - start))
-        return table
-
-    def codewords(self) -> np.ndarray:
-        """All 2**k codewords as rows (guarded like min_distance)."""
-        if self.k > _DISTANCE_MAX_K:
-            raise ValueError(f"refusing to enumerate 2**{self.k} codewords")
-        msgs = np.arange(1 << self.k, dtype=np.int64)
-        bits = ((msgs[:, None] >> np.arange(self.k)) & 1).astype(np.uint8)
-        return (bits @ self.generator) & 1
 
 
 def repetition(n: int) -> LinearCode:

@@ -75,14 +75,6 @@ def parse_matrix(text: str, source: str = "<matrix>") -> np.ndarray:
     return np.array(rows, dtype=np.uint8).reshape(header[0], header[1])
 
 
-def format_matrix(m: np.ndarray) -> str:
-    """Serialize a matrix to the text format (round-trips with parse)."""
-    m = np.asarray(m, dtype=np.uint8)
-    lines = [f"{m.shape[0]} {m.shape[1]}"]
-    lines.extend("".join(str(int(b)) for b in row) for row in m)
-    return "\n".join(lines) + "\n"
-
-
 def load_code(spec: str) -> LinearCode:
     """Resolve a code spec: rep:<n>, hamming:7-4, generator:<path>, or
     parity:<path>."""

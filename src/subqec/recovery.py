@@ -12,8 +12,8 @@ detects an operator's X part and code 2 its Z part, so the lightest
 undetectable logical is of pure X or pure Z type.  It scans the distinct
 nonzero site signatures of each type, as a lightest operator holds no two
 sites of one signature; at each weight it runs over the first signature
-in order and tries both types there.  Its guard counts the
-``2 * sum_w C(n, w)`` operators over all sites, a bound on what it visits.
+in order and tries both types there.  Its guard counts the subsets of
+each type's s signatures, ``sum_w C(s, w)``, a bound on what it visits.
 """
 
 from __future__ import annotations
@@ -76,6 +76,13 @@ def extract_syndrome(code: SubsystemCode, err: PauliGrid) -> Syndrome:
     return Syndrome(s_z, s_x)
 
 
+def _decode_stage(s: np.ndarray, dec, spread) -> np.ndarray:
+    """Each column of syndrome ``s`` decoded with ``dec``, the estimates
+    spread along the rows of ``spread``'s check_complement."""
+    est = np.array([dec.decode(col) for col in s.T], np.uint8)
+    return (est.reshape(spread.k, dec.n).T @ spread.check_complement) & 1
+
+
 def decode_bitflip(code: SubsystemCode, s_z: np.ndarray) -> PauliGrid:
     """X-type correction for a Z-stabilizer syndrome.
 
@@ -89,11 +96,7 @@ def decode_bitflip(code: SubsystemCode, s_z: np.ndarray) -> PauliGrid:
     if s_z.shape != (c1.n - c1.k, c2.k):
         raise ValueError(f"s_z shape {s_z.shape} is not "
                          f"({c1.n - c1.k},{c2.k})")
-    if c2.k:
-        chat = np.stack([c1.decode(s_z[:, b]) for b in range(c2.k)], axis=1)
-    else:
-        chat = np.zeros((c1.n, 0), np.uint8)
-    bx = (chat @ c2.check_complement) & 1
+    bx = _decode_stage(s_z, c1, c2)
     return PauliGrid(np.zeros((code.n1, code.n2), np.uint8), bx)
 
 
@@ -107,11 +110,7 @@ def decode_phaseflip(code: SubsystemCode, s_x: np.ndarray) -> PauliGrid:
     if s_x.shape != (c1.k, c2.n - c2.k):
         raise ValueError(f"s_x shape {s_x.shape} is not "
                          f"({c1.k},{c2.n - c2.k})")
-    if c1.k:
-        fhat = np.stack([c2.decode(s_x[a, :]) for a in range(c1.k)], axis=0)
-    else:
-        fhat = np.zeros((0, c2.n), np.uint8)
-    az = (c1.check_complement.T @ fhat) & 1
+    az = _decode_stage(s_x.T, c2, c1).T
     return PauliGrid(az, np.zeros((code.n1, code.n2), np.uint8))
 
 
@@ -148,22 +147,17 @@ def distance_bruteforce(code: SubsystemCode, w_max: int,
     tried there, so a light operator of either type is met as early in
     the scan as the other.  Returns the weight of the first hit (the true
     distance when it is <= w_max) or ``None`` if none exists within the
-    bound.
+    bound.  A ``w_max`` above n is read as n: no operator is heavier.
 
     Raises:
-        ValueError: when the candidates, ``2 * sum_w C(n, w)`` over
-            w = 1..w_max, exceed ``candidate_guard``.
+        ValueError: when the candidates, ``sum_w C(s, w)`` over w <= w_max
+            and each type's s signatures, exceed ``candidate_guard``.
     """
     w_max = gf2._require_int("w_max", w_max)
     candidate_guard = gf2._require_int("candidate_guard", candidate_guard)
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
-    n = code.n
-    total = 2 * sum(math.comb(n, w) for w in range(1, w_max + 1))
-    if total > candidate_guard:
-        raise ValueError(
-            f"{total} candidates exceed the guard of {candidate_guard}; "
-            f"lower w_max or raise candidate_guard")
+    w_max = min(w_max, code.n)
 
     c1, c2 = code.c1, code.c2
     # An X at site (i, j) has the detect and logical coordinates
@@ -197,6 +191,12 @@ def distance_bruteforce(code: SubsystemCode, w_max: int,
         for s, sig in enumerate(sigs):
             last_sites.setdefault(sig >> logical, []).append((s, sig))
         tables.append((sigs, last_sites))
+    total = sum(math.comb(len(sigs), w)
+                for sigs, _ in tables for w in range(1, w_max + 1))
+    if total > candidate_guard:
+        raise ValueError(
+            f"{total} candidates exceed the guard of {candidate_guard}; "
+            f"lower w_max or raise candidate_guard")
 
     # The signatures are distinct and nonzero, so weight 1 is a signature
     # of zero syndrome and weight 2 two signatures of one syndrome.
@@ -223,7 +223,7 @@ def distance_bruteforce(code: SubsystemCode, w_max: int,
 
     # Above weight 2, each first signature in turn with both types.
     for w in range(3, w_max + 1):
-        for first in range(n - w + 1):
+        for first in range(max(len(sigs) for sigs, _ in tables) - w + 1):
             for sigs, last_sites in tables:
                 if first <= len(sigs) - w and scan(
                         sigs, last_sites, first + 1, w - 1, sigs[first]):

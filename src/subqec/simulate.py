@@ -270,10 +270,10 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
 
     Deterministic in (code, noise, trials, seed): splitting the same run
     over any number of workers or any batch size returns a byte-identical
-    report.  ``workers`` sets how many trial ranges the run is split into;
-    at most one thread per core runs them.  A batch draws the words of at
-    most ``batch_size`` trials, and of about 2**17 words at most.  A
-    ShorCode is refused.
+    report.  ``workers`` sets how many trial ranges the run is split into,
+    at most one per trial; at most one thread per core runs them.  A batch
+    draws the words of at most ``batch_size`` trials, and of about 2**17
+    words at most.  A ShorCode is refused.
     """
     _refuse_shor(code)
     trials, seed, workers, batch_size = (
@@ -293,7 +293,7 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
     width = 4 * max(1, (noise.draws_per_site * code.n + 3) // 4)
     kernel = _Kernel(code, width, (noise.draws_per_site - 1) * code.n)
     count = functools.partial(_count_chunk, kernel, noise, seed, batch_size)
-    bounds = np.linspace(0, trials, workers + 1).astype(int)
+    bounds = np.linspace(0, trials, min(workers, trials) + 1).astype(int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     if workers == 1 or len(ranges) == 1:
         counts = [count(r) for r in ranges]
@@ -326,24 +326,24 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
     """Exact logical failure rate for a channel whose axes are independent,
     summed over the grid's i.i.d. lines.
 
-    Under ``x_only`` only the bit-flip stage can fail: iff ``c1.fail[y_b]``
-    is set for some b (module docstring).  Position i of ``y_b`` is bit b
-    of row i's k2-bit signature ``G2 x_i``, and the rows are i.i.d.  So the
+    Under ``x_only`` only the bit-flip stage can fail: iff ``c1.fails(y_b)``
+    for some b (module docstring).  Position i of ``y_b`` is bit b of row
+    i's k2-bit signature ``G2 x_i``, and the rows are i.i.d.  So the
     signature's distribution is tabulated over the 2**n2 row patterns, each
     weighted ``p**w (1-p)**(n2-w)``, and one outer product per row walks
     the 2**(n1*k2) joint signatures.  Regrouped by signature bit, a joint
     signature's bits are the words ``y_b`` (row i at bit n1-1-i, as
-    ``fail`` reads them), and the failing ones are summed with
+    ``fails`` reads them), and the failing ones are summed with
     ``math.fsum``.  ``z_only`` mirrors this with the columns, ``G1`` and
-    ``c2.fail``.  ``independent_xz`` draws its axes independently, so its
+    ``c2.fails``.  ``independent_xz`` draws its axes independently, so its
     rate is ``1 - (1 - P_x)(1 - P_z)`` from the ``x_only(p_x)`` and
     ``z_only(p_z)`` rates.  Depolarizing noise correlates the axes at each
     site and is refused.
 
     A grid is refused before any work when its line patterns or joint
     signatures (for ``z_only``, 2**n1 and 2**(n2*k1)) exceed 2**20, which
-    keeps the decoding factor within a ``fail`` table if the line code has
-    k >= 1; with k = 0 the rate is 0.0.  A ShorCode is refused.
+    keeps the decoding factor on the table route of ``fails`` if the line
+    code has k >= 1; with k = 0 the rate is 0.0.  A ShorCode is refused.
     """
     _refuse_shor(code)
     if noise.kind == "independent_xz":
@@ -374,11 +374,12 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
     signature = _span_words(_bit_weights(line.generator))
     line_prob = pattern[np.argsort(signature)].reshape(1 << k, -1).sum(axis=1)
     # The joint signatures list the lines' signatures, line 0 on top; their
-    # bits regrouped by signature bit are the k words, each read by fail.
+    # bits regrouped by signature bit are the k words, each read by fails.
     joint = functools.reduce(np.multiply.outer, [line_prob] * dec.n)
     prob = joint.reshape((2,) * (dec.n * k)).transpose(
         [i * k + j for j in range(k) for i in range(dec.n)]).ravel()
-    failing = functools.reduce(np.logical_or.outer, [dec.fail] * k).ravel()
+    failing = functools.reduce(np.logical_or.outer,
+                               [dec.fails(np.arange(1 << dec.n))] * k).ravel()
     # fsum is correctly rounded, so feeding it a chunk of Python floats at
     # a time gives the same float without one float object per failing
     # signature alive at once.

@@ -11,7 +11,9 @@ apart.
 It also keeps the GF(2) matrix helpers that the tests use as references
 and that the package no longer needs: ``rref``, ``kernel_basis``,
 ``solve``, ``inverse``, ``dual_complete`` and ``gram_rows``, each a thin
-layer over :mod:`subqec.gf2`'s one packed-row elimination loop."""
+layer over :mod:`subqec.gf2`'s one packed-row elimination loop; and two
+matrices written out the slow way, a code's ``codewords`` and the
+``symplectic_rows`` of a list of Pauli grids."""
 
 import math
 from typing import NamedTuple, Optional
@@ -206,3 +208,18 @@ def golay_23_12():
     for i in range(12):
         g[i, [i + e for e in (0, 2, 4, 5, 6, 10, 11)]] = 1
     return LinearCode.from_generator(g, name="golay23")
+
+
+def codewords(code) -> np.ndarray:
+    """All 2**k codewords of ``code`` as rows, message bit i on generator
+    row i."""
+    msgs = np.arange(1 << code.k, dtype=np.int64)
+    bits = ((msgs[:, None] >> np.arange(code.k)) & 1).astype(np.uint8)
+    return (bits @ code.generator) & 1
+
+
+def symplectic_rows(ops, n: int) -> np.ndarray:
+    """One row [z | x] per Pauli grid of n sites, each part flattened row
+    by row."""
+    return np.array([np.concatenate([op.z.ravel(), op.x.ravel()])
+                     for op in ops], np.uint8).reshape(len(ops), 2 * n)

@@ -17,7 +17,7 @@ from subqec import (
     repetition,
 )
 
-from references import solve
+from references import solve, symplectic_rows
 
 
 def random_full_rank_code(rng, n_max=8):
@@ -157,7 +157,7 @@ def test_gauges_commute_with_logicals(code49):
 def test_generators_independent(code9, code49):
     for code in (code9, code49):
         gens = code.stabilizers + code.gauges + code.logicals
-        rows = code._symplectic_rows(gens)
+        rows = symplectic_rows(gens, code.n)
         assert gf2.rank(rows) == len(gens)
 
 
@@ -174,7 +174,7 @@ def test_subsystem_stabilizers_inside_shor_group(pair, request):
     c2 = request.getfixturevalue(pair[1])
     code = SubsystemCode(c1, c2)
     shor = ShorCode(c1, c2)
-    shor_rows = shor._symplectic_rows(shor.stabilizers)
+    shor_rows = symplectic_rows(shor.stabilizers, shor.n)
     for s in code.stabilizers:
         v = np.concatenate([s.z.ravel(), s.x.ravel()])
         assert solve(shor_rows.T, v) is not None
@@ -182,7 +182,7 @@ def test_subsystem_stabilizers_inside_shor_group(pair, request):
 
 def test_shor_group_strictly_larger(code9, shor9):
     """The converse fails: column-local checks are not in the reduced group."""
-    sub_rows = code9._symplectic_rows(code9.stabilizers)
+    sub_rows = symplectic_rows(code9.stabilizers, code9.n)
     in_group = [
         solve(sub_rows.T,
                   np.concatenate([s.z.ravel(), s.x.ravel()])) is not None

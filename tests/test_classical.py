@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from subqec import LinearCode, builtin, gf2, hamming_7_4, repetition
 from subqec.classical import _codeword_rule, _syndrome_rule
 
-from references import golay_23_12, rref
+from references import codewords, golay_23_12, rref
 
 
 def same_row_space(a, b):
@@ -125,7 +125,7 @@ def test_full_rate_distance_is_one():
 
 def test_distance_matches_codeword_enumeration(ham):
     # Oracle: minimum weight over the explicitly enumerated codewords.
-    words = ham.codewords()
+    words = codewords(ham)
     weights = words.sum(axis=1)
     assert ham.min_distance() == int(weights[weights > 0].min())
 
@@ -140,7 +140,7 @@ def test_distance_matches_codeword_enumeration_on_random_codes():
             if gf2.rank(g) != k:
                 continue
             code = LinearCode.from_generator(g)
-            weights = code.codewords().sum(axis=1)
+            weights = codewords(code).sum(axis=1)
             assert code.min_distance() == int(weights[weights > 0].min())
 
 
@@ -165,7 +165,7 @@ def test_wrong_claimed_distance_rejected():
 
 def test_syndrome_of_codewords_is_zero(rep3, ham):
     for code in (rep3, ham):
-        for word in code.codewords():
+        for word in codewords(code):
             assert not code.syndrome(word).any()
 
 
@@ -266,19 +266,20 @@ def test_decode_table_matches_weight_lex_scan(codename):
 @pytest.mark.parametrize("codename", sorted(TABLE_CODES))
 def test_fail_table_matches_decode(codename):
     code = TABLE_CODES[codename]()
-    assert code.fail.shape == (1 << code.n,)
+    fails = code.fails(np.arange(1 << code.n))
+    assert fails.shape == (1 << code.n,)
     for v in range(1 << code.n):
         bits = word_bits(v, code.n)
         residual = bits ^ code.decode(code.syndrome(bits))
         logical = (code.check_complement @ residual) & 1
-        assert code.fail[v] == bool(logical.any())
+        assert fails[v] == bool(logical.any())
 
 
 def test_tables_are_read_only(ham):
     with pytest.raises(ValueError):
         ham.leaders[0] = 1
-    with pytest.raises(ValueError):
-        ham.fail[0] = True
+    with pytest.raises(ValueError):  # the word table fails reads for n <= 20
+        ham.fails.__self__[0] = True
 
 
 def test_attributes_cannot_be_rebound_or_deleted():
@@ -288,7 +289,7 @@ def test_attributes_cannot_be_rebound_or_deleted():
     code = LinearCode.from_parity(hamming_7_4().check)
     assert code.d is None
     assert code.min_distance() == 3 and code.d == 3
-    code.fail, code.bases_are_dual
+    code.fails, code.bases_are_dual
     for name in [*vars(code), "leaders", "min_distance", "unset"]:
         with pytest.raises(AttributeError, match="immutable: cannot set"):
             setattr(code, name, None)
@@ -320,10 +321,10 @@ def test_debug_records_name_their_caller(caplog):
 
 def test_table_builds_log_at_debug_only(caplog):
     quiet, loud = repetition(5), repetition(6)
-    quiet.leaders, quiet.fail
+    quiet.leaders, quiet.fails
     assert not caplog.records
     with caplog.at_level(logging.DEBUG, logger="subqec"):
-        loud.leaders, loud.fail
+        loud.leaders, loud.fails
     assert [r.name for r in caplog.records] == ["subqec.classical"] * 2
     for record, table in zip(caplog.records, ("leader table", "fail table")):
         assert re.fullmatch(rf"{table} of <LinearCode 'rep6' \[6,1,6\]> "
@@ -333,9 +334,11 @@ def test_table_builds_log_at_debug_only(caplog):
 
 def test_tables_refused_above_twenty_bits():
     # The fail table has one entry per word, the leader table one per
-    # syndrome.
-    with pytest.raises(ValueError, match=r"no fail table for n=21 > 20"):
-        repetition(21).fail
+    # syndrome.  Past 20 bits, fails takes a rule that builds neither.
+    rep21 = repetition(21)
+    assert rep21.fails(np.array([0, 1 << 20, (1 << 21) - 1])).tolist() == [
+        False, False, True]
+    assert "leaders" not in vars(rep21)
     with pytest.raises(ValueError, match=r"n <= 63 and n-k <= 20"):
         repetition(22).leaders
     assert "leaders" not in vars(repetition(22))
@@ -399,13 +402,14 @@ def test_codeword_and_syndrome_routes_match_fail_table(data):
     assert len(found) == 1 << m
     assert np.array_equal(code.leaders, words[first][at])
     residual = bits ^ word_array_bits(code.leaders[syndromes], n)
-    assert np.array_equal(code.fail,
+    table = code.fails(words)
+    assert np.array_equal(table,
                           (residual @ code.check_complement.T & 1).any(axis=1))
     if n <= 10:  # 2**n words times 2**k codewords
-        assert np.array_equal(_codeword_rule(code)(words), code.fail)
-    assert np.array_equal(_syndrome_rule(code)(words), code.fail)
+        assert np.array_equal(_codeword_rule(code)(words), table)
+    assert np.array_equal(_syndrome_rule(code)(words), table)
     two_d = words.reshape(2, -1) if n > 1 else words[None]
-    assert np.array_equal(code.fails(two_d), code.fail[two_d])
+    assert np.array_equal(code.fails(two_d), table[two_d])
 
 
 def test_long_repetition_decodes_by_majority():

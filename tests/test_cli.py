@@ -14,7 +14,6 @@ import pytest
 import subqec
 from subqec import cli, simulate
 from subqec.cli import (
-    format_matrix,
     load_code,
     main,
     parse_error,
@@ -193,6 +192,21 @@ def test_distance_rep6_grid_within_guard(capsys):
                                "k": 1, "n": 36, "w_max": 6}
 
 
+def test_distance_huge_bound_runs_to_n():
+    # No operator is heavier than n, so a bound of 10**12 runs as 9 does;
+    # the timeout fails a search that walks every weight up to the bound.
+    src = pathlib.Path(subqec.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "subqec", "distance", "--c1", "rep:3",
+         "--c2", "rep:3", "--wmax", "1000000000000"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "distance": 3, "found_within_bound": True, "k": 1, "n": 9,
+        "w_max": 10 ** 12}
+
+
 def test_distance_bound_too_small(capsys):
     code, out, _ = run_cli(capsys, "distance", "--c1", "rep:3",
                            "--c2", "rep:3", "--wmax", "2")
@@ -217,6 +231,17 @@ def test_simulate_golden_and_stable(capsys):
                                "stabilizer_count": 4}
     code2, out2, _ = run_cli(capsys, *args)
     assert out2 == out
+
+
+def test_simulate_huge_worker_count(capsys):
+    # A run has at most one range per trial, so the split allocates
+    # nothing sized by --workers.
+    args = ("simulate", "--c1", "rep:3", "--c2", "rep:3", "--noise",
+            "x_only", "--p", "0.1", "--trials", "5", "--seed", "1",
+            "--workers")
+    one = run_cli(capsys, *args, "1")
+    assert one[0] == 0
+    assert run_cli(capsys, *args, "1000000000000000") == one
 
 
 def test_simulate_reports_failures_by_axis(capsys):
@@ -327,8 +352,9 @@ def test_matrix_round_trip():
     for _ in range(25):
         m = rng.integers(0, 2, (rng.integers(1, 6), rng.integers(1, 9)),
                          dtype=np.uint8)
-        again = parse_matrix(format_matrix(m))
-        assert np.array_equal(again, m)
+        text = f"{m.shape[0]} {m.shape[1]}\n" + "".join(
+            "".join(map(str, row)) + "\n" for row in m)
+        assert np.array_equal(parse_matrix(text), m)
 
 
 def test_matrix_comments_and_blanks():

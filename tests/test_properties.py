@@ -32,6 +32,7 @@ from subqec.simulate import _Kernel, _count_chunk
 from references import (
     batch_failures,
     distance_by_three_paulis,
+    symplectic_rows,
     trial_uniforms,
     walked_exact_rate,
 )
@@ -218,7 +219,7 @@ def test_generator_lists_are_views_of_the_stacks(c1, c2, shor):
     stacked = np.zeros((s_z + s_x, 2 * code.n), np.uint8)
     stacked[:s_z, :code.n] = code.z_stabilizer_bits.reshape(s_z, code.n)
     stacked[s_z:, code.n:] = code.x_stabilizer_bits.reshape(s_x, code.n)
-    assert np.array_equal(code._symplectic_rows(code.stabilizers), stacked)
+    assert np.array_equal(symplectic_rows(code.stabilizers, code.n), stacked)
 
 
 LISTS = tuple(family for family, _, _ in FAMILIES)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subqec import (
+    LinearCode,
     PauliGrid,
     ShorCode,
     SubsystemCode,
@@ -141,9 +142,12 @@ def test_stage_decoders_mirror_each_other():
 
 
 def test_decoder_shape_checks(code9):
-    with pytest.raises(ValueError):
+    # s_x is checked as given, before the stage decodes its transpose.
+    with pytest.raises(ValueError,
+                       match=r"^s_z shape \(1, 2\) is not \(2,1\)$"):
         decode_bitflip(code9, np.zeros((1, 2), np.uint8))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^s_x shape \(2, 1\) is not \(1,2\)$"):
         decode_phaseflip(code9, np.zeros((2, 1), np.uint8))
 
 
@@ -288,12 +292,28 @@ def test_distance_guard_triggers(code49):
 
 
 def test_distance_guard_counts_one_operator_per_type_and_subset(code9):
-    # 2 * (C(9, 1) + C(9, 2)) = 90 candidates: an X-type and a Z-type
-    # operator on each set of at most 2 sites.
-    with pytest.raises(ValueError, match=r"^90 candidates exceed the guard "
-                                         r"of 89;"):
-        distance_bruteforce(code9, 2, candidate_guard=89)
-    assert distance_bruteforce(code9, 2, candidate_guard=90) is None
+    # rep3^2 has 3 distinct site signatures of each type, so the search
+    # visits 2 * (C(3, 1) + C(3, 2)) = 12 candidates: an X-type and a
+    # Z-type operator on each set of at most 2 signatures.
+    with pytest.raises(ValueError, match=r"^12 candidates exceed the guard "
+                                         r"of 11;"):
+        distance_bruteforce(code9, 2, candidate_guard=11)
+    assert distance_bruteforce(code9, 2, candidate_guard=12) is None
+
+
+def test_distance_guard_counts_signatures_not_sites():
+    # rep7^2 has 49 sites but 7 signatures of each type: 2 * (2**7 - 1) =
+    # 254 candidates at w <= 7, where the sites gave about 2.0e8.
+    assert distance_bruteforce(SubsystemCode(repetition(7), repetition(7)),
+                               7) == 7
+
+
+def test_distance_bound_above_n_is_read_as_n():
+    # No operator is heavier than n, so a huge bound costs no more than n:
+    # the guard's sum and the search stop there.
+    no_logical = SubsystemCode(repetition(2), LinearCode.from_parity([[1]]))
+    assert no_logical.k == 0
+    assert distance_bruteforce(no_logical, 10 ** 12) is None
 
 
 @pytest.mark.parametrize("cls", [SubsystemCode, ShorCode])
@@ -312,8 +332,9 @@ def test_distance_on_grids_whose_types_differ(cls, spec1, spec2, d):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_distance_repetition_grids(n):
-    # rep6^2 at w <= 6 is 2 * sum_w C(36, w), about 4.8e6 candidates, inside
-    # the default guard; with X, Z and Y at every site it would be 1.5e9.
+    # rep6^2 at w <= 6 is 2 * sum_w C(6, w) = 126 candidates over its 6
+    # signatures of each type; with X, Z and Y at every one of its 36 sites
+    # it would be 1.5e9.
     code = SubsystemCode(repetition(n), repetition(n))
     assert distance_bruteforce(code, n) == n
     assert distance_bruteforce(code, n - 1) is None

@@ -251,6 +251,14 @@ def test_thread_pool_capped_at_core_count(code9, monkeypatch, cores):
     assert ranges == [(t, t + 1) for t in range(5000)]
 
 
+def test_huge_worker_count_splits_by_trials(code9):
+    # A run has at most one range per trial, so 10**15 workers allocate
+    # no array of workers + 1 bounds.
+    noise = NoiseModel.x_only(0.1)
+    assert run_trials(code9, noise, trials=5, seed=1,
+                      workers=10 ** 15) == run_trials(code9, noise, 5, seed=1)
+
+
 def test_batch_size_does_not_change_results(code9):
     noise = NoiseModel.independent_xz(0.03, 0.07)
     a = run_trials(code9, noise, 10000, seed=23, batch_size=8192)
@@ -686,7 +694,7 @@ def test_exact_rate_refuses_large_grids():
         with pytest.raises(ValueError, match=match):
             exact_rate_enumeration(SubsystemCode(c1, c2),
                                    NoiseModel.x_only(0.1))
-        assert "fail" not in vars(c1) and "fail" not in vars(c2)
+        assert "fails" not in vars(c1) and "fails" not in vars(c2)
     # rep21 x (a k = 0 code) decodes with a 21-bit code, past any fail
     # table, but its line signs no word: the rate is exactly 0, as in
     # Monte Carlo, and no table is built.
@@ -694,7 +702,7 @@ def test_exact_rate_refuses_large_grids():
     assert exact_rate_enumeration(code, NoiseModel.x_only(0.1)) == 0.0
     assert run_trials(code, NoiseModel.x_only(0.1), 2000,
                       seed=5).logical_failures == 0
-    assert "fail" not in vars(rep21)
+    assert "fails" not in vars(rep21)
     # rep64 has no decoding route at all, but a stage with no word needs
     # none: Monte Carlo builds no rule for it under either channel.
     rep64 = repetition(64)
@@ -704,7 +712,7 @@ def test_exact_rate_refuses_large_grids():
         report = run_trials(code, noise, 2000, seed=5)
         assert report.logical_failures == report.bit_flip_failures == 0
         assert report.rate == 0.0
-    assert not {"fails", "fail", "leaders"} & set(vars(rep64))
+    assert not {"fails", "leaders"} & set(vars(rep64))
 
 
 # -- failure-rate scaling ---------------------------------------------------------

@@ -95,6 +95,11 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     return ((x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F) * 0x0101010101010101 >> 56
 
 
+def _as_word(v) -> np.ndarray:
+    """``v`` flattened to a 0/1 uint8 vector, checked by gf2.as_bits."""
+    return gf2.as_bits(np.reshape(v, (1, -1)))[0]
+
+
 def _syndrome_rule(code: "LinearCode"):
     """v fails iff ``leader(P v) != v``, with the syndrome ``P v`` read off
     one table per byte of v."""
@@ -191,7 +196,7 @@ class LinearCode:
             check_complement=dual_basis[n - k:],
             _generator_rows=g, _distance=None)
         if distance is not None:
-            if self.min_distance() != distance:
+            if self.min_distance() != gf2._require_int("distance", distance):
                 raise ValueError(
                     f"claimed distance {distance} but true distance is "
                     f"{self._distance}")
@@ -276,7 +281,7 @@ class LinearCode:
 
     def syndrome(self, e) -> np.ndarray:
         """Syndrome ``check @ e`` of an error vector of length n."""
-        e = np.asarray(e, dtype=np.uint8).reshape(-1)
+        e = _as_word(e)
         if e.shape[0] != self.n:
             raise ValueError(f"error length {e.shape[0]} != n={self.n}")
         return (self.check @ e) & 1
@@ -285,7 +290,7 @@ class LinearCode:
         """Coset-leader decoding of syndrome s: a row of :attr:`leaders`,
         or the least of the coset's 2**k words for a code decoded by its
         codewords.  ValueError for a code no route covers."""
-        s = np.asarray(s, dtype=np.uint8).reshape(-1)
+        s = _as_word(s)
         n, m = self.n, self.n - self.k
         if s.shape[0] != m:
             raise ValueError(f"syndrome length {s.shape[0]} != n-k={m}")

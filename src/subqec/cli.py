@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .classical import LinearCode, builtin
 from .builder import ShorCode, SubsystemCode
-from .simulate import RNG_LAYOUT, NoiseModel, compare_report, run_trials
+from .simulate import (RNG_LAYOUT, _NOISE_KINDS, NoiseModel, _reads,
+                       compare_report, run_trials)
 
 # recovery and pauli are imported by the subcommands that use them, so
 # simulate, build, info and compare skip them.
@@ -47,7 +48,10 @@ def parse_matrix(text: str, source: str = "<matrix>") -> np.ndarray:
             continue
         if header is None:
             parts = line.split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
+            # str.isdigit also passes "²", which int() rejects, and "３",
+            # which it reads as 3.
+            if len(parts) != 2 or not all(p.isascii() and p.isdigit()
+                                          for p in parts):
                 raise ValueError(
                     f"{source}:{lineno}: expected '<rows> <cols>' header, "
                     f"got {line!r}")
@@ -95,7 +99,7 @@ def load_code(spec: str) -> LinearCode:
 
 # -- Pauli strings --------------------------------------------------------
 
-_TERM_RE = re.compile(r"^([XYZ])@\((\d+),(\d+)\)$")
+_TERM_RE = re.compile(r"([XYZ])@\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
 def parse_error(text: str, rows: int, cols: int) -> PauliGrid:
@@ -106,16 +110,14 @@ def parse_error(text: str, rows: int, cols: int) -> PauliGrid:
     op = PauliGrid.identity(rows, cols)
     # Site coordinates contain commas, so match whole terms instead of
     # splitting the string on commas.
-    terms = re.findall(r"[XYZ]@\(\s*\d+\s*,\s*\d+\s*\)", text)
-    leftover = re.sub(r"[XYZ]@\(\s*\d+\s*,\s*\d+\s*\)", "", text)
-    if leftover.strip(", \t"):
+    terms = _TERM_RE.findall(text)
+    if _TERM_RE.sub("", text).strip(", \t"):
         raise ValueError(f"unparsed error terms in {text!r}; expected "
                          f"comma-separated P@(row,col) with P in X,Y,Z")
     if not terms:
         raise ValueError(f"no error terms found in {text!r}")
-    for term in terms:
-        m = _TERM_RE.match(term.replace(" ", ""))
-        kind, r, c = m.group(1), int(m.group(2)), int(m.group(3))
+    for kind, r, c in terms:
+        r, c = int(r), int(c)
         if not (r < rows and c < cols):
             raise ValueError(f"site ({r},{c}) outside the {rows}x{cols} grid")
         op = op * PauliGrid.single(rows, cols, r, c, kind)
@@ -144,18 +146,12 @@ def _sig6(value: float) -> float:
 
 def _cmd_info(args) -> int:
     code = load_code(args.codespec)
-    _emit({
-        "name": code.name,
-        "n": code.n,
-        "k": code.k,
-        "d": code.distance_if_enumerable(),
-        "generator": ["".join(str(int(b)) for b in r) for r in code.generator],
-        "check": ["".join(str(int(b)) for b in r) for r in code.check],
-        "check_complement": ["".join(str(int(b)) for b in r)
-                             for r in code.check_complement],
-        "generator_complement": ["".join(str(int(b)) for b in r)
-                                 for r in code.generator_complement],
-    })
+    payload = {"name": code.name, "n": code.n, "k": code.k,
+               "d": code.distance_if_enumerable()}
+    for role in ("generator", "check", "check_complement",
+                 "generator_complement"):
+        payload[role] = ["".join(map(str, r)) for r in getattr(code, role)]
+    _emit(payload)
     return 0
 
 
@@ -230,20 +226,16 @@ def _cmd_decode(args) -> int:
 
 def _cmd_simulate(args) -> int:
     code = _build(args)
-    kind = args.noise
-    read = ("px", "pz") if kind == "independent_xz" else ("p",)
-    unread = [f"--{flag}" for flag in ("p", "px", "pz")
-              if flag not in read and getattr(args, flag) is not None]
+    kind, read = args.noise, _reads(args.noise)
+    flag = {"p": "--p", "p_x": "--px", "p_z": "--pz"}
+    unread = [flag[f] for f in flag
+              if f not in read and getattr(args, f) is not None]
     if unread:
         raise ValueError(f"{kind} noise does not read {', '.join(unread)}")
-    if kind == "independent_xz":
-        if args.px is None or args.pz is None:
-            raise ValueError("independent_xz needs --px and --pz")
-        noise = NoiseModel.independent_xz(args.px, args.pz)
-    else:
-        if args.p is None:
-            raise ValueError(f"{kind} needs --p")
-        noise = getattr(NoiseModel, kind)(args.p)
+    fields = {f: getattr(args, f) for f in read}
+    if None in fields.values():
+        raise ValueError(f"{kind} needs {' and '.join(map(flag.get, read))}")
+    noise = NoiseModel(kind, **fields)
     report = run_trials(code, noise, args.trials, args.seed,
                         workers=args.workers)
     n, k, gauge, stabs = report.code_params
@@ -314,12 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo logical failure rate")
     _add_pair(p, shor_flag=False)
-    p.add_argument("--noise", required=True,
-                   choices=["depolarizing", "x_only", "z_only",
-                            "independent_xz"])
+    p.add_argument("--noise", required=True, choices=_NOISE_KINDS)
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--px", type=float, default=None)
-    p.add_argument("--pz", type=float, default=None)
+    p.add_argument("--px", dest="p_x", metavar="PX", type=float, default=None)
+    p.add_argument("--pz", dest="p_z", metavar="PZ", type=float, default=None)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)

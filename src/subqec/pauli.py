@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gf2 import _require_int, as_bits
+
 _SITE_CHARS = "IXZY"  # index = 2*z + x
 
 
@@ -24,11 +26,9 @@ class PauliGrid:
         x = np.asarray(x)
         if z.ndim != 2 or z.shape != x.shape:
             raise ValueError(f"z/x shapes {z.shape} and {x.shape} must match")
-        # Checked before the cast, which would wrap or reject other values.
-        if not (((z == 0) | (z == 1)).all() and ((x == 0) | (x == 1)).all()):
-            raise ValueError("exponent matrices must be 0/1")
-        self.z = z.astype(np.uint8)
-        self.x = x.astype(np.uint8)
+        # as_bits may return the caller's array, which must stay writable.
+        self.z = as_bits(z).copy()
+        self.x = as_bits(x).copy()
         self.z.setflags(write=False)
         self.x.setflags(write=False)
         self.phase = int(phase) % 4
@@ -48,22 +48,16 @@ class PauliGrid:
     @classmethod
     def single(cls, rows: int, cols: int, r: int, c: int, kind: str) -> "PauliGrid":
         """A single-site X, Y, or Z (Y carries phase 3 so it is literal Y)."""
+        # numpy would read True as a new axis, marking a whole row.
+        r, c = _require_int("row", r), _require_int("column", c)
         if not (0 <= r < rows and 0 <= c < cols):
             raise ValueError(f"site ({r},{c}) outside {rows}x{cols} grid")
+        if kind not in ("X", "Y", "Z"):
+            raise ValueError(f"kind must be X, Y or Z, not {kind!r}")
         z = np.zeros((rows, cols), np.uint8)
         x = np.zeros((rows, cols), np.uint8)
-        phase = 0
-        if kind == "X":
-            x[r, c] = 1
-        elif kind == "Z":
-            z[r, c] = 1
-        elif kind == "Y":
-            z[r, c] = 1
-            x[r, c] = 1
-            phase = 3
-        else:
-            raise ValueError(f"kind must be X, Y or Z, not {kind!r}")
-        return cls(z, x, phase)
+        z[r, c], x[r, c] = divmod(_SITE_CHARS.index(kind), 2)
+        return cls(z, x, 3 if kind == "Y" else 0)
 
     @property
     def shape(self) -> tuple:

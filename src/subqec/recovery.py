@@ -77,8 +77,9 @@ def extract_syndrome(code: SubsystemCode, err: PauliGrid) -> Syndrome:
 
 
 def _decode_stage(s: np.ndarray, dec, spread) -> np.ndarray:
-    """Each column of syndrome ``s`` decoded with ``dec``, the estimates
-    spread along the rows of ``spread``'s check_complement."""
+    """Each column of syndrome ``s`` decoded with ``dec``, which checks its
+    entries are 0/1, the estimates spread along the rows of ``spread``'s
+    check_complement."""
     est = np.array([dec.decode(col) for col in s.T], np.uint8)
     return (est.reshape(spread.k, dec.n).T @ spread.check_complement) & 1
 
@@ -92,7 +93,7 @@ def decode_bitflip(code: SubsystemCode, s_z: np.ndarray) -> PauliGrid:
     """
     _refuse_shor(code)
     c1, c2 = code.c1, code.c2
-    s_z = np.asarray(s_z, dtype=np.uint8)
+    s_z = np.asarray(s_z)
     if s_z.shape != (c1.n - c1.k, c2.k):
         raise ValueError(f"s_z shape {s_z.shape} is not "
                          f"({c1.n - c1.k},{c2.k})")
@@ -106,7 +107,7 @@ def decode_phaseflip(code: SubsystemCode, s_x: np.ndarray) -> PauliGrid:
     check_complement columns)."""
     _refuse_shor(code)
     c1, c2 = code.c1, code.c2
-    s_x = np.asarray(s_x, dtype=np.uint8)
+    s_x = np.asarray(s_x)
     if s_x.shape != (c1.k, c2.n - c2.k):
         raise ValueError(f"s_x shape {s_x.shape} is not "
                          f"({c1.k},{c2.n - c2.k})")

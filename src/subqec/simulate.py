@@ -61,6 +61,11 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(f"{__package__}.{_LAZY[name]}"), name)
 
 
+def _reads(kind: str) -> tuple:
+    """The :class:`NoiseModel` fields that noise of ``kind`` reads."""
+    return ("p_x", "p_z") if kind == "independent_xz" else ("p",)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """A single-qubit Pauli channel applied independently per site.
@@ -79,7 +84,7 @@ class NoiseModel:
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one "
                              f"of {', '.join(_NOISE_KINDS)}")
-        read = ("p_x", "p_z") if self.kind == "independent_xz" else ("p",)
+        read = _reads(self.kind)
         for label in ("p", "p_x", "p_z"):
             value = getattr(self, label)
             # A bool would run as 0 or 1, and a string or complex would
@@ -418,27 +423,15 @@ def compare_report(c1: LinearCode, c2: LinearCode) -> dict:
         "stabilizers_saved": shor - sub,
     }
     if (c1.n, c1.k) == (7, 4) and (c2.n, c2.k) == (7, 4):
-        rep4_outer = sum(_stabilizer_counts(4, 1, 4, 1))
-        rep3_outer = sum(_stabilizer_counts(3, 1, 3, 1))
         steane_block = 6  # a [[7,1,3]] code measures 7 - 1 stabilizers
         report["composed_schemes"] = [
-            {
-                "scheme": "hamming grid + rep4 grid outer layer",
-                "inner_stabilizers": sub,
-                "outer_stabilizers": rep4_outer,
-                "total": sub + rep4_outer,
-            },
-            {
-                "scheme": "hamming grid + rep3 grid outer layer on 9 logicals",
-                "inner_stabilizers": sub,
-                "outer_stabilizers": rep3_outer,
-                "total": sub + rep3_outer,
-            },
-            {
-                "scheme": "steane-in-steane concatenation",
-                "inner_stabilizers": 7 * steane_block,
-                "outer_stabilizers": steane_block,
-                "total": 7 * steane_block + steane_block,
-            },
-        ]
+            {"scheme": scheme, "inner_stabilizers": inner,
+             "outer_stabilizers": outer, "total": inner + outer}
+            for scheme, inner, outer in (
+                ("hamming grid + rep4 grid outer layer",
+                 sub, sum(_stabilizer_counts(4, 1, 4, 1))),
+                ("hamming grid + rep3 grid outer layer on 9 logicals",
+                 sub, sum(_stabilizer_counts(3, 1, 3, 1))),
+                ("steane-in-steane concatenation",
+                 7 * steane_block, steane_block))]
     return report

@@ -161,6 +161,18 @@ def test_wrong_claimed_distance_rejected():
         LinearCode(generator=[[1, 1, 1]], distance=2)
 
 
+@pytest.mark.parametrize("generator,distance", [
+    ([[1, 1, 1]], "3"), ([[1, 1, 1]], 3.0), ([[1, 1, 1]], True),
+    ([[1]], True)])
+def test_claimed_distance_must_be_an_integer(generator, distance):
+    # "3" was reported as "claimed distance 3 but true distance is 3", and
+    # True was taken as 1.
+    with pytest.raises(ValueError,
+                       match=r"^distance must be an integer, not "):
+        LinearCode(generator=generator, distance=distance)
+    assert LinearCode(generator=[[1, 1, 1]], distance=np.int64(3)).d == 3
+
+
 # -- syndrome ----------------------------------------------------------------
 
 def test_syndrome_of_codewords_is_zero(rep3, ham):
@@ -171,6 +183,16 @@ def test_syndrome_of_codewords_is_zero(rep3, ham):
 
 def test_syndrome_known_value(rep3):
     assert rep3.syndrome([1, 0, 0]).tolist() == [1, 0]
+    assert rep3.syndrome([True, False, False]).tolist() == [1, 0]
+    assert rep3.syndrome([[1, 0, 0]]).tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("e", [[2, 0, 0], [0.5, 1, 0], [-1, 0, 0]])
+def test_syndrome_rejects_non_binary_entries(rep3, e):
+    # A cast to uint8 let 2 count as 0 and cut 0.5 to 0, and -1 raised
+    # OverflowError.
+    with pytest.raises(ValueError, match="0 or 1"):
+        rep3.syndrome(e)
 
 
 def test_syndrome_length_check(rep3):
@@ -187,6 +209,8 @@ def test_decode_zero_syndrome(rep3, ham):
 
 def test_decode_rep3_known(rep3):
     assert rep3.decode([1, 0]).tolist() == [1, 0, 0]
+    assert rep3.decode([True, False]).tolist() == [1, 0, 0]
+    assert rep3.decode([[1, 0]]).tolist() == [1, 0, 0]
 
 
 def test_decode_tie_break_is_lexicographic(rep2):
@@ -473,6 +497,14 @@ def test_codes_no_route_covers_are_refused(make, match):
                 lambda: code.decode(np.zeros(code.n - code.k, np.uint8))):
         with pytest.raises(ValueError, match=match):
             use()
+
+
+@pytest.mark.parametrize("s", [[2, 0], [3, 0], [0.9, 0], [-1, 0]])
+def test_decode_rejects_non_binary_entries(rep3, s):
+    # A cast to uint8 decoded [2, 0] as the syndrome [0, 1], [3, 0] as
+    # [1, 1] and [0.9, 0] as [0, 0], and -1 raised OverflowError.
+    with pytest.raises(ValueError, match="0 or 1"):
+        rep3.decode(s)
 
 
 def test_decode_length_check(rep3):

@@ -69,6 +69,50 @@ GOLDEN_COMPARE_REP3 = """\
 }
 """
 
+GOLDEN_COMPARE_HAMMING2 = """\
+{
+  "code1": {
+    "d": 3,
+    "k": 4,
+    "n": 7
+  },
+  "code2": {
+    "d": 3,
+    "k": 4,
+    "n": 7
+  },
+  "composed_schemes": [
+    {
+      "inner_stabilizers": 24,
+      "outer_stabilizers": 6,
+      "scheme": "hamming grid + rep4 grid outer layer",
+      "total": 30
+    },
+    {
+      "inner_stabilizers": 24,
+      "outer_stabilizers": 4,
+      "scheme": "hamming grid + rep3 grid outer layer on 9 logicals",
+      "total": 28
+    },
+    {
+      "inner_stabilizers": 42,
+      "outer_stabilizers": 6,
+      "scheme": "steane-in-steane concatenation",
+      "total": 48
+    }
+  ],
+  "grid": {
+    "distance": 3,
+    "gauge_qubits": 9,
+    "k": 16,
+    "n": 49
+  },
+  "shor_stabilizers": 33,
+  "stabilizers_saved": 9,
+  "subsystem_stabilizers": 24
+}
+"""
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -89,6 +133,15 @@ def test_compare_rep3_golden(capsys):
     code, out, _ = run_cli(capsys, "compare", "--c1", "rep:3", "--c2", "rep:3")
     assert code == 0
     assert out == GOLDEN_COMPARE_REP3
+
+
+def test_compare_hamming_squared_golden(capsys):
+    # The composed schemes, their names and their order are part of the
+    # output.
+    code, out, _ = run_cli(capsys, "compare", "--c1", "hamming:7-4",
+                           "--c2", "hamming:7-4")
+    assert code == 0
+    assert out == GOLDEN_COMPARE_HAMMING2
 
 
 def test_decode_golden(capsys):
@@ -408,6 +461,18 @@ def test_rank_deficient_file_exits_one(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("header", ["\u00b2 3", "\uff11 3", "1 \u0663"],
+                         ids=["superscript", "fullwidth", "arabic-indic"])
+def test_matrix_header_takes_ascii_digits_only(tmp_path, capsys, header):
+    # Superscript and fullwidth digits pass str.isdigit; int() rejects the
+    # first with a message that names no line and reads the others.
+    gen = tmp_path / "gen.txt"
+    gen.write_text(f"{header}\n111\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "info", f"generator:{gen}")
+    assert (code, out) == (1, "")
+    assert f"{gen}:1: expected '<rows> <cols>' header" in err
+
+
 # -- error strings ------------------------------------------------------------
 
 def test_parse_error_single_sites():
@@ -418,6 +483,13 @@ def test_parse_error_single_sites():
 def test_parse_error_composes_duplicates():
     op = parse_error("X@(0,0),Z@(0,0)", 2, 2)
     assert op.to_rows() == ["YI", "II"]
+
+
+def test_parse_error_reads_any_space_inside_a_term():
+    # A tab inside a term once matched the search but not the per-term
+    # parse, which raised AttributeError.
+    op = parse_error("X@(\t0 ,\t1),Z@( 1,0 )", 2, 2)
+    assert op.to_rows() == ["IX", "ZI"]
 
 
 def test_parse_error_rejects_bad_input():
@@ -454,12 +526,30 @@ def test_simulate_and_decode_take_no_shor_flag(capsys, command):
     assert code == 2 and out == ""
 
 
-def test_missing_rate_for_independent_xz(capsys):
-    code, _, err = run_cli(capsys, "simulate", "--c1", "rep:2", "--c2",
-                           "rep:2", "--noise", "independent_xz",
-                           "--trials", "10", "--seed", "1")
-    assert code == 1
-    assert "px" in err and "pz" in err
+@pytest.mark.parametrize("noise,given,message", [
+    ("depolarizing", (), "depolarizing needs --p"),
+    ("x_only", (), "x_only needs --p"),
+    ("z_only", (), "z_only needs --p"),
+    ("independent_xz", (), "independent_xz needs --px and --pz"),
+    ("independent_xz", ("--px", "0.1"), "independent_xz needs --px and --pz"),
+    ("independent_xz", ("--pz", "0.1"), "independent_xz needs --px and --pz"),
+], ids=["depolarizing", "x_only", "z_only", "independent_xz",
+        "independent_xz-px-only", "independent_xz-pz-only"])
+def test_missing_rate_messages(capsys, noise, given, message):
+    code, out, err = run_cli(capsys, "simulate", "--c1", "rep:2", "--c2",
+                             "rep:2", "--noise", noise, *given,
+                             "--trials", "10", "--seed", "1")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_simulate_usage_names_rate_flags(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line, however wide
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions
+             if isinstance(a, cli.argparse._SubParsersAction)]
+    usage = sub.choices["simulate"].format_usage()
+    assert ("--noise {depolarizing,x_only,z_only,independent_xz} "
+            "[--p P] [--px PX] [--pz PZ] --trials TRIALS") in usage
 
 
 def test_version_flag(capsys):

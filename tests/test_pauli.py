@@ -23,6 +23,50 @@ def test_single_site_weights():
         assert PauliGrid.single(2, 2, 0, 1, kind).weight() == 1
 
 
+@pytest.mark.parametrize("kind", ["I", "XZ", "", "x", 1])
+def test_single_rejects_other_kinds(kind):
+    with pytest.raises(ValueError,
+                       match=r"^kind must be X, Y or Z, not "):
+        PauliGrid.single(2, 2, 0, 1, kind)
+
+
+@pytest.mark.parametrize("bad", [[[2, 0]], [[0.5, 0]], [[-1, 0]], [[256, 0]]])
+def test_entries_outside_0_1_are_rejected_not_wrapped(bad):
+    with pytest.raises(ValueError, match="0 or 1"):
+        PauliGrid(bad, [[0, 0]])
+    with pytest.raises(ValueError, match="0 or 1"):
+        PauliGrid([[0, 0]], bad)
+
+
+def test_shape_checks_keep_their_message():
+    with pytest.raises(ValueError, match=r"^z/x shapes \(2,\) and \(2,\) "
+                                         r"must match$"):
+        PauliGrid([0, 1], [1, 0])
+    with pytest.raises(ValueError, match=r"^z/x shapes \(1, 2\) and "
+                                         r"\(2, 1\) must match$"):
+        PauliGrid([[0, 1]], [[1], [0]])
+
+
+def test_given_arrays_stay_writable_and_unshared():
+    z = np.array([[1, 0]], np.uint8)
+    x = np.array([[True, False]])
+    op = PauliGrid(z, x)
+    assert z.flags.writeable and x.flags.writeable
+    z[0, 0] = 0
+    x[0, 0] = False
+    assert op.to_rows() == ["YI"]
+    assert not (op.z.flags.writeable or op.x.flags.writeable)
+
+
+@pytest.mark.parametrize("site", [(True, 0), (0, True), (0.5, 0), (1.0, 0)])
+def test_single_site_must_be_integers(site):
+    # True marked the whole of row 0, and a float raised IndexError.
+    with pytest.raises(ValueError, match="must be an integer"):
+        PauliGrid.single(2, 2, *site, "X")
+    op = PauliGrid.single(2, 2, np.int64(1), 0, "X")
+    assert op.to_rows() == ["II", "XI"]
+
+
 def test_weight_counts_sites_not_parts():
     op = PauliGrid([[1, 0], [0, 0]], [[1, 0], [0, 1]])
     assert op.weight() == 2  # Y at (0,0) and X at (1,1)

@@ -151,6 +151,19 @@ def test_decoder_shape_checks(code9):
         decode_phaseflip(code9, np.zeros((2, 1), np.uint8))
 
 
+def test_decoders_reject_non_binary_syndromes(code9):
+    # A cast to uint8 let [[2], [0]] through to a correction, and [[0, 3]]
+    # raised IndexError.
+    with pytest.raises(ValueError, match="0 or 1"):
+        decode_bitflip(code9, [[2], [0]])
+    with pytest.raises(ValueError, match="0 or 1"):
+        decode_phaseflip(code9, [[0, 3]])
+    assert decode_bitflip(code9, [[True], [False]]) == decode_bitflip(
+        code9, np.array([[1], [0]], np.uint8))
+    assert decode_phaseflip(code9, [[False, True]]) == decode_phaseflip(
+        code9, np.array([[0, 1]], np.uint8))
+
+
 # -- full recovery --------------------------------------------------------------
 
 @pytest.mark.parametrize("fixture", ["code9", "code49"])

@@ -275,8 +275,8 @@ class SubsystemCode:
 
     def __repr__(self):
         d = self.distance if self.distance is not None else "?"
-        kind = "ShorCode" if self.shor else "SubsystemCode"
-        return f"<{kind} [[{self.n},{self.k},{d}]] on {self.n1}x{self.n2}>"
+        return (f"<{type(self).__name__} [[{self.n},{self.k},{d}]] on "
+                f"{self.n1}x{self.n2}>")
 
     # -- decomposition ---------------------------------------------------
 

@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .classical import LinearCode, builtin
 from .builder import ShorCode, SubsystemCode
-from .simulate import (RNG_LAYOUT, _NOISE_KINDS, NoiseModel, _reads,
-                       compare_report, run_trials)
+from .simulate import (RNG_LAYOUT, _NOISE_KINDS, NoiseModel,
+                       _classical_summary, _reads, compare_report, run_trials)
 
 # recovery and pauli are imported by the subcommands that use them, so
 # simulate, build, info and compare skip them.
@@ -41,7 +41,6 @@ def parse_matrix(text: str, source: str = "<matrix>") -> np.ndarray:
     """
     header = None
     rows = []
-    expect = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -56,15 +55,14 @@ def parse_matrix(text: str, source: str = "<matrix>") -> np.ndarray:
                     f"{source}:{lineno}: expected '<rows> <cols>' header, "
                     f"got {line!r}")
             header = (int(parts[0]), int(parts[1]))
-            expect = header
             continue
-        if len(rows) == expect[0]:
+        if len(rows) == header[0]:
             raise ValueError(f"{source}:{lineno}: more rows than the header "
-                             f"promised ({expect[0]})")
-        if len(line) != expect[1]:
+                             f"promised ({header[0]})")
+        if len(line) != header[1]:
             raise ValueError(
                 f"{source}:{lineno}: row has {len(line)} entries, header "
-                f"promised {expect[1]}")
+                f"promised {header[1]}")
         for col, ch in enumerate(line, start=1):
             if ch not in "01":
                 raise ValueError(
@@ -146,8 +144,7 @@ def _sig6(value: float) -> float:
 
 def _cmd_info(args) -> int:
     code = load_code(args.codespec)
-    payload = {"name": code.name, "n": code.n, "k": code.k,
-               "d": code.distance_if_enumerable()}
+    payload = {"name": code.name, **_classical_summary(code)}
     for role in ("generator", "check", "check_complement",
                  "generator_complement"):
         payload[role] = ["".join(map(str, r)) for r in getattr(code, role)]

@@ -31,7 +31,7 @@ class PauliGrid:
         self.x = as_bits(x).copy()
         self.z.setflags(write=False)
         self.x.setflags(write=False)
-        self.phase = int(phase) % 4
+        self.phase = _require_int("phase", phase) % 4
 
     @classmethod
     def _wrap(cls, z: np.ndarray, x: np.ndarray) -> "PauliGrid":

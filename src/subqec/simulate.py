@@ -40,7 +40,7 @@ import numpy as np
 
 from .gf2 import _require_int
 from .classical import LinearCode, _bit_weights, _span_words
-from .builder import SubsystemCode, _refuse_shor, _stabilizer_counts
+from .builder import ShorCode, SubsystemCode, _refuse_shor, _stabilizer_counts
 
 # Tags the draw layout the module docstring describes; change it with it.
 RNG_LAYOUT = "philox4x64/trial-blocks/raw-limits/v1"
@@ -117,7 +117,8 @@ class NoiseModel:
 
     @property
     def draws_per_site(self) -> int:
-        return 2 if self.kind == "independent_xz" else 1
+        """Raw words drawn per site: one for each rate the kind reads."""
+        return len(_reads(self.kind))
 
     def _hits(self, draws: np.ndarray, below) -> tuple:
         """(z, x) masks of the draws that hit, None for an axis never hit;
@@ -141,9 +142,8 @@ class NoiseModel:
                      for m, o in zip(self._hits(u, np.less), (z_offset, 0)))
 
     def describe(self) -> dict:
-        if self.kind == "independent_xz":
-            return {"kind": self.kind, "p_x": self.p_x, "p_z": self.p_z}
-        return {"kind": self.kind, "p": self.p}
+        return {"kind": self.kind,
+                **{label: getattr(self, label) for label in _reads(self.kind)}}
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def _count_chunk(kernel: _Kernel, noise: NoiseModel, seed: int,
     largest limit can hit, so only those are classified."""
     t0, t1 = trial_range
     step = max(1, min(batch_size, _RAW_WORDS // kernel.width))
-    top = max(noise.p_x, noise.p_z) if noise.draws_per_site == 2 else noise.p
+    top = max(getattr(noise, label) for label in _reads(noise.kind))
     bg = np.random.Philox(key=seed)
     bg.advance(t0 * kernel.width // 4)
     counts = np.zeros(3, np.int64)
@@ -300,7 +300,7 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
     count = functools.partial(_count_chunk, kernel, noise, seed, batch_size)
     bounds = np.linspace(0, trials, min(workers, trials) + 1).astype(int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    if workers == 1 or len(ranges) == 1:
+    if len(ranges) == 1:
         counts = [count(r) for r in ranges]
     else:
         from concurrent.futures import ThreadPoolExecutor
@@ -401,28 +401,28 @@ def _classical_summary(c: LinearCode) -> dict:
 def compare_report(c1: LinearCode, c2: LinearCode) -> dict:
     """Stabilizer-measurement comparison for the grid built from (c1, c2).
 
-    Counts come from the closed-form formulas; tests pin them against the
-    built generating sets.  For the hamming x hamming grid the report also
-    lists the composed schemes that trade extra qubits for distance, with
-    their stabilizer counts split inner + outer.
+    The grid's parameters and both stabilizer counts are read from the
+    :class:`SubsystemCode` and :class:`ShorCode` built on the pair, whose
+    counts come from the factors' sizes, so no generator stack is built.
+    When both factors are [7,4,3] codes (each the Hamming code up to column
+    order) the report also lists the composed schemes that trade extra
+    qubits for distance, with their stabilizer counts split inner + outer.
     """
-    sub = sum(_stabilizer_counts(c1.n, c1.k, c2.n, c2.k))
-    shor = sum(_stabilizer_counts(c1.n, c1.k, c2.n, c2.k, shor=True))
+    # The summaries fill in each factor's d, which the grids read.
+    code1, code2 = _classical_summary(c1), _classical_summary(c2)
+    grid = SubsystemCode(c1, c2)
+    sub = sum(grid.stabilizer_counts)
+    shor = sum(ShorCode(c1, c2).stabilizer_counts)
     report = {
-        "code1": _classical_summary(c1),
-        "code2": _classical_summary(c2),
-        "grid": {
-            "n": c1.n * c2.n,
-            "k": c1.k * c2.k,
-            "gauge_qubits": (c1.n - c1.k) * (c2.n - c2.k),
-            "distance": (min(c1.d, c2.d)
-                         if c1.d is not None and c2.d is not None else None),
-        },
+        "code1": code1,
+        "code2": code2,
+        "grid": {"n": grid.n, "k": grid.k, "gauge_qubits": grid.gauge_qubits,
+                 "distance": grid.distance},
         "subsystem_stabilizers": sub,
         "shor_stabilizers": shor,
         "stabilizers_saved": shor - sub,
     }
-    if (c1.n, c1.k) == (7, 4) and (c2.n, c2.k) == (7, 4):
+    if code1 == code2 == {"n": 7, "k": 4, "d": 3}:
         steane_block = 6  # a [[7,1,3]] code measures 7 - 1 stabilizers
         report["composed_schemes"] = [
             {"scheme": scheme, "inner_stabilizers": inner,

@@ -79,6 +79,14 @@ def test_shor_counts(shor9, ham):
     assert big.k == 16
 
 
+def test_repr_names_the_class(code9, shor9):
+    assert repr(code9) == "<SubsystemCode [[9,1,3]] on 3x3>"
+    assert repr(shor9) == "<ShorCode [[9,1,3]] on 3x3>"
+    full_rate = LinearCode.from_generator(np.eye(2, dtype=np.uint8))
+    unknown = SubsystemCode(full_rate, repetition(2))
+    assert repr(unknown) == "<SubsystemCode [[4,2,?]] on 2x2>"
+
+
 def test_asymmetric_pair():
     code = SubsystemCode(repetition(2), repetition(3))
     assert (code.n, code.k) == (6, 1)

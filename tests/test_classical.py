@@ -52,6 +52,18 @@ def test_from_generator_rejects_dependent_rows():
         LinearCode.from_generator([[1, 1, 0], [1, 1, 0]])
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"generator": [[1, 1]], "check": [[1, 1, 0]]}, "column counts differ"),
+    ({"check": np.zeros((0, 0), np.uint8)}, "block length must be at least 1"),
+    ({"check": [[1, 1, 0], [1, 1, 0]]}, "check rows are linearly dependent"),
+    ({"generator": [[1, 1, 1]], "check": [[1, 1, 0]]},
+     "ranks do not add up to n"),
+], ids=["columns", "empty", "dependent-check", "ranks"])
+def test_inconsistent_matrices_are_refused(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        LinearCode(**kwargs)
+
+
 @pytest.mark.parametrize("kwargs", [{"generator": [[257, 1, 1]]},
                                     {"check": [[1, 256, 1]]},
                                     {"generator": [[1, 0.5, 1]]}])
@@ -113,6 +125,11 @@ def test_repetition_rejects_non_integer_length(n):
                                          "integer"):
         repetition(n)
     assert repetition(np.int64(3)).n == 3
+
+
+def test_repetition_rejects_length_zero():
+    with pytest.raises(ValueError, match="repetition length must be >= 1"):
+        repetition(0)
 
 
 def test_hamming_distance(ham):
@@ -366,6 +383,19 @@ def test_tables_refused_above_twenty_bits():
     with pytest.raises(ValueError, match=r"n <= 63 and n-k <= 20"):
         repetition(22).leaders
     assert "leaders" not in vars(repetition(22))
+
+
+def test_leader_walk_refused_past_its_word_limit():
+    # RM(2,5) [32,16,8]: its n-k = 16 syndromes fit a table, but the walk
+    # to the covering radius passes 2**20 words.
+    points = np.array(list(itertools.product([0, 1], repeat=5)), np.uint8).T
+    pairs = itertools.combinations(range(5), 2)
+    rows = [np.ones(32, np.uint8), *points,
+            *(points[i] & points[j] for i, j in pairs)]
+    rm25 = LinearCode.from_generator(np.array(rows))
+    assert (rm25.n, rm25.k) == (32, 16)
+    with pytest.raises(ValueError, match=r"passes 2\*\*20 words"):
+        rm25.leaders
 
 
 def test_decode_above_table_limit_names_the_real_limit():

@@ -114,6 +114,31 @@ GOLDEN_COMPARE_HAMMING2 = """\
 """
 
 
+GOLDEN_COMPARE_REP5_HAMMING = """\
+{
+  "code1": {
+    "d": 5,
+    "k": 1,
+    "n": 5
+  },
+  "code2": {
+    "d": 3,
+    "k": 4,
+    "n": 7
+  },
+  "grid": {
+    "distance": 3,
+    "gauge_qubits": 12,
+    "k": 4,
+    "n": 35
+  },
+  "shor_stabilizers": 31,
+  "stabilizers_saved": 12,
+  "subsystem_stabilizers": 19
+}
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -142,6 +167,25 @@ def test_compare_hamming_squared_golden(capsys):
                            "--c2", "hamming:7-4")
     assert code == 0
     assert out == GOLDEN_COMPARE_HAMMING2
+
+
+def test_compare_rep5_by_hamming_golden(capsys):
+    code, out, err = run_cli(capsys, "compare", "--c1", "rep:5",
+                             "--c2", "hamming:7-4")
+    assert (code, out, err) == (0, GOLDEN_COMPARE_REP5_HAMMING, "")
+
+
+def test_compare_lists_no_schemes_for_a_7_4_1_factor(tmp_path, capsys):
+    # [I4 | 0] has n = 7 and k = 4 like the Hamming code, but d = 1.
+    gen = tmp_path / "gen.txt"
+    gen.write_text("4 7\n1000000\n0100000\n0010000\n0001000\n")
+    code, out, err = run_cli(capsys, "compare", "--c1", f"generator:{gen}",
+                             "--c2", "hamming:7-4")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert "composed_schemes" not in report
+    assert report["code1"] == {"d": 1, "k": 4, "n": 7}
+    assert report["grid"]["distance"] == 1
 
 
 def test_decode_golden(capsys):
@@ -459,6 +503,31 @@ def test_rank_deficient_file_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "info", f"generator:{gen}")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 3\n111\n111\n", ":3: more rows than the header promised (1)"),
+    ("# only a comment\n\n", ": no header line found"),
+], ids=["extra-row", "no-header"])
+def test_matrix_file_errors_exit_one(tmp_path, capsys, text, message):
+    gen = tmp_path / "gen.txt"
+    gen.write_text(text)
+    code, out, err = run_cli(capsys, "info", f"generator:{gen}")
+    assert (code, out) == (1, "")
+    assert f"error: {gen}{message}" in err
+
+
+def test_unreadable_matrix_file_exits_one(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_cli(capsys, "info", f"parity:{missing}")
+    assert (code, out) == (1, "")
+    assert f"error: cannot read {missing}: " in err
+
+
+def test_decode_of_an_empty_error_exits_one(capsys):
+    code, out, err = run_cli(capsys, "decode", "--c1", "rep:3", "--c2",
+                             "rep:3", "--error", "")
+    assert (code, out, err) == (1, "", "error: no error terms found in ''\n")
 
 
 @pytest.mark.parametrize("header", ["\u00b2 3", "\uff11 3", "1 \u0663"],

@@ -127,6 +127,11 @@ def test_as_bits_rejects_entries_outside_0_1(bad):
         gf2.as_bits(bad)
 
 
+def test_as_bits_rejects_other_dimensions():
+    with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=1"):
+        gf2.as_bits([1, 0])
+
+
 def test_as_bits_accepts_bits_of_any_dtype():
     want = np.array([[1, 0, 1]], np.uint8)
     for m in ([[1, 0, 1]], [[1.0, 0.0, 1.0]], want.astype(bool),

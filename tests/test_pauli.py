@@ -67,6 +67,24 @@ def test_single_site_must_be_integers(site):
     assert op.to_rows() == ["II", "XI"]
 
 
+def test_single_site_outside_the_grid_is_refused():
+    with pytest.raises(ValueError, match=r"site \(3,0\) outside 3x3 grid"):
+        PauliGrid.single(3, 3, 3, 0, "X")
+
+
+@pytest.mark.parametrize("phase", [2.5, True, "3"])
+def test_phase_must_be_an_integer(phase):
+    # These were truncated or parsed: 2.5 gave 2, True 1 and "3" 3.
+    with pytest.raises(ValueError, match="phase must be an integer"):
+        PauliGrid([[0]], [[0]], phase)
+
+
+@pytest.mark.parametrize("phase", [np.int64(7), -1])
+def test_phase_is_taken_modulo_four(phase):
+    op = PauliGrid([[0]], [[0]], phase)
+    assert op.phase == 3 and type(op.phase) is int
+
+
 def test_weight_counts_sites_not_parts():
     op = PauliGrid([[1, 0], [0, 0]], [[1, 0], [0, 1]])
     assert op.weight() == 2  # Y at (0,0) and X at (1,1)

@@ -140,6 +140,19 @@ def test_noise_accepts_unread_fields_at_zero():
             == NoiseModel.independent_xz(0.1, 0.2))
 
 
+@pytest.mark.parametrize("noise, described, draws", [
+    (NoiseModel.depolarizing(0.1), [("kind", "depolarizing"), ("p", 0.1)], 1),
+    (NoiseModel.x_only(0.2), [("kind", "x_only"), ("p", 0.2)], 1),
+    (NoiseModel.z_only(0.3), [("kind", "z_only"), ("p", 0.3)], 1),
+    (NoiseModel.independent_xz(0.1, 0.2),
+     [("kind", "independent_xz"), ("p_x", 0.1), ("p_z", 0.2)], 2),
+], ids=lambda v: v.kind if isinstance(v, NoiseModel) else None)
+def test_describe_and_draws_per_site(noise, described, draws):
+    # The kind comes first, then the rates the kind reads, in field order.
+    assert list(noise.describe().items()) == described
+    assert noise.draws_per_site == draws
+
+
 def test_depolarizing_splits_evenly():
     noise = NoiseModel.depolarizing(0.3)
     u = np.array([[0.05, 0.15, 0.25, 0.35]])
@@ -773,3 +786,20 @@ def test_compare_hamming_composed_schemes(ham):
     assert by_total[28]["outer_stabilizers"] == 4
     assert by_total[48]["inner_stabilizers"] == 42
     assert by_total[48]["outer_stabilizers"] == 6
+
+
+def test_composed_schemes_need_a_pair_of_7_4_3_codes(ham):
+    # [I4 | 0] is a [7,4,1] code: the schemes' distance claims do not hold.
+    low = LinearCode.from_generator(
+        np.hstack([np.eye(4, dtype=np.uint8), np.zeros((4, 3), np.uint8)]))
+    for pair in ((low, ham), (ham, low), (low, low)):
+        report = compare_report(*pair)
+        assert "composed_schemes" not in report
+        assert report["grid"]["distance"] == 1
+    # Every [7,4,3] code is the Hamming code up to column order.
+    perm = [3, 6, 0, 5, 1, 4, 2]
+    permuted = LinearCode.from_generator(ham.generator[:, perm])
+    assert permuted.min_distance() == 3
+    for pair in ((permuted, ham), (ham, permuted), (permuted, permuted)):
+        schemes = compare_report(*pair)["composed_schemes"]
+        assert [s["total"] for s in schemes] == [30, 28, 48]

@@ -312,8 +312,11 @@ class SubsystemCode:
         return PauliGrid(z, x, dec.phase)
 
     def contains_gauge(self, op: PauliGrid) -> bool:
-        """Membership of ``op`` in the gauge group, up to phase."""
-        return self.decompose(op).is_gauge()
+        """Membership of ``op`` in the gauge group, up to phase.  A
+        ShorCode's group is its stabilizer group: its column checks span
+        both Z blocks of rows ``[:r1]`` and detect any X gauge block."""
+        dec = self.decompose(op)
+        return dec.is_gauge() and not (self.shor and dec.x_gauge.any())
 
     # -- verification ----------------------------------------------------
 

@@ -132,24 +132,19 @@ def _bits(m: np.ndarray) -> list:
     return [[int(v) for v in row] for row in np.atleast_2d(m)]
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _sig6(value: float) -> float:
     return float(f"{value:.6g}")
 
 
 # -- subcommands ----------------------------------------------------------
 
-def _cmd_info(args) -> int:
+def _cmd_info(args) -> dict:
     code = load_code(args.codespec)
     payload = {"name": code.name, **_classical_summary(code)}
     for role in ("generator", "check", "check_complement",
                  "generator_complement"):
         payload[role] = ["".join(map(str, r)) for r in getattr(code, role)]
-    _emit(payload)
-    return 0
+    return payload
 
 
 def _build(args):
@@ -160,7 +155,7 @@ def _build(args):
     return ShorCode(c1, c2) if getattr(args, "shor", False) else SubsystemCode(c1, c2)
 
 
-def _cmd_build(args) -> int:
+def _cmd_build(args) -> dict:
     code = _build(args)
     s_z, s_x = code.stabilizer_counts
     payload = {
@@ -184,44 +179,41 @@ def _cmd_build(args) -> int:
                                     for row in code.logical_x for l in row]
         payload["logical_z_ops"] = [render_op(l)
                                     for row in code.logical_z for l in row]
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_distance(args) -> int:
+def _cmd_distance(args) -> dict:
     from .recovery import distance_bruteforce
 
     code = _build(args)
     found = distance_bruteforce(code, args.wmax)
-    _emit({
+    return {
         "n": code.n,
         "k": code.k,
         "w_max": args.wmax,
         "distance": found,
         "found_within_bound": found is not None,
-    })
-    return 0
+    }
 
 
-def _cmd_decode(args) -> int:
+def _cmd_decode(args) -> dict:
     from .recovery import extract_syndrome, recover
 
     code = _build(args)
     err = parse_error(args.error, code.n1, code.n2)
     syn = extract_syndrome(code, err)
     out = recover(code, err)
-    _emit({
+    return {
         "error": render_op(err),
         "syndrome": {"s_z": _bits(syn.s_z), "s_x": _bits(syn.s_x)},
         "correction": render_op(out.correction),
         "residual_z_logical": _bits(out.residual_z),
         "residual_x_logical": _bits(out.residual_x),
         "logical_ok": out.logical_ok,
-    })
-    return 0
+    }
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     code = _build(args)
     kind, read = args.noise, _reads(args.noise)
     flag = {"p": "--p", "p_x": "--px", "p_z": "--pz"}
@@ -236,7 +228,7 @@ def _cmd_simulate(args) -> int:
     report = run_trials(code, noise, args.trials, args.seed,
                         workers=args.workers)
     n, k, gauge, stabs = report.code_params
-    _emit({
+    return {
         "trials": report.trials,
         "logical_failures": report.logical_failures,
         "bit_flip_failures": report.bit_flip_failures,
@@ -251,15 +243,13 @@ def _cmd_simulate(args) -> int:
         "noise": noise.describe(),
         "provenance": {"version": __version__, "c1": args.c1, "c2": args.c2,
                        "rng_layout": RNG_LAYOUT},
-    })
-    return 0
+    }
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> dict:
     c1 = load_code(args.c1)
     c2 = load_code(args.c2)
-    _emit(compare_report(c1, c2))
-    return 0
+    return compare_report(c1, c2)
 
 
 def _add_pair(sub, shor_flag=True):
@@ -327,10 +317,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        payload = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0
 
 
 def console_entry() -> None:

@@ -72,7 +72,8 @@ class NoiseModel:
 
     Use the factory classmethods; ``p`` is the total error probability for
     the single-parameter kinds, ``p_x``/``p_z`` the marginals for
-    ``independent_xz``.  A field the kind does not read must be 0.
+    ``independent_xz``.  A field the kind does not read must be 0.  Rates
+    are stored as Python floats.
     """
 
     kind: str
@@ -97,6 +98,7 @@ class NoiseModel:
             if label not in read and value != 0:
                 raise ValueError(f"{self.kind} noise does not read "
                                  f"{label}={value}")
+            object.__setattr__(self, label, float(value))
 
     @classmethod
     def depolarizing(cls, p: float) -> "NoiseModel":
@@ -120,26 +122,25 @@ class NoiseModel:
         """Raw words drawn per site: one for each rate the kind reads."""
         return len(_reads(self.kind))
 
-    def _hits(self, draws: np.ndarray, below) -> tuple:
-        """(z, x) masks of the draws that hit, None for an axis never hit;
-        ``below(a, c)`` marks the draws whose uniform is < c.  X reads a
-        trial's first n draws, and independent_xz's Z the next n."""
+    def _paulis(self, draws: np.ndarray, below) -> np.ndarray:
+        """Each draw's Pauli index x + 2z, 0 where it misses; ``below(a,
+        c)`` marks the draws whose uniform is < c.  X reads a trial's first
+        n draws, and independent_xz's Z the next n."""
         if self.kind == "x_only":
-            return None, below(draws, self.p)
+            return below(draws, self.p)
         if self.kind == "z_only":
-            return below(draws, self.p), None
+            return 2 * below(draws, self.p)
         if self.kind == "independent_xz":
-            return below(draws, self.p_z), below(draws, self.p_x)
+            return below(draws, self.p_x) + 2 * below(draws, self.p_z)
         # depolarizing: [0,p/3) -> X, [p/3,2p/3) -> Y, [2p/3,p) -> Z
-        return (below(draws, self.p) ^ below(draws, self.p / 3),
-                below(draws, 2 * self.p / 3))
+        return (below(draws, 2 * self.p / 3)
+                + 2 * (below(draws, self.p) ^ below(draws, self.p / 3)))
 
     def errors_from_uniforms(self, u: np.ndarray, n: int) -> tuple:
         """Map per-trial uniforms (shape (t, draws)) to (z, x) bit arrays."""
-        zero = np.zeros((len(u), n), np.uint8)
+        pauli = self._paulis(u, np.less).astype(np.uint8)
         z_offset = (self.draws_per_site - 1) * n
-        return tuple(zero if m is None else m[:, o:o + n].astype(np.uint8)
-                     for m, o in zip(self._hits(u, np.less), (z_offset, 0)))
+        return pauli[:, z_offset:z_offset + n] >> 1, pauli[:, :n] & 1
 
     def describe(self) -> dict:
         return {"kind": self.kind,
@@ -233,14 +234,12 @@ class _Kernel:
         fails, lane, shift, mask = self.words[axis]
         return fails((acc[lane] >> shift) & mask).any(axis=0)
 
-    def __call__(self, idx: np.ndarray, z, x) -> tuple:
+    def __call__(self, idx: np.ndarray, pauli: np.ndarray) -> tuple:
         """(trials, bit-flip fails, phase-flip fails) over the trials that
-        hold hits, given the sorted flat slots ``idx`` of the hits and
-        their Z and X masks (None for an axis never hit)."""
+        hold hits, given their sorted flat slots ``idx`` and Pauli indices."""
         if not len(idx):
             return idx, np.zeros(0, bool), np.zeros(0, bool)
         trial = idx // self.width
-        pauli = (0 if x is None else x) + (0 if z is None else 2 * z)
         rows = idx + (pauli - trial) * self.width  # pauli * width + slot
         first = np.flatnonzero(np.concatenate(([True], trial[1:] != trial[:-1])))
         acc = np.array([np.bitwise_xor.reduceat(np.take(lane, rows), first)
@@ -262,7 +261,7 @@ def _count_chunk(kernel: _Kernel, noise: NoiseModel, seed: int,
     for b0 in range(t0, t1, step):
         words = bg.random_raw(min(step, t1 - b0) * kernel.width)
         idx = np.flatnonzero(_below(words, top))
-        _, bit, phase = kernel(idx, *noise._hits(words[idx], _below))
+        _, bit, phase = kernel(idx, noise._paulis(words[idx], _below))
         del words, idx  # so the next draw reuses their pages
         counts += [np.count_nonzero(bit | phase), np.count_nonzero(bit),
                    np.count_nonzero(phase)]

@@ -40,10 +40,10 @@ def trial_uniforms(seed: int, t0: int, t1: int, draws: int) -> np.ndarray:
 def batch_failures(code, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The kernel over a batch of (t, n1, n2) errors; True where recovery
     leaves a logical error."""
-    z, x = z.reshape(-1).astype(bool), x.reshape(-1).astype(bool)
-    idx = np.flatnonzero(z | x)
-    trials, bit, phase = _Kernel(code)(idx, z[idx], x[idx])
-    failed = np.zeros(len(z) // code.n, bool)
+    pauli = x.reshape(-1).astype(bool) + 2 * z.reshape(-1).astype(bool)
+    idx = np.flatnonzero(pauli)
+    trials, bit, phase = _Kernel(code)(idx, pauli[idx])
+    failed = np.zeros(len(pauli) // code.n, bool)
     failed[trials] = bit | phase
     return failed
 

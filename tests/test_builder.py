@@ -400,6 +400,43 @@ def test_gauge_membership(code9):
         assert code9.contains_gauge(prod)
 
 
+@pytest.mark.parametrize("cls", [SubsystemCode, ShorCode])
+@pytest.mark.parametrize("pair", [("rep3", "rep3"), ("rep3", "ham"),
+                                  ("ham", "rep3"), ("rep2", "rep4")])
+def test_gauge_membership_is_span_membership(cls, pair):
+    # The gauge group is the span of the stabilizers and gauges; a ShorCode
+    # has no gauges, so its group is its stabilizers alone, and the
+    # subsystem code's X gauges anticommute with its column checks.
+    factors = {"rep2": repetition(2), "rep3": repetition(3),
+               "rep4": repetition(4), "ham": hamming_7_4()}
+    sub = SubsystemCode(*(factors[c] for c in pair))
+    code = cls(sub.c1, sub.c2)
+    shape = (code.n1, code.n2)
+    span = symplectic_rows(code.stabilizers + code.gauges, code.n).T
+    rng = np.random.default_rng(21)
+    # Products of the subsystem code's stabilizers and gauges hold every
+    # group element of both classes, and a quarter of them take a logical
+    # too; random Paulis mostly lie outside.
+    products = []
+    for _ in range(150):
+        prod = PauliGrid.identity(*shape)
+        for g in sub.stabilizers + sub.gauges:
+            if rng.integers(2):
+                prod = prod * g
+        if rng.integers(4) == 0:
+            prod = prod * sub.logicals[rng.integers(len(sub.logicals))]
+        products.append(prod)
+    randoms = [PauliGrid(rng.integers(0, 2, shape, dtype=np.uint8),
+                         rng.integers(0, 2, shape, dtype=np.uint8))
+               for _ in range(150)]
+    members = 0
+    for op in products + randoms:
+        want = solve(span, symplectic_rows([op], code.n)[0]) is not None
+        assert code.contains_gauge(op) == want, op
+        members += want
+    assert 0 < members < len(products) + len(randoms)
+
+
 def test_decompose_shape_check(code9):
     with pytest.raises(ValueError):
         code9.decompose(PauliGrid.identity(3, 4))

@@ -2,6 +2,8 @@
 measurement-count comparison report."""
 
 import concurrent.futures
+import json
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -119,6 +121,31 @@ def test_noise_accepts_real_numbers_of_any_type():
     assert NoiseModel.x_only(np.float32(0.25)).describe() == {
         "kind": "x_only", "p": 0.25}
     assert NoiseModel.independent_xz(np.float64(0.1), 0).p_x == 0.1
+
+
+@pytest.mark.parametrize("convert", [np.float16, np.float32, np.float64,
+                                     Fraction])
+@pytest.mark.parametrize("make, rates", [
+    (NoiseModel.depolarizing, (Fraction(1, 20),)),
+    (NoiseModel.x_only, (Fraction(1, 20),)),
+    (NoiseModel.z_only, (Fraction(3, 20),)),
+    (NoiseModel.independent_xz, (Fraction(1, 50), Fraction(3, 50))),
+])
+def test_noise_stores_rates_as_python_floats(code9, ham, convert, make,
+                                             rates):
+    # A numpy or Fraction rate would otherwise carry its own arithmetic
+    # into the limits and the exact rates, and json would refuse it.
+    given = [convert(r) for r in rates]
+    noise, plain = make(*given), make(*map(float, given))
+    assert noise == plain
+    assert all(type(getattr(noise, f)) is float for f in ("p", "p_x", "p_z"))
+    assert json.loads(json.dumps(noise.describe())) == plain.describe()
+    if noise.kind != "depolarizing":
+        for code in (code9, SubsystemCode(ham, repetition(3))):
+            assert (exact_rate_enumeration(code, noise).hex()
+                    == exact_rate_enumeration(code, plain).hex())
+    assert (run_trials(code9, noise, 3000, seed=5)
+            == run_trials(code9, plain, 3000, seed=5))
 
 
 @pytest.mark.parametrize("kind, fields, unread", [
@@ -471,6 +498,22 @@ def test_failures_by_axis_match_recover(pair, noise):
         assert report.bit_flip_failures == 0
 
 
+@pytest.mark.parametrize("noise, counts", [
+    (NoiseModel.depolarizing(0.05), (5711, 583, 5464)),
+    (NoiseModel.x_only(0.05), (1509, 1509, 0)),
+    (NoiseModel.z_only(0.05), (8914, 0, 8914)),
+    (NoiseModel.independent_xz(0.02, 0.06), (10609, 124, 10543)),
+], ids=lambda v: v.kind if isinstance(v, NoiseModel) else None)
+def test_failure_counts_pinned_per_noise_kind(ham, noise, counts):
+    # Literal (logical, bit-flip, phase-flip) counts: the float replay
+    # shares the kernel's sorting of hits into X, Y and Z, so a swap of the
+    # two axes would pass it but not these.
+    report = run_trials(SubsystemCode(repetition(5), ham), noise, 20000,
+                        seed=11)
+    assert (report.logical_failures, report.bit_flip_failures,
+            report.phase_flip_failures) == counts
+
+
 @pytest.mark.parametrize("noise", [
     NoiseModel.depolarizing(0.1), NoiseModel.x_only(0.1),
     NoiseModel.z_only(0.1), NoiseModel.independent_xz(0.05, 0.1)])
@@ -562,12 +605,10 @@ def test_integer_limits_match_float_thresholds(kind, p):
         draws = np.repeat(words[:, None], noise.draws_per_site, axis=1)
         u = (draws >> np.uint64(11)) * 2.0 ** -53
         want_z, want_x = noise.errors_from_uniforms(u, 1)
-        got_z, got_x = noise._hits(draws, _below)
+        pauli = noise._paulis(draws, _below)
         offset = noise.draws_per_site - 1
-        for got, want, o in ((got_z, want_z, offset), (got_x, want_x, 0)):
-            got = (np.zeros_like(want) if got is None
-                   else got[:, o:o + 1].astype(np.uint8))
-            assert np.array_equal(got, want), (noise, words)
+        assert np.array_equal(pauli[:, offset:] >> 1, want_z), (noise, words)
+        assert np.array_equal(pauli[:, :1] & 1, want_x), (noise, words)
     # At p = 1 the limit 2**53 << 11 overflows 64 bits; every word hits.
     if p == 1.0:
         assert _below(np.array([(1 << 64) - 1], np.uint64), p).all()

@@ -2,7 +2,7 @@
 
 For a pair of [n, k] classical codes the grid construction measures
 (n1-k1)k2 + k1(n2-k2) stabilizers, while the Shor-style subspace code on
-the same grid needs n1(n2-k2) + (n1-k1)k2.  The difference is exactly one
+the same grid needs (n1-k1)n2 + k1(n2-k2).  The difference is exactly one
 measurement per gauge qubit.
 """
 

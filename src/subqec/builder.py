@@ -123,14 +123,6 @@ def _stabilizer_counts(n1: int, k1: int, n2: int, k2: int,
     return (n1 - k1) * (n2 if shor else k2), k1 * (n2 - k2)
 
 
-def _refuse_shor(code) -> None:
-    """ValueError for a ShorCode: recovery and the failure rates decode the
-    subsystem syndrome ``P1 x G2^T``, not its column checks ``P1 x``."""
-    if code.shor:
-        raise ValueError("no decoder for a ShorCode: recovery reads the "
-                         "subsystem syndrome, not its column checks")
-
-
 def _bits(define, doc: str) -> functools.cached_property:
     """A stack attribute, ``define(c1, c2)`` made read-only, built on first
     access.  :meth:`SubsystemCode._verify` rebuilds it through ``func``."""
@@ -191,9 +183,6 @@ class SubsystemCode:
         self.n1, self.n2 = c1.n, c2.n
         self.n = c1.n * c2.n
         self.k = c1.k * c2.k
-        self.distance: Optional[int] = None
-        if c1.d is not None and c2.d is not None:
-            self.distance = min(c1.d, c2.d)
         self.gauge_qubits = 0 if self.shor else (c1.n - c1.k) * (c2.n - c2.k)
         self._verify()
 
@@ -268,6 +257,18 @@ class SubsystemCode:
                 out.append(self.logical_x[i][j])
                 out.append(self.logical_z[i][j])
         return out
+
+    @property
+    def distance(self) -> Optional[int]:
+        """min(d1, d2) as the factors know it now; None if one is unknown."""
+        d1, d2 = self.c1.d, self.c2.d
+        return None if d1 is None or d2 is None else min(d1, d2)
+
+    @property
+    def _stages(self) -> tuple:
+        """(decoding factor, partner) of the bit-flip stage, then of the
+        phase-flip stage: code 1 decodes columns and code 2 rows."""
+        return (self.c1, self.c2), (self.c2, self.c1)
 
     @property
     def params(self) -> tuple:
@@ -422,3 +423,9 @@ class ShorCode(SubsystemCode):
         "Z stabilizers: outer(P1[a], e_j), column j then check row a.")
     z_gauge_bits = _bits(_no_gauges, "None: no gauge qubits.")
     x_gauge_bits = _bits(_no_gauges, "None: no gauge qubits.")
+
+    @property
+    def _stages(self) -> tuple:
+        """Refused: each stage reads ``P1 x G2^T``, not the checks ``P1 x``."""
+        raise ValueError("no decoder for a ShorCode: recovery reads the "
+                         "subsystem syndrome, not its column checks")

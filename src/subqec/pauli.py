@@ -75,6 +75,8 @@ class PauliGrid:
         return t % 2 == 0
 
     def __mul__(self, other: "PauliGrid") -> "PauliGrid":
+        if not isinstance(other, PauliGrid):
+            return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"grid shapes differ: {self.shape} vs {other.shape}")
         # X^b Z^a = (-1)^(ab) Z^a X^b sitewise, hence the extra 2*tr(x z'^T).

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .builder import SubsystemCode, _refuse_shor
+from .builder import SubsystemCode
 from .pauli import PauliGrid
 
 DISTANCE_CANDIDATE_GUARD = 10 ** 8
@@ -67,10 +67,9 @@ def extract_syndrome(code: SubsystemCode, err: PauliGrid) -> Syndrome:
     computed directly: s_z = P1 B G2^T from the X part and s_x = G1 A P2^T
     from the Z part.
     """
-    _refuse_shor(code)
+    (c1, c2), _ = code._stages
     if err.shape != (code.n1, code.n2):
         raise ValueError(f"error shape {err.shape} is not ({code.n1},{code.n2})")
-    c1, c2 = code.c1, code.c2
     s_z = (c1.check @ err.x @ c2.generator.T) & 1
     s_x = (c1.generator @ err.z @ c2.check.T) & 1
     return Syndrome(s_z, s_x)
@@ -91,8 +90,7 @@ def decode_bitflip(code: SubsystemCode, s_z: np.ndarray) -> PauliGrid:
     are spread back over the grid along the rows of code 2's
     check_complement.
     """
-    _refuse_shor(code)
-    c1, c2 = code.c1, code.c2
+    c1, c2 = code._stages[0]
     s_z = np.asarray(s_z)
     if s_z.shape != (c1.n - c1.k, c2.k):
         raise ValueError(f"s_z shape {s_z.shape} is not "
@@ -105,8 +103,7 @@ def decode_phaseflip(code: SubsystemCode, s_x: np.ndarray) -> PauliGrid:
     """Z-type correction for an X-stabilizer syndrome (mirror of
     :func:`decode_bitflip`: rows decoded with code 2, spread along code 1's
     check_complement columns)."""
-    _refuse_shor(code)
-    c1, c2 = code.c1, code.c2
+    c2, c1 = code._stages[1]
     s_x = np.asarray(s_x)
     if s_x.shape != (c1.k, c2.n - c2.k):
         raise ValueError(f"s_x shape {s_x.shape} is not "

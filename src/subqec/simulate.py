@@ -40,7 +40,7 @@ import numpy as np
 
 from .gf2 import _require_int
 from .classical import LinearCode, _bit_weights, _span_words
-from .builder import ShorCode, SubsystemCode, _refuse_shor, _stabilizer_counts
+from .builder import ShorCode, SubsystemCode, _stabilizer_counts
 
 # Tags the draw layout the module docstring describes; change it with it.
 RNG_LAYOUT = "philox4x64/trial-blocks/raw-limits/v1"
@@ -204,8 +204,7 @@ class _Kernel:
     def __init__(self, code: SubsystemCode, width: int = 0, z_offset: int = 0):
         self.width = width or code.n
         lanes, used, self.words = [np.zeros((4, self.width), np.int64)], 0, []
-        for axis, (own, other) in enumerate(((code.c1, code.c2),
-                                             (code.c2, code.c1))):
+        for axis, (own, other) in enumerate(code._stages):
             if not other.k:
                 self.words.append(None)
                 continue
@@ -279,7 +278,6 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
     draws the words of at most ``batch_size`` trials, and of about 2**17
     words at most.  A ShorCode is refused.
     """
-    _refuse_shor(code)
     trials, seed, workers, batch_size = (
         _require_int(name, value) for name, value in (
             ("trials", trials), ("seed", seed), ("workers", workers),
@@ -349,7 +347,9 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
     keeps the decoding factor on the table route of ``fails`` if the line
     code has k >= 1; with k = 0 the rate is 0.0.  A ShorCode is refused.
     """
-    _refuse_shor(code)
+    # The decoding factor, and the one whose generator signs each line;
+    # read first, so a ShorCode is refused whatever the channel.
+    dec, line = code._stages[noise.kind == "z_only"]
     if noise.kind == "independent_xz":
         p_x = exact_rate_enumeration(code, NoiseModel.x_only(noise.p_x))
         p_z = exact_rate_enumeration(code, NoiseModel.z_only(noise.p_z))
@@ -357,10 +357,6 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
     if noise.kind not in ("x_only", "z_only"):
         raise ValueError("exact enumeration needs an x_only, z_only or "
                          "independent_xz channel")
-    # The decoding factor, and the one whose generator signs each line.
-    dec, line = code.c1, code.c2
-    if noise.kind == "z_only":
-        dec, line = line, dec
     for what, bits in (("line patterns", line.n),
                        ("joint signatures", dec.n * line.k)):
         if bits > _EXACT_MAX_BITS:
@@ -407,7 +403,6 @@ def compare_report(c1: LinearCode, c2: LinearCode) -> dict:
     order) the report also lists the composed schemes that trade extra
     qubits for distance, with their stabilizer counts split inner + outer.
     """
-    # The summaries fill in each factor's d, which the grids read.
     code1, code2 = _classical_summary(c1), _classical_summary(c2)
     grid = SubsystemCode(c1, c2)
     sub = sum(grid.stabilizer_counts)

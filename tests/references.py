@@ -13,7 +13,7 @@ and that the package no longer needs: ``rref``, ``kernel_basis``,
 ``solve``, ``inverse``, ``dual_complete`` and ``gram_rows``, each a thin
 layer over :mod:`subqec.gf2`'s one packed-row elimination loop; and two
 matrices written out the slow way, a code's ``codewords`` and the
-``symplectic_rows`` of a list of Pauli grids."""
+``symplectic_rows`` of a list of Pauli grids; and ``random_pauli``."""
 
 import math
 from typing import NamedTuple, Optional
@@ -216,6 +216,16 @@ def codewords(code) -> np.ndarray:
     msgs = np.arange(1 << code.k, dtype=np.int64)
     bits = ((msgs[:, None] >> np.arange(code.k)) & 1).astype(np.uint8)
     return (bits @ code.generator) & 1
+
+
+def random_pauli(rng, code):
+    """A uniform phase-0 Pauli on the code's grid."""
+    from subqec import PauliGrid
+
+    return PauliGrid(
+        rng.integers(0, 2, (code.n1, code.n2), dtype=np.uint8),
+        rng.integers(0, 2, (code.n1, code.n2), dtype=np.uint8),
+    )
 
 
 def symplectic_rows(ops, n: int) -> np.ndarray:

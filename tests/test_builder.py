@@ -17,7 +17,7 @@ from subqec import (
     repetition,
 )
 
-from references import solve, symplectic_rows
+from references import random_pauli, solve, symplectic_rows
 
 
 def random_full_rank_code(rng, n_max=8):
@@ -27,13 +27,6 @@ def random_full_rank_code(rng, n_max=8):
         g = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
         if gf2.rank(g) == k:
             return LinearCode.from_generator(g)
-
-
-def random_pauli(rng, code):
-    return PauliGrid(
-        rng.integers(0, 2, (code.n1, code.n2), dtype=np.uint8),
-        rng.integers(0, 2, (code.n1, code.n2), dtype=np.uint8),
-    )
 
 
 # -- parameters and counts ---------------------------------------------------
@@ -109,6 +102,17 @@ def test_distance_unknown_when_classical_distance_unknown():
     c = LinearCode.from_generator([[1, 1, 0], [0, 1, 1]])
     assert c.d is None
     assert SubsystemCode(c, repetition(2)).distance is None
+
+
+def test_distance_follows_a_factor_found_after_construction():
+    # A grid built before its factor's distance was found once kept
+    # reporting None: it copied min(d1, d2) at construction.
+    c = LinearCode.from_parity([[1, 1, 0], [0, 1, 1]])
+    grid = SubsystemCode(c, c)
+    assert grid.params == (9, 1, None)
+    c.min_distance()
+    assert grid.params == (9, 1, 3)
+    assert repr(grid) == "<SubsystemCode [[9,1,3]] on 3x3>"
 
 
 @pytest.mark.parametrize("cls", [SubsystemCode, ShorCode])

@@ -35,6 +35,11 @@ def test_from_generator_full_rate():
     assert code.check.shape == (0, 4)
 
 
+def test_a_code_needs_a_matrix():
+    with pytest.raises(ValueError, match="need a generator or a check matrix"):
+        LinearCode()
+
+
 def test_from_parity_rep3():
     code = LinearCode.from_parity([[1, 1, 0], [0, 1, 1]])
     assert (code.n, code.k) == (3, 1)

@@ -116,6 +116,22 @@ def test_shape_mismatch_raises():
         PauliGrid.identity(2, 2) * PauliGrid.identity(3, 2)
 
 
+def test_multiplying_by_a_non_pauli_is_a_type_error():
+    # It raised AttributeError: 'int' object has no attribute 'shape'.
+    with pytest.raises(TypeError):
+        PauliGrid.identity(2, 2) * 3
+    with pytest.raises(TypeError):
+        3 * PauliGrid.identity(2, 2)
+
+
+def test_equality_hash_and_repr():
+    op = PauliGrid.single(1, 2, 0, 1, "Y")
+    assert (op == 3) is False
+    twin = PauliGrid([[0, 1]], [[0, 1]], 3)
+    assert op == twin and hash(op) == hash(twin)
+    assert repr(op) == "<PauliGrid i^3 IY>"
+
+
 def test_multiply_by_identity():
     rng = np.random.default_rng(32)
     ident = PauliGrid.identity(3, 3)

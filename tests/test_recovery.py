@@ -17,14 +17,7 @@ from subqec import (
     repetition,
 )
 
-from references import distance_by_three_paulis
-
-
-def random_pauli(rng, code):
-    return PauliGrid(
-        rng.integers(0, 2, (code.n1, code.n2), dtype=np.uint8),
-        rng.integers(0, 2, (code.n1, code.n2), dtype=np.uint8),
-    )
+from references import distance_by_three_paulis, random_pauli
 
 
 def syndrome_by_anticommutation(code, err):

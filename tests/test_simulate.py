@@ -38,26 +38,6 @@ def code4(rep2):
     return SubsystemCode(rep2, rep2)
 
 
-def analytic_rep_grid_rate(n, p):
-    """Closed-form x_only failure rate for the rep(n) x rep(n) grid.
-
-    The X part of the error only matters through its row parities; each row
-    is bad independently with probability q = P(odd number of flips among n
-    sites).  Bit-flip decoding then reduces to decoding one rep(n) word
-    whose bits are the row parities.
-    """
-    q = sum(comb(n, w) * p ** w * (1 - p) ** (n - w)
-            for w in range(1, n + 1, 2))
-    if n == 2:
-        # Coset leader of syndrome 1 is [0,1]; failure iff parities are
-        # [1,0] or [1,1], total probability q.
-        return q
-    if n == 3:
-        # Failure iff two or more row parities are bad.
-        return 3 * q * q * (1 - q) + q ** 3
-    raise NotImplementedError
-
-
 def majority_failure(n, q):
     """Failure rate of coset-leader decoding of rep(n) when each bit flips
     independently with probability q.  For even n exactly one of the two
@@ -639,17 +619,6 @@ def test_exact_rate_zero_and_one(code9):
     assert exact_rate_enumeration(code9, NoiseModel.x_only(1.0)) == 1.0
 
 
-@pytest.mark.parametrize("p", [0.01, 0.05, 0.1])
-def test_exact_rate_matches_closed_form(code9, code4, p):
-    for code, n in ((code9, 3), (code4, 2)):
-        expect = analytic_rep_grid_rate(n, p)
-        got = exact_rate_enumeration(code, NoiseModel.x_only(p))
-        assert got == pytest.approx(expect, rel=1e-12)
-        # The construction is symmetric, so z_only matches too.
-        got_z = exact_rate_enumeration(code, NoiseModel.z_only(p))
-        assert got_z == pytest.approx(expect, rel=1e-12)
-
-
 @pytest.mark.parametrize("pair,kind", [
     ((3, 3), "x_only"), ((3, 3), "z_only"),
     ((2, 4), "x_only"), ((2, 4), "z_only"),
@@ -673,13 +642,16 @@ def test_exact_rate_long_repetition_matches_majority(n):
     assert got == pytest.approx(majority_failure(n, 0.3), rel=1e-12)
 
 
-@pytest.mark.parametrize("n1,n2", [(5, 5), (4, 7), (20, 5)])
-@pytest.mark.parametrize("p", [0.05, 0.3])
-def test_exact_rate_repetition_grids_match_closed_form(n1, n2, p):
-    # Past the 20 sites that walking every pattern allowed.  Under x_only
-    # each row's parity flips with probability q = (1 - (1 - 2p)**n2) / 2
-    # and code 1 decodes the n1 row parities; z_only mirrors this with the
-    # columns and code 2.  rep4 and rep20 take the even-n tie-break.
+@pytest.mark.parametrize("p,n1,n2", [
+    *((p, n, n) for p in (0.01, 0.05, 0.1) for n in (2, 3)),
+    *((p, n1, n2) for p in (0.05, 0.3)
+      for n1, n2 in ((20, 5), (4, 7), (5, 5)))])
+def test_exact_rate_repetition_grids_match_closed_form(p, n1, n2):
+    # rep2^2 and rep3^2, and grids past the 20 sites that walking every
+    # pattern allowed.  Under x_only each row's parity flips with
+    # probability q = (1 - (1 - 2p)**n2) / 2 and code 1 decodes the n1 row
+    # parities; z_only mirrors this with the columns and code 2.  rep2,
+    # rep4 and rep20 take the even-n tie-break.
     code = SubsystemCode(repetition(n1), repetition(n2))
     for kind, lines, length in (("x_only", n1, n2), ("z_only", n2, n1)):
         q = (1 - (1 - 2 * p) ** length) / 2

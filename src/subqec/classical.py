@@ -394,11 +394,10 @@ def builtin(spec: str) -> LinearCode:
     """Look up a named code family: ``rep:<n>`` or ``hamming:7-4``."""
     spec = spec.strip()
     if spec.startswith("rep:"):
-        try:
-            n = int(spec[4:])
-        except ValueError:
-            raise ValueError(f"bad repetition length in {spec!r}") from None
-        return repetition(n)
+        # int() would also read "٣", "３", "1_1", "+3" and " 3".
+        if not (spec[4:].isascii() and spec[4:].isdigit()):
+            raise ValueError(f"bad repetition length in {spec!r}")
+        return repetition(int(spec[4:]))
     if spec == "hamming:7-4":
         return hamming_7_4()
     raise ValueError(f"unknown code family {spec!r} (try rep:<n> or hamming:7-4)")

@@ -97,7 +97,7 @@ def load_code(spec: str) -> LinearCode:
 
 # -- Pauli strings --------------------------------------------------------
 
-_TERM_RE = re.compile(r"([XYZ])@\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_TERM_RE = re.compile(r"([XYZ])@\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)")
 
 
 def parse_error(text: str, rows: int, cols: int) -> PauliGrid:
@@ -144,16 +144,14 @@ def _cmd_info(args) -> dict:
     return payload
 
 
-def _build(args):
-    c1 = load_code(args.c1)
-    c2 = load_code(args.c2)
-    for c in (c1, c2):
-        c.distance_if_enumerable()  # fills in d, which the grid code reads
-    return ShorCode(c1, c2) if getattr(args, "shor", False) else SubsystemCode(c1, c2)
+def _build(args, cls=SubsystemCode):
+    return cls(load_code(args.c1), load_code(args.c2))
 
 
 def _cmd_build(args) -> dict:
-    code = _build(args)
+    code = _build(args, ShorCode if args.shor else SubsystemCode)
+    for c in (code.c1, code.c2):
+        c.distance_if_enumerable()  # fills in d, which code.distance reads
     s_z, s_x = code.stabilizer_counts
     payload = {
         "type": "shor" if code.shor else "subsystem",
@@ -249,14 +247,11 @@ def _cmd_compare(args) -> dict:
     return compare_report(c1, c2)
 
 
-def _add_pair(sub, shor_flag=True):
+def _add_pair(sub):
     sub.add_argument("--c1", required=True,
                      help="first classical code (rep:<n>, hamming:7-4, "
                           "generator:<path>, parity:<path>)")
     sub.add_argument("--c2", required=True, help="second classical code")
-    if shor_flag:
-        sub.add_argument("--shor", action="store_true",
-                         help="build the Shor-style subspace variant")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a grid code and report counts")
     _add_pair(p)
+    p.add_argument("--shor", action="store_true",
+                   help="build the Shor-style subspace variant")
     p.add_argument("--verbose", action="store_true",
                    help="include every generator as a Pauli grid")
     p.set_defaults(func=_cmd_build)
@@ -283,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("decode", help="run recovery on a Pauli error")
-    _add_pair(p, shor_flag=False)
+    _add_pair(p)
     p.add_argument("--error", required=True,
                    help="comma-separated P@(row,col) terms, P in X,Y,Z")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("simulate", help="Monte Carlo logical failure rate")
-    _add_pair(p, shor_flag=False)
+    _add_pair(p)
     p.add_argument("--noise", required=True, choices=_NOISE_KINDS)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--px", dest="p_x", metavar="PX", type=float, default=None)
@@ -301,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare",
                        help="stabilizer counts vs the Shor-style variant")
-    _add_pair(p, shor_flag=False)
+    _add_pair(p)
     p.set_defaults(func=_cmd_compare)
 
     return parser

@@ -68,6 +68,9 @@ class PauliGrid:
         return int(np.count_nonzero(self.z | self.x))
 
     def commutes(self, other: "PauliGrid") -> bool:
+        if not isinstance(other, PauliGrid):
+            raise TypeError(f"commutes() takes a PauliGrid, not "
+                            f"{type(other).__name__!r}")
         if self.shape != other.shape:
             raise ValueError(f"grid shapes differ: {self.shape} vs {other.shape}")
         t = int(np.count_nonzero(self.z & other.x)) + int(
@@ -86,7 +89,7 @@ class PauliGrid:
 
     def same_pauli(self, other: "PauliGrid") -> bool:
         """Equality of the Z/X exponents, ignoring phase."""
-        return (self.shape == other.shape
+        return (isinstance(other, PauliGrid) and self.shape == other.shape
                 and np.array_equal(self.z, other.z)
                 and np.array_equal(self.x, other.x))
 

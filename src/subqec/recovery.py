@@ -9,7 +9,8 @@ allowed to move gauge qubits freely.  A ShorCode is refused.
 
 :func:`distance_bruteforce` searches the two Pauli types apart: code 1
 detects an operator's X part and code 2 its Z part, so the lightest
-undetectable logical is of pure X or pure Z type.  It scans the distinct
+undetectable logical is of pure X or pure Z type, and the Z-type search
+is the X-type one with the factors swapped.  It scans the distinct
 nonzero site signatures of each type, as a lightest operator holds no two
 sites of one signature; at each weight it runs over the first signature
 in order and tries both types there.  Its guard counts the subsets of
@@ -160,28 +161,26 @@ def distance_bruteforce(code: SubsystemCode, w_max: int,
     c1, c2 = code.c1, code.c2
     # An X at site (i, j) has the detect and logical coordinates
     # D1[:, i] (x) G2[:, j], whose rows below n1-k1 are its Z-stabilizer
-    # syndrome; a Z has G1[:, i] (x) D2[:, j], whose columns below n2-k2
-    # are its X-stabilizer syndrome.  Each is packed into an int with the
-    # syndrome on top of the k1*k2 logical bits, so an operator's signature
-    # is the XOR of its sites', and its syndrome is that shifted down.
-    # With columns packed row 0 on top, the X signature is
-    # spread(D1[:, i], k2) * G2[:, j], where spread moves bit p to bit
-    # p * k2; the factor is below 2**k2, so the product carries nowhere.
-    # The Z signature is G1[:, i] * spread(D2[:, j], k1) alike, so it is 0
-    # when a column is and otherwise names both columns.  Sites of one
-    # signature are interchangeable, and a lightest operator holds at most
-    # one of them (two cancel, leaving a lighter operator of the same
-    # signature) and none of signature 0.  So each type scans the products
-    # of its distinct nonzero columns: on rep(m) x rep(n), m signatures of
-    # X type and n of Z type.
+    # syndrome.  Each is packed into an int with the syndrome on top of the
+    # k1*k2 logical bits, so an operator's signature is the XOR of its
+    # sites', and its syndrome is that shifted down.  With columns packed
+    # row 0 on top, the signature is spread(D1[:, i], k2) * G2[:, j], where
+    # spread moves bit p to bit p * k2; the factor is below 2**k2, so the
+    # product carries nowhere, is 0 when a column is and otherwise names
+    # both columns.  The Z type is the X type with the factors swapped: a
+    # Z at (i, j) has G1[:, i] (x) D2[:, j], whose columns below n2-k2 are
+    # its X-stabilizer syndrome, packed as spread(D2[:, j], k1) * G1[:, i].
+    # Sites of one signature are interchangeable, and a lightest operator
+    # holds at most one of them (two cancel, leaving a lighter operator of
+    # the same signature) and none of signature 0.  So each type scans the
+    # products of its distinct nonzero columns: on rep(m) x rep(n), m
+    # signatures of X type and n of Z type.
     logical = c1.k * c2.k
     tables = []
-    for cols1, cols2 in ((_spread_columns(c1.dual_basis, c2.k),
-                          gf2._pack(c2.generator.T)),
-                         (gf2._pack(c1.generator.T),
-                          _spread_columns(c2.dual_basis, c1.k))):
-        cols2 = [v for v in dict.fromkeys(cols2) if v]
-        sigs = [u * v for u in dict.fromkeys(cols1) if u for v in cols2]
+    for dec, other in ((c1, c2), (c2, c1)):
+        cols = [v for v in dict.fromkeys(gf2._pack(other.generator.T)) if v]
+        sigs = [u * v for u in dict.fromkeys(
+            _spread_columns(dec.dual_basis, other.k)) if u for v in cols]
         # The last site is looked up, not scanned: acc ^ sig has zero
         # syndrome iff sig's syndrome equals acc's, and is nonzero iff
         # sig != acc.

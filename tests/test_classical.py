@@ -574,6 +574,18 @@ def test_builtin_rejects_unknown():
         builtin("golay:23")
     with pytest.raises(ValueError):
         builtin("rep:x")
+    with pytest.raises(ValueError, match="repetition length must be >= 1"):
+        builtin("rep:0")
+
+
+@pytest.mark.parametrize("spec", ["rep:\u0663", "rep:\uff13", "rep:1_1",
+                                  "rep:+3", "rep: 3", "rep:"],
+                         ids=["arabic-indic", "fullwidth", "underscore",
+                              "plus", "space", "empty"])
+def test_builtin_rep_takes_ascii_digits_only(spec):
+    # int() read all but the empty one as a length.
+    with pytest.raises(ValueError, match="bad repetition length in"):
+        builtin(spec)
 
 
 def test_repetition_check_is_bidiagonal():

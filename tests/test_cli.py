@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import subqec
-from subqec import cli, simulate
+from subqec import LinearCode, cli, simulate
 from subqec.cli import (
     load_code,
     main,
@@ -494,7 +494,34 @@ def test_cli_accepts_matrix_file_specs(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "build", "--c1", f"generator:{gen}",
                            "--c2", "rep:3")
     assert code == 0
-    assert json.loads(out)["n"] == 6
+    payload = json.loads(out)
+    assert (payload["n"], payload["distance"]) == (6, 2)
+
+
+@pytest.mark.parametrize("command, calls", [
+    (("build",), 2),
+    (("distance", "--wmax", "3"), 0),
+    (("decode", "--error", "X@(0,0)"), 0),
+    (("simulate", "--noise", "x_only", "--p", "0.1", "--trials", "20",
+      "--seed", "11"), 0)], ids=["build", "distance", "decode", "simulate"])
+def test_only_build_computes_factor_distances(tmp_path, capsys, monkeypatch,
+                                              command, calls):
+    # A generator file claims no distance, so only min_distance finds it;
+    # distance, decode and simulate read none and must not pay for it.
+    gen = tmp_path / "gen.txt"
+    gen.write_text("1 3\n111\n")
+    seen = []
+    real = LinearCode.min_distance
+
+    def spy(code):
+        seen.append(code.n)
+        return real(code)
+
+    monkeypatch.setattr(LinearCode, "min_distance", spy)
+    code, out, _ = run_cli(capsys, command[0], "--c1", f"generator:{gen}",
+                           "--c2", f"generator:{gen}", *command[1:])
+    assert code == 0 and out
+    assert len(seen) == calls
 
 
 def test_rank_deficient_file_exits_one(tmp_path, capsys):
@@ -561,6 +588,25 @@ def test_parse_error_reads_any_space_inside_a_term():
     assert op.to_rows() == ["IX", "ZI"]
 
 
+@pytest.mark.parametrize("text", ["X@(\u0662,0)", "X@(0,\uff11)"],
+                         ids=["arabic-indic", "fullwidth"])
+def test_parse_error_sites_take_ascii_digits_only(text):
+    # \d matched them, and int() read them as 2 and 1.
+    with pytest.raises(ValueError, match="unparsed error terms"):
+        parse_error(text, 3, 3)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("info", "rep:\uff13"), "error: bad repetition length in 'rep:\uff13'"),
+    (("decode", "--c1", "rep:3", "--c2", "rep:3", "--error",
+      "X@(\u0662,0)"), "error: unparsed error terms in 'X@(\u0662,0)'")],
+    ids=["rep-length", "error-site"])
+def test_non_ascii_digits_exit_one(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
+
+
 def test_parse_error_rejects_bad_input():
     with pytest.raises(ValueError, match="outside"):
         parse_error("X@(5,0)", 2, 2)
@@ -586,10 +632,12 @@ def test_unknown_subcommand_exits_two(capsys):
 @pytest.mark.parametrize("command", [
     ("simulate", "--noise", "x_only", "--p", "0.1", "--trials", "20",
      "--seed", "11"),
-    ("decode", "--error", "X@(0,0),X@(1,1)")])
+    ("decode", "--error", "X@(0,0),X@(1,1)"),
+    ("distance", "--wmax", "4")])
 def test_simulate_and_decode_take_no_shor_flag(capsys, command):
     # Their recovery reads the subsystem syndrome, which a Shor code does
-    # not measure, so the flag is a usage error.
+    # not measure, and the distance search reads only the two factors, so
+    # the flag is a usage error.
     code, out, _ = run_cli(capsys, command[0], "--c1", "rep:3", "--c2",
                            "rep:3", *command[1:], "--shor")
     assert code == 2 and out == ""

@@ -124,6 +124,15 @@ def test_multiplying_by_a_non_pauli_is_a_type_error():
         3 * PauliGrid.identity(2, 2)
 
 
+def test_commutes_refuses_a_non_pauli_and_same_pauli_is_false():
+    # Both raised AttributeError: 'int' object has no attribute 'shape'.
+    op = PauliGrid.identity(2, 2)
+    with pytest.raises(TypeError, match="takes a PauliGrid, not 'int'"):
+        op.commutes(3)
+    assert op.same_pauli(3) is False
+    assert op.same_pauli(None) is False
+
+
 def test_equality_hash_and_repr():
     op = PauliGrid.single(1, 2, 0, 1, "Y")
     assert (op == 3) is False

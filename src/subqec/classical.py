@@ -317,15 +317,14 @@ class LinearCode:
     def fails(self):
         """The per-word failure rule, by the route of the module docstring:
         int64 words (position i at bit n-1-i) to bools.  For n <= 20 it
-        reads a read-only table of every word v, ``leaders[P v] != v``,
-        with ``P v`` spanned over all 2**n words at once."""
+        reads a read-only table of all 2**n words, True at every word but
+        the :attr:`leaders`, as each coset has exactly one leader."""
         if self._by_codewords:
             return _codeword_rule(self)
         if self.n > _TABLE_MAX_N:
             return _syndrome_rule(self)
-        start, leaders = time.perf_counter(), self.leaders
-        table = (leaders[_span_words(_bit_weights(self.check))]
-                 != np.arange(1 << self.n))
+        start, table = time.perf_counter(), np.ones(1 << self.n, bool)
+        table[self.leaders] = False
         table.setflags(write=False)
         _log_debug(__name__, "fail table of %r (n=%d) built in %.2f ms",
                    self, self.n, 1e3 * (time.perf_counter() - start))

@@ -11,10 +11,12 @@ Python int with column 0 as its top bit, so a row operation is one XOR and
 a row's pivot column is its leading bit, and pivot rows are kept in a dict
 keyed on that bit.  One loop, ``_eliminate``, runs every elimination; a
 row's bits below a given one are its tag, which the row operations carry
-along.  :func:`kernel_columns` and :func:`dual_complete_columns`
-eliminate the columns of a matrix packed the same way (``pack_rows(m.T)``)
-tagged with their unit rows, so ``LinearCode`` builds a code without a
-transpose in Python.  :func:`rank` packs a matrix once and eliminates.
+along.  Back-substitution clears from each pivot row, lowest first, only
+the lower pivot bits it holds.  :func:`kernel_columns` and
+:func:`dual_complete_columns` eliminate the columns of a matrix packed the
+same way (``pack_rows(m.T)``) tagged with their unit rows, so ``LinearCode``
+builds a code without a transpose in Python.  :func:`rank` packs a matrix
+once and eliminates.
 
 :func:`mat_mul` keeps small products on a uint8 ``@`` masked to the low
 bit, which is exact because uint8 wraps modulo 256, an even number.  Larger
@@ -134,13 +136,12 @@ def _reduce(pivots: dict) -> list:
     Gauss-Jordan back-substitution); returns the leading bits, highest
     first."""
     leads = sorted(pivots)
-    # Lowest pivot first: it has zeros at every lower pivot bit already, so
-    # clearing its bit from the higher rows sets no pivot bit again.
-    for i, lead in enumerate(leads):
-        row, bit = pivots[lead], 1 << lead
-        for higher in leads[i + 1:]:
-            if pivots[higher] & bit:
-                pivots[higher] ^= row
+    # Lowest first, so XOR with a reduced row changes one pivot bit only.
+    done = 0  # the pivot bits of the rows reduced so far
+    for lead in leads:
+        while hit := pivots[lead] & done:
+            pivots[lead] ^= pivots[hit.bit_length() - 1]
+        done |= 1 << lead
     leads.reverse()
     return leads
 

@@ -471,6 +471,31 @@ def test_codeword_and_syndrome_routes_match_fail_table(data):
     assert np.array_equal(code.fails(two_d), table[two_d])
 
 
+@pytest.mark.parametrize("make, closed_form", [
+    # rep20: a word fails iff more than half its bits are set, or exactly
+    # half with position 0 (the top bit) set, as the leader of its coset
+    # is the lighter of v and its complement, or the lesser at a tie.
+    (lambda: repetition(20),
+     lambda words, weight: (weight > 10) | (weight == 10) & (words >> 19 == 1)),
+    # [20,0]: every word is its own coset's leader.
+    (lambda: LinearCode.from_parity(np.eye(20, dtype=np.uint8)),
+     lambda words, weight: np.zeros(words.shape, bool)),
+    # [20,20]: one coset, whose leader is 0.
+    (lambda: LinearCode.from_generator(np.eye(20, dtype=np.uint8)),
+     lambda words, weight: words != 0),
+], ids=["rep20", "[20,0]", "[20,20]"])
+def test_fail_table_at_twenty_bits_matches_closed_form(make, closed_form):
+    """The table route at its n = 20 edge, against closed forms that never
+    read the leaders; the table stays read-only."""
+    code = make()
+    words, weight = np.arange(1 << 20, dtype=np.int64), np.zeros(1 << 20, int)
+    for b in range(20):  # the words from 2**b up add bit b to those below
+        weight[1 << b:2 << b] = weight[:1 << b] + 1
+    assert np.array_equal(code.fails(words), closed_form(words, weight))
+    with pytest.raises(ValueError):
+        code.fails.__self__[0] = True
+
+
 def test_long_repetition_decodes_by_majority():
     # rep(n) past 20 bits decodes by its two-word cosets: the lighter word,
     # and at a tie (even n) the lexicographically smaller.

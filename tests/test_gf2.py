@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from subqec import LinearCode, gf2
+from subqec import LinearCode, gf2, repetition
 
 from references import (dual_complete, gram_rows, inverse, kernel_basis,
                         rref, solve)
@@ -555,3 +555,20 @@ def test_elimination_past_64_columns(n, k):
         assert np.array_equal(code.generator_complement,
                               gf2.unpack_rows(g_c, n))
         assert code.bases_are_dual
+
+
+@pytest.mark.parametrize("given_by", ["both", "check"])
+@pytest.mark.parametrize("n", [63, 130])
+def test_back_substitution_with_many_sparse_pivots(n, given_by):
+    """Eliminating the bidiagonal check of rep(n) leaves n - 1 pivot rows,
+    all but one holding one lower pivot bit for back-substitution to
+    clear: the complements, given both matrices or the check only, match
+    the uint8 references."""
+    rep = repetition(n)
+    code = rep if given_by == "both" else LinearCode.from_parity(rep.check)
+    assert np.array_equal(code.generator, np.ones((1, n), np.uint8))
+    p_c, g_c = reference_dual_complete_rows(
+        gf2.pack_rows(rep.check), gf2.pack_rows(rep.generator), n)
+    assert np.array_equal(code.check_complement, gf2.unpack_rows(p_c, n))
+    assert np.array_equal(code.generator_complement, gf2.unpack_rows(g_c, n))
+    assert code.bases_are_dual

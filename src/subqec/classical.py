@@ -323,8 +323,9 @@ class LinearCode:
             return _codeword_rule(self)
         if self.n > _TABLE_MAX_N:
             return _syndrome_rule(self)
+        leaders = self.leaders  # timed by its own record
         start, table = time.perf_counter(), np.ones(1 << self.n, bool)
-        table[self.leaders] = False
+        table[leaders] = False
         table.setflags(write=False)
         _log_debug(__name__, "fail table of %r (n=%d) built in %.2f ms",
                    self, self.n, 1e3 * (time.perf_counter() - start))
@@ -369,9 +370,7 @@ class LinearCode:
 
 def repetition(n: int) -> LinearCode:
     """The [n, 1, n] repetition code with the bidiagonal check matrix."""
-    n = gf2._require_int("repetition length", n)
-    if n < 1:
-        raise ValueError("repetition length must be >= 1")
+    n = gf2._require_int("repetition length", n, 1)
     g = np.ones((1, n), dtype=np.uint8)
     p = np.zeros((n - 1, n), dtype=np.uint8)
     for i in range(n - 1):

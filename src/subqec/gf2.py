@@ -66,15 +66,19 @@ def as_bits(m) -> np.ndarray:
     return a.astype(np.uint8)
 
 
-def _require_int(name: str, value) -> int:
+def _require_int(name: str, value, low: int | None = None) -> int:
     """``value`` as an int; a bool, a float or any other non-integral value
-    raises ValueError instead of being truncated or misreported."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, not {value!r}")
+    raises ValueError instead of being truncated or misreported, and so
+    does an int below ``low``, when given."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if low is not None and number < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return number
 
 
 # -- packed rows -------------------------------------------------------------

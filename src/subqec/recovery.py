@@ -152,10 +152,8 @@ def distance_bruteforce(code: SubsystemCode, w_max: int,
         ValueError: when the candidates, ``sum_w C(s, w)`` over w <= w_max
             and each type's s signatures, exceed ``candidate_guard``.
     """
-    w_max = gf2._require_int("w_max", w_max)
+    w_max = gf2._require_int("w_max", w_max, 1)
     candidate_guard = gf2._require_int("candidate_guard", candidate_guard)
-    if w_max < 1:
-        raise ValueError("w_max must be >= 1")
     w_max = min(w_max, code.n)
 
     c1, c2 = code.c1, code.c2

@@ -273,39 +273,33 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
 
     Deterministic in (code, noise, trials, seed): splitting the same run
     over any number of workers or any batch size returns a byte-identical
-    report.  ``workers`` sets how many trial ranges the run is split into,
-    at most one per trial; at most one thread per core runs them.  A batch
-    draws the words of at most ``batch_size`` trials, and of about 2**17
-    words at most.  A ShorCode is refused.
+    report.  ``workers`` caps the threads: the run splits into
+    ``min(workers, trials, cores)`` ranges at exact integer bounds, one per
+    thread.  A batch draws the words of at most ``batch_size`` trials, and
+    of about 2**17 words at most.  A ShorCode is refused.
     """
     trials, seed, workers, batch_size = (
-        _require_int(name, value) for name, value in (
-            ("trials", trials), ("seed", seed), ("workers", workers),
-            ("batch_size", batch_size)))
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+        _require_int(name, value, low) for name, value, low in (
+            ("trials", trials, 1), ("seed", seed, None),
+            ("workers", workers, 1), ("batch_size", batch_size, 1)))
     if not (0 <= seed <= _MAX_SEED):
         raise ValueError("seed must fit in 64 bits")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     # The kernel (and the factors' fail tables) is built before threads fan
     # out, so they share one copy.  A trial owns whole Philox blocks.
     width = 4 * max(1, (noise.draws_per_site * code.n + 3) // 4)
     kernel = _Kernel(code, width, (noise.draws_per_site - 1) * code.n)
     count = functools.partial(_count_chunk, kernel, noise, seed, batch_size)
-    bounds = np.linspace(0, trials, min(workers, trials) + 1).astype(int)
-    ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    if len(ranges) == 1:
-        counts = [count(r) for r in ranges]
+    threads = min(workers, trials, os.cpu_count() or 1)
+    if threads == 1:
+        counts = count((0, trials))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        threads = min(len(ranges), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(count, ranges))
-    failures, bit_flip, phase_flip = (int(c) for c in sum(counts))
+            counts = sum(pool.map(count, (
+                (trials * i // threads, trials * (i + 1) // threads)
+                for i in range(threads))))
+    failures, bit_flip, phase_flip = (int(c) for c in counts)
     rate = failures / trials
     std_error = math.sqrt(rate * (1.0 - rate) / trials)
     ci_low, ci_high = _wilson_interval(failures, trials)

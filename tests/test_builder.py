@@ -231,6 +231,13 @@ def logical_x_hits_gauge(rep3):
     return code
 
 
+def drop_z_gauge(rep3):
+    """One Z gauge short: the generators no longer number n."""
+    code = SubsystemCode(rep3, rep3)
+    code.z_gauge_bits = code.z_gauge_bits[:-1]
+    return code
+
+
 def shor_stabilizer_is_logical(rep3):
     code = ShorCode(rep3, rep3)
     code.x_stabilizer_bits = np.concatenate(
@@ -244,8 +251,10 @@ def shor_stabilizer_is_logical(rep3):
     (reverse_x_gauges, "commutation"),
     (logical_x_hits_gauge, "commutation"),
     (shor_stabilizer_is_logical, "commutation"),
+    (drop_z_gauge, "stabilizer and partner counts do not fill the grid"),
 ], ids=["replaced_stabilizer", "duplicated_stabilizer", "reversed_x_gauges",
-        "logical_x_hits_gauge", "shor_stabilizer_is_logical"])
+        "logical_x_hits_gauge", "shor_stabilizer_is_logical",
+        "dropped_z_gauge"])
 def test_verification_catches_corruption(rep3, corrupt, message):
     code = corrupt(rep3)
     with pytest.raises(ValueError, match=message):

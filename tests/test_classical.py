@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subqec import LinearCode, builtin, gf2, hamming_7_4, repetition
+from subqec import (LinearCode, builtin, classical, gf2, hamming_7_4,
+                    repetition)
 from subqec.classical import _codeword_rule, _syndrome_rule
 
 from references import codewords, golay_23_12, rref
@@ -376,6 +377,19 @@ def test_table_builds_log_at_debug_only(caplog):
         assert re.fullmatch(rf"{table} of <LinearCode 'rep6' \[6,1,6\]> "
                             rf"\(n=6\) built in \d+\.\d\d ms",
                             record.getMessage())
+
+
+def test_fail_table_record_times_the_table_alone(monkeypatch, caplog):
+    # A clock that advances one second per read: the leader walk reads it
+    # twice, so a fail-table record that also timed the walk said 3000 ms.
+    ticks = itertools.count()
+    monkeypatch.setattr(classical.time, "perf_counter",
+                        lambda: float(next(ticks)))
+    with caplog.at_level(logging.DEBUG, logger="subqec.classical"):
+        repetition(5).fails
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{table} of <LinearCode 'rep5' [5,1,5]> (n=5) built in 1000.00 ms"
+        for table in ("leader table", "fail table")]
 
 
 def test_tables_refused_above_twenty_bits():

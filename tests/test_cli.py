@@ -331,7 +331,7 @@ def test_simulate_golden_and_stable(capsys):
 
 
 def test_simulate_huge_worker_count(capsys):
-    # A run has at most one range per trial, so the split allocates
+    # Threads are capped by trials and cores, so the split allocates
     # nothing sized by --workers.
     args = ("simulate", "--c1", "rep:3", "--c2", "rep:3", "--noise",
             "x_only", "--p", "0.1", "--trials", "5", "--seed", "1",
@@ -339,6 +339,26 @@ def test_simulate_huge_worker_count(capsys):
     one = run_cli(capsys, *args, "1")
     assert one[0] == 0
     assert run_cli(capsys, *args, "1000000000000000") == one
+
+
+@pytest.mark.parametrize("trials", ["1000000000000000000000000000000",
+                                    "9223372036854775808"])
+def test_simulate_takes_any_trial_count(capsys, monkeypatch, trials):
+    # A float split died on 10**30 with a numpy traceback, and on 2**63
+    # made no range and refused with "max_workers must be greater than 0".
+    ranges = []
+
+    def record(kernel, noise, seed, batch_size, trial_range):
+        ranges.append(trial_range)
+        return np.zeros(3, np.int64)
+
+    monkeypatch.setattr(simulate, "_count_chunk", record)
+    code, out, err = run_cli(capsys, "simulate", "--c1", "rep:3", "--c2",
+                             "rep:3", "--noise", "x_only", "--p", "0.1",
+                             "--trials", trials, "--seed", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["trials"] == int(trials)
+    assert ranges == [(0, int(trials))]
 
 
 def test_simulate_reports_failures_by_axis(capsys):

@@ -367,6 +367,12 @@ def test_distance_rejects_non_integer_bound(code9, w_max):
     assert distance_bruteforce(code9, np.int64(4)) == 3
 
 
+@pytest.mark.parametrize("w_max", [0, -3])
+def test_distance_rejects_bound_below_one(code9, w_max):
+    with pytest.raises(ValueError, match="^w_max must be >= 1$"):
+        distance_bruteforce(code9, w_max)
+
+
 @pytest.mark.parametrize("guard", [True, 1e9, 90.0, "90"])
 def test_distance_rejects_non_integer_guard(code9, guard):
     # True ran as a guard of 1, and 1e9 was accepted as a float.

@@ -266,14 +266,41 @@ def test_thread_pool_capped_at_core_count(code9, monkeypatch, cores):
                         RecordingExecutor)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
     assert run_trials(code9, noise, 5000, seed=29, workers=5000) == base
-    [(threads, ranges)] = RecordingExecutor.calls
-    assert threads == (cores or 1)
-    assert ranges == [(t, t + 1) for t in range(5000)]
+    # One range per thread; a single core runs the whole run in the
+    # calling thread, with no executor.
+    if cores is None:
+        assert RecordingExecutor.calls == []
+    else:
+        assert RecordingExecutor.calls == [
+            (3, [(0, 1666), (1666, 3333), (3333, 5000)])]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 10 ** 15])
+@pytest.mark.parametrize("trials", [2 ** 53 + 1, 2 ** 63, 10 ** 30])
+def test_split_tiles_trials_at_exact_bounds(code9, monkeypatch, trials,
+                                            workers):
+    # A float split lost the last trial of 2**53 + 1, and could not cast
+    # 2**63 or 10**30 to an integer bound at all.
+    ranges = []
+
+    def record(kernel, noise, seed, batch_size, trial_range):
+        ranges.append(trial_range)
+        return np.zeros(3, np.int64)
+
+    monkeypatch.setattr(simulate, "_count_chunk", record)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+    report = run_trials(code9, NoiseModel.x_only(0.1), trials, seed=1,
+                        workers=workers)
+    threads = min(workers, 3)
+    assert sorted(ranges) == [(trials * i // threads,
+                               trials * (i + 1) // threads)
+                              for i in range(threads)]
+    assert (report.trials, report.logical_failures) == (trials, 0)
 
 
 def test_huge_worker_count_splits_by_trials(code9):
-    # A run has at most one range per trial, so 10**15 workers allocate
-    # no array of workers + 1 bounds.
+    # Threads are capped by trials and cores, so 10**15 workers allocate
+    # nothing sized by the worker count.
     noise = NoiseModel.x_only(0.1)
     assert run_trials(code9, noise, trials=5, seed=1,
                       workers=10 ** 15) == run_trials(code9, noise, 5, seed=1)
@@ -304,16 +331,17 @@ def test_report_fields(code9):
 
 def test_run_trials_validation(code9):
     noise = NoiseModel.x_only(0.1)
-    with pytest.raises(ValueError):
-        run_trials(code9, noise, 0, seed=1)
-    with pytest.raises(ValueError):
-        run_trials(code9, noise, 10, seed=-1)
-    with pytest.raises(ValueError):
-        run_trials(code9, noise, 10, seed=1 << 64)
-    with pytest.raises(ValueError):
-        run_trials(code9, noise, 10, seed=1, workers=0)
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            run_trials(code9, noise, trials, seed=1)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="^seed must fit in 64 bits$"):
+            run_trials(code9, noise, 10, seed=seed)
+    for workers in (0, -5):
+        with pytest.raises(ValueError, match="^workers must be >= 1$"):
+            run_trials(code9, noise, 10, seed=1, workers=workers)
     for batch_size in (0, -5):
-        with pytest.raises(ValueError, match="batch_size"):
+        with pytest.raises(ValueError, match="^batch_size must be >= 1$"):
             run_trials(code9, noise, 10, seed=1, batch_size=batch_size)
 
 

@@ -1,16 +1,18 @@
 """Estimate logical failure rates and check them against exact enumeration.
 
-The single-axis channels on small grids admit an exact answer by summing
-over every error pattern, which makes a good oracle for the Monte Carlo
-path.  The depolarizing sweep at the end shows the expected distance-driven
-scaling: the [[9,1,3]] rate falls quadratically with p, the [[4,1,2]] rate
-only linearly.
+The single-axis channels admit an exact answer from the failing error
+patterns counted by weight, which makes a good oracle for the Monte Carlo
+path, up to the paper's own [[49,16,3]] example, hamming(7,4)^2.  The
+depolarizing sweep at the end shows the expected distance-driven scaling:
+the [[9,1,3]] rate falls quadratically with p, the [[4,1,2]] rate only
+linearly.
 """
 
 from subqec import (
     NoiseModel,
     SubsystemCode,
     exact_rate_enumeration,
+    hamming_7_4,
     repetition,
     run_trials,
 )
@@ -22,12 +24,15 @@ SEED = 7
 def main():
     code9 = SubsystemCode(repetition(3), repetition(3))
     code4 = SubsystemCode(repetition(2), repetition(2))
+    code49 = SubsystemCode(hamming_7_4(), hamming_7_4())
 
     print(f"bit-flip channel, {TRIALS} trials per point, seed {SEED}:\n")
     print(f"  {'code':>12} {'p':>6} {'exact':>10} {'estimate':>10} "
           f"{'std err':>9}")
-    for code, label in ((code9, "[[9,1,3]]"), (code4, "[[4,1,2]]")):
-        for p in (0.01, 0.05, 0.1):
+    for code, label, ps in ((code9, "[[9,1,3]]", (0.01, 0.05, 0.1)),
+                            (code4, "[[4,1,2]]", (0.01, 0.05, 0.1)),
+                            (code49, "[[49,16,3]]", (0.01, 0.05))):
+        for p in ps:
             noise = NoiseModel.x_only(p)
             exact = exact_rate_enumeration(code, noise)
             mc = run_trials(code, noise, TRIALS, seed=SEED, workers=4)

@@ -24,6 +24,7 @@ from .simulate import (
     TrialReport,
     compare_report,
     exact_rate_enumeration,
+    failing_counts,
     run_trials,
 )
 
@@ -63,6 +64,7 @@ __all__ = [
     "TrialReport",
     "run_trials",
     "exact_rate_enumeration",
+    "failing_counts",
     "compare_report",
 ]
 

@@ -89,7 +89,9 @@ def _bit_weights(rows: np.ndarray) -> np.ndarray:
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits per int64 >= 0, by SWAR (numpy 1.x has no bitwise_count)."""
+    """Set bits per int64 >= 0, by bitwise_count (numpy >= 2) or by SWAR."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(x)
     x = x - (x >> 1 & 0x5555555555555555)
     x = (x & 0x3333333333333333) + (x >> 2 & 0x3333333333333333)
     return ((x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F) * 0x0101010101010101 >> 56

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import importlib
-import itertools
 import math
 import numbers
 import os
@@ -39,15 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import _require_int
-from .classical import LinearCode, _bit_weights, _span_words
+from .classical import LinearCode, _bit_weights, _popcount, _span_words
 from .builder import ShorCode, SubsystemCode, _stabilizer_counts
 
 # Tags the draw layout the module docstring describes; change it with it.
 RNG_LAYOUT = "philox4x64/trial-blocks/raw-limits/v1"
 _MAX_SEED = (1 << 64) - 1
 _RAW_WORDS = 1 << 17  # most raw words drawn per batch, to stay in cache
-_EXACT_MAX_BITS = 20  # exact enumeration: most line patterns, joint signatures
-_FSUM_CHUNK = 1 << 12  # floats handed to math.fsum per chunk
+_EXACT_MAX_BITS = 20  # exact counts: most line bits, word bits, syndrome bits
 _NOISE_KINDS = ("depolarizing", "x_only", "z_only", "independent_xz")
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 # No code here calls recover; it stays readable as an attribute of this
@@ -276,7 +274,8 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
     report.  ``workers`` caps the threads: the run splits into
     ``min(workers, trials, cores)`` ranges at exact integer bounds, one per
     thread.  A batch draws the words of at most ``batch_size`` trials, and
-    of about 2**17 words at most.  A ShorCode is refused.
+    of about 2**17 words at most.  A ShorCode is refused, and so is a run
+    longer than the Philox stream.
     """
     trials, seed, workers, batch_size = (
         _require_int(name, value, low) for name, value, low in (
@@ -287,6 +286,9 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
     # The kernel (and the factors' fail tables) is built before threads fan
     # out, so they share one copy.  A trial owns whole Philox blocks.
     width = 4 * max(1, (noise.draws_per_site * code.n + 3) // 4)
+    if trials * (width // 4) > 1 << 256:  # past them the counter wraps
+        raise ValueError(f"trials must be <= 2**256 // {width // 4}: a trial "
+                         f"reads {width // 4} of the 2**256 Philox blocks")
     kernel = _Kernel(code, width, (noise.draws_per_site - 1) * code.n)
     count = functools.partial(_count_chunk, kernel, noise, seed, batch_size)
     threads = min(workers, trials, os.cpu_count() or 1)
@@ -318,69 +320,84 @@ def run_trials(code: SubsystemCode, noise: NoiseModel, trials: int, seed: int,
     )
 
 
-def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
-    """Exact logical failure rate for a channel whose axes are independent,
-    summed over the grid's i.i.d. lines.
+def failing_counts(code: SubsystemCode, kind: str) -> tuple:
+    """The N + 1 counts F_w of the weight-w patterns of ``kind`` errors,
+    ``"x_only"`` or ``"z_only"``, that the N-site grid fails to correct,
+    as exact ints.
 
-    Under ``x_only`` only the bit-flip stage can fail: iff ``c1.fails(y_b)``
-    for some b (module docstring).  Position i of ``y_b`` is bit b of row
-    i's k2-bit signature ``G2 x_i``, and the rows are i.i.d.  So the
-    signature's distribution is tabulated over the 2**n2 row patterns, each
-    weighted ``p**w (1-p)**(n2-w)``, and one outer product per row walks
-    the 2**(n1*k2) joint signatures.  Regrouped by signature bit, a joint
-    signature's bits are the words ``y_b`` (row i at bit n1-1-i, as
-    ``fails`` reads them), and the failing ones are summed with
-    ``math.fsum``.  ``z_only`` mirrors this with the columns, ``G1`` and
-    ``c2.fails``.  ``independent_xz`` draws its axes independently, so its
-    rate is ``1 - (1 - P_x)(1 - P_z)`` from the ``x_only(p_x)`` and
-    ``z_only(p_z)`` rates.  Depolarizing noise correlates the axes at each
-    site and is refused.
+    Under ``x_only`` the bit-flip stage passes iff each word ``y_b`` is its
+    coset's leader (module docstring).  Position i of ``y_b`` is bit b of
+    row i's k2-bit signature ``G2 x_i``, so the passing patterns are, for
+    each tuple of k2 leaders of code 1 (one per syndrome, 2**((n1-k1)*k2)
+    tuples), the patterns whose row i has the signature made of bit i of
+    each leader.  The rows are i.i.d.: with ``A[s]`` the polynomial whose
+    coefficient w counts the weight-w rows of signature s, a tuple passes
+    ``prod_i A[s_i]``, which depends only on its multiset of row
+    signatures.  The tuples are grouped by that multiset, the products
+    summed to ``pass_w``, and ``F_w = C(N, w) - pass_w``.  ``z_only``
+    mirrors this with the columns, ``G1`` and the leaders of code 2.
 
-    A grid is refused before any work when its line patterns or joint
-    signatures (for ``z_only``, 2**n1 and 2**(n2*k1)) exceed 2**20, which
-    keeps the decoding factor on the table route of ``fails`` if the line
-    code has k >= 1; with k = 0 the rate is 0.0.  A ShorCode is refused.
+    A stage where either factor has k = 0 never fails.  Otherwise a grid
+    is refused before any work when a line has more than 20 sites, the
+    decoding factor more than 20 bits, or the stage more than 2**20
+    syndromes.  A ShorCode is refused.
     """
-    # The decoding factor, and the one whose generator signs each line;
-    # read first, so a ShorCode is refused whatever the channel.
-    dec, line = code._stages[noise.kind == "z_only"]
+    # Read first, so a ShorCode is refused whatever the kind.
+    dec, line = code._stages[kind == "z_only"]
+    if kind not in ("x_only", "z_only"):
+        raise ValueError(f"exact counts take x_only or z_only, not {kind!r}")
+    n, m, k = code.n, line.n, line.k
+    if not (dec.k and k):  # no word to decode, or every word its own leader
+        return (0,) * (n + 1)
+    for size, what in ((m, "line patterns"), (dec.n, "words"),
+                       ((dec.n - dec.k) * k, "syndromes")):
+        if size > _EXACT_MAX_BITS:
+            raise ValueError(f"exact {kind} counts would walk 2**{size} "
+                             f"{what}; the limit is 2**{_EXACT_MAX_BITS}")
+    if k > 1:  # each tuple's row signatures, sorted, and the tuples per multiset
+        bits = (dec.leaders[:, None] >> np.arange(dec.n) & 1).astype(
+            np.min_scalar_type((1 << k) - 1))
+        rows = np.sort(sum(bits.reshape((-1,) + (1,) * (k - 1 - b) + (dec.n,))
+                           << b for b in range(k)).reshape(-1, dec.n), axis=1)
+        # Keyed by each row's bytes, as np.unique(axis=0) sorts far slower.
+        _, first, count = np.unique(rows.view(np.dtype((
+            np.void, rows.strides[0]))), return_index=True, return_counts=True)
+    # A[s] for each signature s a row can hold, all 2**k of them or only 0
+    # when the one leader is 0, and a last A that gathers the rest, each as
+    # one int with the count of weight w at bit n*w: counts on n sites are
+    # below 2**n, so no carry.
+    held = 1 << k if len(dec.leaders) > 1 else 1
+    key = np.minimum(_span_words(_bit_weights(line.generator)), held)
+    table = np.bincount(key * (m + 1) + _popcount(np.arange(1 << m)),
+                        minlength=(held + 1) * (m + 1)).reshape(-1, m + 1)
+    poly = [sum(c << n * w for w, c in enumerate(a)) for a in table.tolist()]
+    if k == 1:  # the leaders of weight w pass A[1]**w A[0]**(n1-w), by Horner
+        passing, power = 0, 1
+        for c in np.bincount(_popcount(dec.leaders),
+                             minlength=dec.n + 1).tolist():
+            passing, power = passing * poly[0] + c * power, power * poly[1]
+    else:
+        passing = int((count.astype(object) * np.array(poly, object)[
+            rows[first]].prod(axis=1)).sum())
+    return tuple(math.comb(n, w) - (passing >> n * w & (1 << n) - 1)
+                 for w in range(n + 1))
+
+
+def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
+    """Exact logical failure rate for a channel whose axes are independent:
+    under ``x_only`` or ``z_only``, ``math.fsum`` of the terms ``F_w p**w
+    (1-p)**(N-w)`` of the :func:`failing_counts`, none negative; under
+    ``independent_xz``, ``1 - (1 - P_x)(1 - P_z)`` from the ``x_only(p_x)``
+    and ``z_only(p_z)`` rates.  Depolarizing noise correlates the axes at
+    each site and is refused, as are the grids and the ShorCode that
+    :func:`failing_counts` refuses."""
     if noise.kind == "independent_xz":
         p_x = exact_rate_enumeration(code, NoiseModel.x_only(noise.p_x))
         p_z = exact_rate_enumeration(code, NoiseModel.z_only(noise.p_z))
         return p_x + p_z - p_x * p_z  # 1 - (1-P_x)(1-P_z), without cancelling
-    if noise.kind not in ("x_only", "z_only"):
-        raise ValueError("exact enumeration needs an x_only, z_only or "
-                         "independent_xz channel")
-    for what, bits in (("line patterns", line.n),
-                       ("joint signatures", dec.n * line.k)):
-        if bits > _EXACT_MAX_BITS:
-            raise ValueError(f"exact {noise.kind} enumeration on this grid "
-                             f"would walk 2**{bits} {what}; the limit is "
-                             f"2**{_EXACT_MAX_BITS}")
-    if not line.k:  # the stage decodes no word, so it never fails
-        return 0.0
-    p, n, k = noise.p, line.n, line.k
-    # A pattern weighs 1-p or p per bit.  Each signature is taken by
-    # 2**(n-k) patterns, so sorted by signature they fill the rows of a
-    # (2**k, 2**(n-k)) array, summed pairwise.
-    bit = np.array([1.0 - p, p])
-    pattern = functools.reduce(np.multiply.outer, [bit] * n).ravel()
-    signature = _span_words(_bit_weights(line.generator))
-    line_prob = pattern[np.argsort(signature)].reshape(1 << k, -1).sum(axis=1)
-    # The joint signatures list the lines' signatures, line 0 on top; their
-    # bits regrouped by signature bit are the k words, each read by fails.
-    joint = functools.reduce(np.multiply.outer, [line_prob] * dec.n)
-    prob = joint.reshape((2,) * (dec.n * k)).transpose(
-        [i * k + j for j in range(k) for i in range(dec.n)]).ravel()
-    failing = functools.reduce(np.logical_or.outer,
-                               [dec.fails(np.arange(1 << dec.n))] * k).ravel()
-    # fsum is correctly rounded, so feeding it a chunk of Python floats at
-    # a time gives the same float without one float object per failing
-    # signature alive at once.
-    terms = prob[failing]
-    return math.fsum(itertools.chain.from_iterable(
-        terms[i:i + _FSUM_CHUNK].tolist()
-        for i in range(0, len(terms), _FSUM_CHUNK)))
+    p, n = noise.p, code.n
+    return math.fsum(f * p ** w * (1.0 - p) ** (n - w) for w, f in
+                     enumerate(failing_counts(code, noise.kind)) if f)
 
 
 def _classical_summary(c: LinearCode) -> dict:

@@ -1,7 +1,8 @@
 """Reference helpers shared by the tests: the float replay of a run's draw
-layout, the hit-list kernel over whole error arrays, and the exact rate by
-walking every grid pattern through the kernel's lanes, which pins the line
-route of :func:`subqec.exact_rate_enumeration` on grids of up to 20 sites.
+layout, the hit-list kernel over whole error arrays, and the failing
+patterns by weight found by walking every grid pattern through the
+kernel's lanes, which pin :func:`subqec.failing_counts` and
+:func:`subqec.exact_rate_enumeration` on grids of up to 20 sites.
 
 :func:`distance_by_three_paulis` is the distance search that tries X, Z
 and Y at every site, the reference for
@@ -48,23 +49,28 @@ def batch_failures(code, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     return failed
 
 
-def walked_exact_rate(code, noise) -> float:
-    """Exact ``x_only`` or ``z_only`` failure rate by pushing all 2**n grid
-    patterns through the kernel's stage: doubling over the sites gives the
-    stage's lanes and the weight of every pattern, and failing patterns
-    are counted by weight."""
+def walked_failing_counts(code, kind: str) -> np.ndarray:
+    """Failing ``x_only`` or ``z_only`` patterns by weight, found by pushing
+    all 2**n grid patterns through the kernel's stage: doubling over the
+    sites gives the stage's lanes and the weight of every pattern."""
     n = code.n
-    axis, kernel = int(noise.kind == "z_only"), _Kernel(code)
+    axis, kernel = int(kind == "z_only"), _Kernel(code)
     sites = kernel.lanes[:, (1 + axis) * n:][:, :n]  # X or Z hits, (lanes, n)
     lanes = np.zeros((len(sites), 1 << n), np.int64)
     weights = np.zeros(1 << n, np.uint8)
     for s in range(n):
         lanes[:, 1 << s:2 << s] = lanes[:, :1 << s] ^ sites[:, s, None]
         weights[1 << s:2 << s] = weights[:1 << s] + 1
-    failing = np.bincount(weights[kernel.fails(axis, lanes)], minlength=n + 1)
-    p = noise.p
-    return math.fsum(int(count) * p ** w * (1.0 - p) ** (n - w)
-                     for w, count in enumerate(failing) if count)
+    return np.bincount(weights[kernel.fails(axis, lanes)], minlength=n + 1)
+
+
+def walked_exact_rate(code, noise) -> float:
+    """Exact ``x_only`` or ``z_only`` failure rate from
+    :func:`walked_failing_counts`."""
+    n, p = code.n, noise.p
+    return math.fsum(int(count) * p ** w * (1.0 - p) ** (n - w) for w, count
+                     in enumerate(walked_failing_counts(code, noise.kind))
+                     if count)
 
 
 def distance_by_three_paulis(code, w_max: int):

@@ -379,6 +379,18 @@ def test_table_builds_log_at_debug_only(caplog):
                             record.getMessage())
 
 
+def test_popcount_by_bitwise_count_and_by_swar(monkeypatch):
+    # numpy >= 2 counts with bitwise_count; numpy 1.x, which has none,
+    # takes the SWAR branch.  Both must count every int64 >= 0.
+    words = np.append(np.random.default_rng(3).integers(
+        0, np.iinfo(np.int64).max, 1000, dtype=np.int64),
+        [0, 1, np.iinfo(np.int64).max])
+    want = [bin(w).count("1") for w in words.tolist()]
+    assert classical._popcount(words).tolist() == want
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert classical._popcount(words).tolist() == want
+
+
 def test_fail_table_record_times_the_table_alone(monkeypatch, caplog):
     # A clock that advances one second per read: the leader walk reads it
     # twice, so a fail-table record that also timed the walk said 3000 ms.

@@ -361,6 +361,18 @@ def test_simulate_takes_any_trial_count(capsys, monkeypatch, trials):
     assert ranges == [(0, int(trials))]
 
 
+def test_simulate_refuses_trials_past_the_philox_stream(capsys, monkeypatch):
+    # 10**400 trials would read past the stream's 2**256 blocks; a stub
+    # that draws nothing shows the refusal comes before any draw.
+    monkeypatch.setattr(simulate, "_count_chunk",
+                        lambda *args: np.zeros(3, np.int64))
+    code, out, err = run_cli(capsys, "simulate", "--c1", "rep:3", "--c2",
+                             "rep:3", "--noise", "x_only", "--p", "0.1",
+                             "--trials", "1" + "0" * 400, "--seed", "1")
+    assert (code, out) == (1, "")
+    assert "trials must be <= 2**256 // 3" in err
+
+
 def test_simulate_reports_failures_by_axis(capsys):
     # The golden run: 41 failures, of which 3 trip both stages.
     code, out, _ = run_cli(capsys, "simulate", "--c1", "rep:3", "--c2", "rep:3",

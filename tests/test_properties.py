@@ -5,9 +5,11 @@ two bases, the generator lists as views of the generator stacks, the
 construction check on the factors against the Gram check on the stacks,
 the brute-force distance against the paper's min(d1, d2) (found at d and
 not below it) and against the search over all three Paulis per site, the
-exact rate's line route against walking every grid pattern, and the
+exact failing counts and rate against walking every grid pattern, and the
 distance search on grids whose sites share signatures against the
 three-Pauli search."""
+
+from math import comb
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from subqec import (
     distance_bruteforce,
     exact_rate_enumeration,
     extract_syndrome,
+    failing_counts,
     gf2,
     recover,
     run_trials,
@@ -35,6 +38,7 @@ from references import (
     symplectic_rows,
     trial_uniforms,
     walked_exact_rate,
+    walked_failing_counts,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
@@ -313,6 +317,22 @@ def test_exact_rate_line_route_matches_pattern_walk(code, kind, p):
         assert got == want
     else:
         assert got == pytest.approx(want, rel=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(code=small_grids(), kind=st.sampled_from(["x_only", "z_only"]))
+def test_failing_counts_match_pattern_walk(code, kind):
+    """The counts by weight equal the pattern walk's, integer for integer,
+    and the passing patterns number one leader tuple per syndrome times
+    2**(n_line - k_line) row patterns per signature on each of the n_d
+    lines: 2**((n_d - k_d) k_line + n_d (n_line - k_line))."""
+    counts = failing_counts(code, kind)
+    assert all(type(f) is int for f in counts)
+    assert list(counts) == walked_failing_counts(code, kind).tolist()
+    dec, line = (code.c1, code.c2) if kind == "x_only" else (code.c2, code.c1)
+    passing = sum(comb(code.n, w) - f for w, f in enumerate(counts))
+    assert passing == 2 ** ((dec.n - dec.k) * line.k
+                            + dec.n * (line.n - line.k))
 
 
 @st.composite

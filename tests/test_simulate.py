@@ -2,6 +2,7 @@
 measurement-count comparison report."""
 
 import concurrent.futures
+import itertools
 import json
 from fractions import Fraction
 from math import comb
@@ -17,6 +18,7 @@ from subqec import (
     SubsystemCode,
     compare_report,
     exact_rate_enumeration,
+    failing_counts,
     hamming_7_4,
     recover,
     repetition,
@@ -439,6 +441,29 @@ def test_golay_grid_fails_from_weight_four():
     assert report.ci_low <= expect <= report.ci_high
 
 
+def zero_counts(kernel, noise, seed, batch_size, trial_range):
+    """A stand-in for ``_count_chunk`` that draws nothing and counts no
+    failure, so trial counts past any feasible run can be checked."""
+    return np.zeros(3, np.int64)
+
+
+def test_run_trials_refuses_more_trials_than_the_philox_stream(code9,
+                                                               monkeypatch):
+    # rep3^2 reads 9 words, 3 Philox blocks, a trial, and the counter wraps
+    # after 2**256 blocks: Philox.advance(2**256 + 5) gives the words of
+    # advance(5), so later trials would repeat earlier draws.  10**154
+    # trials would also overflow the Wilson interval's floats.
+    monkeypatch.setattr(simulate, "_count_chunk", zero_counts)
+    noise = NoiseModel.x_only(0.1)
+    for trials in (10 ** 154, 2 ** 256 // 3 + 1):
+        with pytest.raises(ValueError, match="trials"):
+            run_trials(code9, noise, trials, seed=1)
+    report = run_trials(code9, noise, 2 ** 256 // 3, seed=1)
+    assert report.trials == 2 ** 256 // 3
+    assert (report.rate, report.std_error, report.ci_low) == (0.0, 0.0, 0.0)
+    assert 0.0 < report.ci_high < 1e-70
+
+
 def test_long_repetition_reports_identical_across_workers_and_batches():
     code = SubsystemCode(repetition(21), repetition(3))
     noise = NoiseModel.depolarizing(0.15)
@@ -687,16 +712,54 @@ def test_exact_rate_repetition_grids_match_closed_form(p, n1, n2):
         assert got == pytest.approx(majority_failure(lines, q), rel=1e-12)
 
 
-def test_exact_rate_over_a_million_failing_signatures():
+def test_exact_rate_failing_every_nonzero_pattern():
     # rep1 x the [20,20] code: the one row's 2**20 patterns are its
     # signatures, and all but the zero one fail, so the rate is
-    # 1 - (1-p)**20.  fsum over chunks is correctly rounded, as over one
-    # list was, so the float is pinned exactly.
+    # 1 - (1-p)**20, here within 5 ulps of its correctly rounded value.
+    # The sum runs over the 21 failing counts by weight, so the float is
+    # pinned exactly.
     code = SubsystemCode(repetition(1),
                          LinearCode.from_generator(np.eye(20, dtype=np.uint8)))
     got = exact_rate_enumeration(code, NoiseModel.x_only(0.05))
-    assert got == 0.6415140775914572
-    assert got == pytest.approx(1 - 0.95 ** 20, rel=1e-14)
+    assert got == 0.6415140775914573
+    exact = 1 - (1 - Fraction(0.05)) ** 20
+    assert abs(Fraction(got) - exact) <= 5 * Fraction(np.spacing(float(exact)))
+    assert failing_counts(code, "x_only") == (0, *(comb(20, w)
+                                                   for w in range(1, 21)))
+
+
+HAMMING_SQUARED_COUNTS = (0, 0, 651, 15827, 202559, 1886535)
+
+
+@pytest.mark.parametrize("kind", ["x_only", "z_only"])
+def test_failing_counts_on_hamming_squared(ham, kind):
+    # The paper's [[49,16,3]] grid: a walk over its 2**28 joint signatures
+    # is out of reach, and its 2**12 syndromes are counted instead.  The
+    # counts up to weight 3 are checked pattern by pattern through the
+    # kernel, 19650 patterns in all.
+    code = SubsystemCode(ham, ham)
+    counts = failing_counts(code, kind)
+    assert len(counts) == 50 and counts[:6] == HAMMING_SQUARED_COUNTS
+    sites = [np.array(s, np.intp) for w in range(4)
+             for s in itertools.combinations(range(49), w)]
+    grids = np.zeros((len(sites), 49), np.uint8)
+    for row, s in enumerate(sites):
+        grids[row, s] = 1
+    grids = grids.reshape(-1, 7, 7)
+    zero = np.zeros_like(grids)
+    failed = batch_failures(code, *((zero, grids) if kind == "x_only"
+                                    else (grids, zero)))
+    weights = grids.sum(axis=(1, 2))
+    assert np.bincount(weights[failed], minlength=4).tolist() == list(
+        counts[:4])
+
+
+def test_exact_rate_on_hamming_squared(ham):
+    code = SubsystemCode(ham, ham)
+    for kind in ("x_only", "z_only"):
+        for p, want in ((0.01, 0.0519792), (0.05, 0.555056)):
+            got = exact_rate_enumeration(code, getattr(NoiseModel, kind)(p))
+            assert got == pytest.approx(want, abs=5e-7)
 
 
 def test_exact_rate_agrees_with_monte_carlo(code9):
@@ -738,17 +801,19 @@ def test_exact_rate_refuses_mixed_channels(code9):
 
 
 def test_exact_rate_refuses_large_grids():
-    # Each bound of the line route is checked before any table is built:
-    # hamming^2's 7 rows have 2**(7*4) joint signatures, and rep1 x rep21's
-    # single row has 2**21 patterns.
+    # Each bound of the count is checked before any table is built: rep11
+    # x hamming's bit-flip stage has 2**(10*4) syndromes, rep21 decodes
+    # words of 21 bits, and rep1 x rep21's single row has 2**21 patterns.
     ham, rep21 = hamming_7_4(), repetition(21)
     for c1, c2, match in (
-            (ham, ham, r"2\*\*28 joint signatures; the limit is 2\*\*20"),
+            (repetition(11), ham,
+             r"2\*\*40 syndromes; the limit is 2\*\*20"),
+            (rep21, repetition(3), r"2\*\*21 words"),
             (repetition(1), rep21, r"2\*\*21 line patterns")):
         with pytest.raises(ValueError, match=match):
             exact_rate_enumeration(SubsystemCode(c1, c2),
                                    NoiseModel.x_only(0.1))
-        assert "fails" not in vars(c1) and "fails" not in vars(c2)
+        assert not {"fails", "leaders"} & (set(vars(c1)) | set(vars(c2)))
     # rep21 x (a k = 0 code) decodes with a 21-bit code, past any fail
     # table, but its line signs no word: the rate is exactly 0, as in
     # Monte Carlo, and no table is built.

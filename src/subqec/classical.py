@@ -17,9 +17,9 @@ halves of one read-only (2n, n) array, of which all six are views.
 
 A word is an int whose binary numeral has position 0 as its top bit.  A
 syndrome's coset leader is the least word of its coset in (weight,
-lexicographic) order; :attr:`LinearCode.leaders` lists them, found weight
-by weight.  :attr:`LinearCode.fails` is the code's one per-word failure
-rule, all a grid code's Monte Carlo kernel needs (see
+lexicographic) order; :attr:`LinearCode.leaders` lists them, found by a
+syndrome trellis.  :attr:`LinearCode.fails` is the code's one per-word
+failure rule, all a grid code's Monte Carlo kernel needs (see
 :mod:`subqec.simulate`): int64 words in, whether decoding leaves a logical
 error (``C_c (v xor leader(P v)) != 0``) out: whether v is not its coset's
 leader, as ``v xor leader(P v)`` is a codeword and ``C_c G^T = I``.  The
@@ -45,7 +45,6 @@ from . import gf2
 
 _TABLE_MAX_N = 20  # fail tables: one entry per n-bit word
 _WORD_MAX_N = 63  # the other routes: a word in one int64
-_WALK_MAX_WORDS = 1 << 20  # the leader walk, weight by weight
 _DISTANCE_MAX_K = 24
 
 
@@ -336,34 +335,32 @@ class LinearCode:
     @functools.cached_property
     def leaders(self) -> np.ndarray:
         """The leader word of each syndrome int (bit r at 2**r), read-only;
-        n <= 63 and n-k <= 20 only.  Words are taken weight by weight (a
-        word of the next weight adds one bit below its lowest), and a
-        syndrome's leader is its least word of the first weight to reach
-        it.  The walk is refused past 2**20 words."""
+        n <= 63 and n-k <= 20 only.  A syndrome trellis over the positions,
+        last first, in at most (k+1) * 2**(n-k) state updates: state j holds
+        the least word of the syndrome j picks from the independent columns
+        met so far, and any other column gives a state its bit only if that
+        is strictly lighter, as at a tie the word without that bit is less."""
         n, m = self.n, self.n - self.k
         if n > _WORD_MAX_N or m > _TABLE_MAX_N:
             raise ValueError(f"no leader table for the [{n},{self.k}] code: "
                              f"it needs n <= 63 and n-k <= 20")
-        start = time.perf_counter()
-        syndrome = _bit_weights(self.check)[::-1]  # of bit b, position n-1-b
-        unled = np.iinfo(np.int64).max  # above every word of weight < 63
-        leaders = np.full(1 << m, unled)
-        words = syndromes = np.zeros(1, np.int64)
-        low, walked = np.array([n]), 1  # low: each word's lowest set bit
-        while True:
-            new = leaders[syndromes] == unled
-            np.minimum.at(leaders, syndromes[new], words[new])
-            if not (leaders == unled).any():
-                break
-            walked += int(low.sum())
-            if walked > _WALK_MAX_WORDS:
-                raise ValueError(f"the [{n},{self.k}] code's leader walk "
-                                 f"passes 2**20 words before every syndrome "
-                                 f"has a leader")
-            bit = np.arange(low.sum()) - np.repeat(np.cumsum(low) - low, low)
-            words = np.repeat(words, low) | 1 << bit
-            syndromes = np.repeat(syndromes, low) ^ syndrome[bit]
-            low = bit
+        start, cost = time.perf_counter(), np.zeros(1, np.uint8)
+        words, pivots, independent = np.zeros(1, np.int64), {}, []
+        for b, column in enumerate(_bit_weights(self.check)[::-1].tolist()):
+            c = column << m  # reduced, tagged below bit m with what it took
+            while c >> m and c.bit_length() - 1 in pivots:
+                c ^= pivots[c.bit_length() - 1]
+            if c >> m:  # the new half of the states adds bit b
+                pivots[c.bit_length() - 1] = c | 1 << len(independent)
+                independent.append(column)
+                cost = np.concatenate([cost, cost + 1])
+                words = np.concatenate([words, words | 1 << b])
+            else:  # column is the XOR of the independent columns c picks
+                take = np.flatnonzero(cost[np.arange(len(cost)) ^ c] + 1 < cost)
+                cost[take] = cost[take ^ c] + 1  # never j and j^c both
+                words[take] = words[take ^ c] | 1 << b
+        leaders = np.empty(1 << m, np.int64)
+        leaders[_span_words(np.array(independent[::-1], np.int64))] = words
         leaders.setflags(write=False)
         _log_debug(__name__, "leader table of %r (n=%d) built in %.2f ms",
                    self, n, 1e3 * (time.perf_counter() - start))

@@ -391,6 +391,9 @@ def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
     and ``z_only(p_z)`` rates.  Depolarizing noise correlates the axes at
     each site and is refused, as are the grids and the ShorCode that
     :func:`failing_counts` refuses."""
+    if noise.kind == "depolarizing":
+        raise ValueError(f"exact rates take x_only, z_only or independent_xz "
+                         f"noise, not {noise.kind!r}")
     if noise.kind == "independent_xz":
         p_x = exact_rate_enumeration(code, NoiseModel.x_only(noise.p_x))
         p_z = exact_rate_enumeration(code, NoiseModel.z_only(noise.p_z))

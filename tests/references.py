@@ -14,7 +14,9 @@ and that the package no longer needs: ``rref``, ``kernel_basis``,
 ``solve``, ``inverse``, ``dual_complete`` and ``gram_rows``, each a thin
 layer over :mod:`subqec.gf2`'s one packed-row elimination loop; and two
 matrices written out the slow way, a code's ``codewords`` and the
-``symplectic_rows`` of a list of Pauli grids; and ``random_pauli``."""
+``symplectic_rows`` of a list of Pauli grids; ``walked_leaders``, a code's
+coset leaders found weight by weight, the reference for
+:attr:`subqec.LinearCode.leaders`; and ``random_pauli``."""
 
 import math
 from typing import NamedTuple, Optional
@@ -214,6 +216,30 @@ def golay_23_12():
     for i in range(12):
         g[i, [i + e for e in (0, 2, 4, 5, 6, 10, 11)]] = 1
     return LinearCode.from_generator(g, name="golay23")
+
+
+def walked_leaders(code) -> np.ndarray:
+    """The leader of each syndrome int (bit r at 2**r), found weight by
+    weight: a word of the next weight adds one bit below its lowest, and a
+    syndrome's leader is its least word of the first weight to reach it.
+    The walk visits every word up to the covering radius in weight, so
+    keep it to codes where those are few."""
+    from subqec.classical import _bit_weights
+
+    syndrome = _bit_weights(code.check)[::-1]  # of bit b, position n-1-b
+    unled = np.iinfo(np.int64).max  # above every word of weight < 63
+    leaders = np.full(1 << (code.n - code.k), unled)
+    words = syndromes = np.zeros(1, np.int64)
+    low = np.array([code.n])  # each word's lowest set bit
+    while True:
+        new = leaders[syndromes] == unled
+        np.minimum.at(leaders, syndromes[new], words[new])
+        if not (leaders == unled).any():
+            return leaders
+        bit = np.arange(low.sum()) - np.repeat(np.cumsum(low) - low, low)
+        words = np.repeat(words, low) | 1 << bit
+        syndromes = np.repeat(syndromes, low) ^ syndrome[bit]
+        low = bit
 
 
 def codewords(code) -> np.ndarray:

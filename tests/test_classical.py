@@ -2,18 +2,19 @@
 
 import itertools
 import logging
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subqec import (LinearCode, builtin, classical, gf2, hamming_7_4,
                     repetition)
 from subqec.classical import _codeword_rule, _syndrome_rule
 
-from references import codewords, golay_23_12, rref
+from references import codewords, golay_23_12, rref, walked_leaders
 
 
 def same_row_space(a, b):
@@ -392,8 +393,8 @@ def test_popcount_by_bitwise_count_and_by_swar(monkeypatch):
 
 
 def test_fail_table_record_times_the_table_alone(monkeypatch, caplog):
-    # A clock that advances one second per read: the leader walk reads it
-    # twice, so a fail-table record that also timed the walk said 3000 ms.
+    # A clock that advances one second per read: the leader table reads it
+    # twice, so a fail-table record that also timed it said 3000 ms.
     ticks = itertools.count()
     monkeypatch.setattr(classical.time, "perf_counter",
                         lambda: float(next(ticks)))
@@ -416,17 +417,25 @@ def test_tables_refused_above_twenty_bits():
     assert "leaders" not in vars(repetition(22))
 
 
-def test_leader_walk_refused_past_its_word_limit():
-    # RM(2,5) [32,16,8]: its n-k = 16 syndromes fit a table, but the walk
-    # to the covering radius passes 2**20 words.
+def test_reed_muller_2_5_leaders_reach_its_covering_radius():
+    # RM(2,5) [32,16,8]: its n-k = 16 syndromes fit a table, and its
+    # leaders reach weight 6, the code's covering radius, past 2**20 words
+    # of a walk weight by weight.
     points = np.array(list(itertools.product([0, 1], repeat=5)), np.uint8).T
     pairs = itertools.combinations(range(5), 2)
     rows = [np.ones(32, np.uint8), *points,
             *(points[i] & points[j] for i, j in pairs)]
     rm25 = LinearCode.from_generator(np.array(rows))
     assert (rm25.n, rm25.k) == (32, 16)
-    with pytest.raises(ValueError, match=r"passes 2\*\*20 words"):
-        rm25.leaders
+    leaders = rm25.leaders
+    assert np.array_equal(leaders, walked_leaders(rm25))
+    assert np.bincount(popcounts(leaders)).tolist() == [
+        1, 32, 496, 4960, 17515, 27776, 14756]
+    syndromes = (word_array_bits(leaders, 32) @ rm25.check.T & 1) @ (
+        1 << np.arange(16))
+    assert np.array_equal(syndromes, np.arange(1 << 16))
+    with pytest.raises(ValueError):
+        leaders[0] = 1
 
 
 def test_decode_above_table_limit_names_the_real_limit():
@@ -471,7 +480,7 @@ def popcounts(words):
 def test_codeword_and_syndrome_routes_match_fail_table(data):
     """Both routes the table-less codes take, called directly on codes
     short enough for a fail table, against that table on every word; and
-    the weight-by-weight leaders against keys sorted over every word."""
+    the trellis's leaders against keys sorted over every word."""
     n = data.draw(st.integers(1, 12), label="n")
     k = data.draw(st.integers(0, n), label="k")
     free = np.array(data.draw(st.lists(st.integers(0, 1), min_size=k * (n - k),
@@ -495,6 +504,38 @@ def test_codeword_and_syndrome_routes_match_fail_table(data):
     assert np.array_equal(_syndrome_rule(code)(words), table)
     two_d = words.reshape(2, -1) if n > 1 else words[None]
     assert np.array_equal(code.fails(two_d), table[two_d])
+
+
+def walk_fits(n, m):
+    """Whether the reference walk stays within 2**21 words on every [n, n-m]
+    code: it visits the words up to the covering radius, at most m."""
+    return sum(math.comb(n, w) for w in range(m + 1)) <= 1 << 21
+
+
+@st.composite
+def long_systematic_codes(draw):
+    """Systematic codes of 21 to 63 bits with at most 8 check rows, whose
+    reference walk fits whatever their covering radius."""
+    m = draw(st.integers(0, 8), label="n-k")
+    n = draw(st.sampled_from([n for n in range(21, 64) if walk_fits(n, m)]),
+             label="n")
+    k = n - m
+    free = np.array(draw(st.lists(st.integers(0, 1), min_size=k * m,
+                                  max_size=k * m)), np.uint8)
+    order = draw(st.permutations(range(n)), label="column order")
+    g = np.hstack([np.eye(k, dtype=np.uint8), free.reshape(k, m)])
+    return LinearCode.from_generator(g[:, order])
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=long_systematic_codes())
+# [48,43] with checks on its last 5 positions only: covering radius 5,
+# reached after about 1.9 * 2**20 words of the walk.
+@example(code=LinearCode.from_parity(np.eye(5, 48, 43, dtype=np.uint8)))
+def test_leaders_past_twenty_bits_match_the_walk(code):
+    """The trellis's leaders past 20 bits, against the walk weight by
+    weight."""
+    assert np.array_equal(code.leaders, walked_leaders(code))
 
 
 @pytest.mark.parametrize("make, closed_form", [

@@ -25,6 +25,7 @@ from subqec import (
     run_trials,
 )
 from subqec import simulate
+from subqec.classical import _codeword_rule
 from subqec.simulate import (
     _WILSON_Z,
     _Kernel,
@@ -441,6 +442,27 @@ def test_golay_grid_fails_from_weight_four():
     assert report.ci_low <= expect <= report.ci_high
 
 
+def test_forty_bit_grid_decodes_by_its_leader_table():
+    # A seeded [40,20] code x rep1: k = 20 puts code 1 on the syndrome
+    # rule, whose 2**20 leaders reach past 2**20 words of a walk weight by
+    # weight.  Replayed trials and 8 leaders are checked against the
+    # codeword rule, which never reads the leaders.
+    rng = np.random.default_rng(40)
+    g = np.hstack([np.eye(20, dtype=np.uint8),
+                   rng.integers(0, 2, (20, 20), dtype=np.uint8)])
+    c1 = LinearCode.from_generator(g[:, rng.permutation(40)])
+    code, noise = SubsystemCode(c1, repetition(1)), NoiseModel.x_only(0.15)
+    assert run_trials(code, noise, 2000, seed=40).trials == 2000
+    xbits = noise.errors_from_uniforms(trial_uniforms(40, 0, 56, 40), 40)[1]
+    words = np.append(xbits.astype(np.int64) @ (1 << np.arange(39, -1, -1)),
+                      c1.leaders[rng.integers(0, 1 << 20, 8)])
+    want = _codeword_rule(c1)(words)
+    assert np.array_equal(c1.fails(words), want)
+    assert 0 < want[:56].sum() and not want[56:].any()
+    assert run_trials(code, noise, 56, seed=40).logical_failures == (
+        want[:56].sum())
+
+
 def zero_counts(kernel, noise, seed, batch_size, trial_range):
     """A stand-in for ``_count_chunk`` that draws nothing and counts no
     failure, so trial counts past any feasible run can be checked."""
@@ -796,7 +818,10 @@ def test_exact_rate_independent_xz_agrees_with_monte_carlo():
 
 
 def test_exact_rate_refuses_mixed_channels(code9):
-    with pytest.raises(ValueError):
+    # Named by the rate, not by failing_counts, which takes no
+    # independent_xz.
+    with pytest.raises(ValueError, match=r"x_only, z_only or independent_xz"
+                                         r" noise, not 'depolarizing'"):
         exact_rate_enumeration(code9, NoiseModel.depolarizing(0.1))
 
 

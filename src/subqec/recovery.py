@@ -130,8 +130,7 @@ def _spread_columns(m: np.ndarray, width: int) -> list:
             for c in gf2._pack(m.T)]
 
 
-def distance_bruteforce(code: SubsystemCode, w_max: int,
-                        candidate_guard: int = DISTANCE_CANDIDATE_GUARD):
+def distance_bruteforce(code: SubsystemCode, w_max: int):
     """Minimum weight of an undetectable logical error, by enumeration.
 
     An X part is detected by code 1 and a Z part by code 2 alone, so a
@@ -149,11 +148,10 @@ def distance_bruteforce(code: SubsystemCode, w_max: int,
     bound.  A ``w_max`` above n is read as n: no operator is heavier.
 
     Raises:
-        ValueError: when the candidates, ``sum_w C(s, w)`` over w <= w_max
-            and each type's s signatures, exceed ``candidate_guard``.
+        ValueError: when the ``sum_w C(s, w)`` candidates, over w <= w_max
+            and each type's s signatures, exceed ``DISTANCE_CANDIDATE_GUARD``.
     """
     w_max = gf2._require_int("w_max", w_max, 1)
-    candidate_guard = gf2._require_int("candidate_guard", candidate_guard)
     w_max = min(w_max, code.n)
 
     c1, c2 = code.c1, code.c2
@@ -188,10 +186,9 @@ def distance_bruteforce(code: SubsystemCode, w_max: int,
         tables.append((sigs, last_sites))
     total = sum(math.comb(len(sigs), w)
                 for sigs, _ in tables for w in range(1, w_max + 1))
-    if total > candidate_guard:
-        raise ValueError(
-            f"{total} candidates exceed the guard of {candidate_guard}; "
-            f"lower w_max or raise candidate_guard")
+    if total > DISTANCE_CANDIDATE_GUARD:
+        raise ValueError(f"{total} candidates exceed the guard of "
+                         f"{DISTANCE_CANDIDATE_GUARD}; lower w_max")
 
     # The signatures are distinct and nonzero, so weight 1 is a signature
     # of zero syndrome and weight 2 two signatures of one syndrome.

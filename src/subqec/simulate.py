@@ -33,6 +33,7 @@ import importlib
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ from .builder import ShorCode, SubsystemCode, _stabilizer_counts
 RNG_LAYOUT = "philox4x64/trial-blocks/raw-limits/v1"
 _MAX_SEED = (1 << 64) - 1
 _RAW_WORDS = 1 << 17  # most raw words drawn per batch, to stay in cache
-_EXACT_MAX_BITS = 20  # exact counts: most line bits, word bits, syndrome bits
+_EXACT_MAX_BITS = 20  # exact counts: most line bits and syndrome bits
 _NOISE_KINDS = ("depolarizing", "x_only", "z_only", "independent_xz")
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 # No code here calls recover; it stays readable as an attribute of this
@@ -332,15 +333,15 @@ def failing_counts(code: SubsystemCode, kind: str) -> tuple:
     tuples), the patterns whose row i has the signature made of bit i of
     each leader.  The rows are i.i.d.: with ``A[s]`` the polynomial whose
     coefficient w counts the weight-w rows of signature s, a tuple passes
-    ``prod_i A[s_i]``, which depends only on its multiset of row
-    signatures.  The tuples are grouped by that multiset, the products
+    ``prod_i A[s_i]``, fixed by its multiset of row classes, signatures of
+    equal ``A``.  The tuples are grouped by that multiset, the products
     summed to ``pass_w``, and ``F_w = C(N, w) - pass_w``.  ``z_only``
-    mirrors this with the columns, ``G1`` and the leaders of code 2.
+    mirrors this with the columns, ``G1`` and code 2's leaders.
 
     A stage where either factor has k = 0 never fails.  Otherwise a grid
     is refused before any work when a line has more than 20 sites, the
-    decoding factor more than 20 bits, or the stage more than 2**20
-    syndromes.  A ShorCode is refused.
+    stage more than 2**20 syndromes, or the decoding factor no leader
+    table (n > 63 or n-k > 20).  A ShorCode is refused.
     """
     # Read first, so a ShorCode is refused whatever the kind.
     dec, line = code._stages[kind == "z_only"]
@@ -349,19 +350,11 @@ def failing_counts(code: SubsystemCode, kind: str) -> tuple:
     n, m, k = code.n, line.n, line.k
     if not (dec.k and k):  # no word to decode, or every word its own leader
         return (0,) * (n + 1)
-    for size, what in ((m, "line patterns"), (dec.n, "words"),
+    for size, what in ((m, "line patterns"),
                        ((dec.n - dec.k) * k, "syndromes")):
         if size > _EXACT_MAX_BITS:
             raise ValueError(f"exact {kind} counts would walk 2**{size} "
                              f"{what}; the limit is 2**{_EXACT_MAX_BITS}")
-    if k > 1:  # each tuple's row signatures, sorted, and the tuples per multiset
-        bits = (dec.leaders[:, None] >> np.arange(dec.n) & 1).astype(
-            np.min_scalar_type((1 << k) - 1))
-        rows = np.sort(sum(bits.reshape((-1,) + (1,) * (k - 1 - b) + (dec.n,))
-                           << b for b in range(k)).reshape(-1, dec.n), axis=1)
-        # Keyed by each row's bytes, as np.unique(axis=0) sorts far slower.
-        _, first, count = np.unique(rows.view(np.dtype((
-            np.void, rows.strides[0]))), return_index=True, return_counts=True)
     # A[s] for each signature s a row can hold, all 2**k of them or only 0
     # when the one leader is 0, and a last A that gathers the rest, each as
     # one int with the count of weight w at bit n*w: counts on n sites are
@@ -370,6 +363,16 @@ def failing_counts(code: SubsystemCode, kind: str) -> tuple:
     key = np.minimum(_span_words(_bit_weights(line.generator)), held)
     table = np.bincount(key * (m + 1) + _popcount(np.arange(1 << m)),
                         minlength=(held + 1) * (m + 1)).reshape(-1, m + 1)
+    if k > 1:  # classes of equal A, keyed as 32 bits: every count is < 2**20
+        _, first, cls = np.unique(_row_keys(table.astype(np.uint32)),
+                                  return_index=True, return_inverse=True)
+        table, cls = table[first], cls.astype(np.min_scalar_type(len(first)))
+        bits = (dec.leaders[:, None] >> np.arange(dec.n) & 1).astype(
+            np.min_scalar_type((1 << k) - 1))
+        rows = np.sort(cls[sum(bits.reshape((-1,) + (1,) * (k - 1 - b) + (
+            dec.n,)) << b for b in range(k)).reshape(-1, dec.n)], axis=1)
+        _, first, count = np.unique(_row_keys(rows), return_index=True,
+                                    return_counts=True)
     poly = [sum(c << n * w for w, c in enumerate(a)) for a in table.tolist()]
     if k == 1:  # the leaders of weight w pass A[1]**w A[0]**(n1-w), by Horner
         passing, power = 0, 1
@@ -383,22 +386,29 @@ def failing_counts(code: SubsystemCode, kind: str) -> tuple:
                  for w in range(n + 1))
 
 
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """A bytes key per row of C-ordered ``a``: np.unique(axis=0) is slower."""
+    return a.view(np.dtype((np.void, a.strides[0])))[:, 0]
+
+
 def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
     """Exact logical failure rate for a channel whose axes are independent:
     under ``x_only`` or ``z_only``, ``math.fsum`` of the terms ``F_w p**w
     (1-p)**(N-w)`` of the :func:`failing_counts`, none negative; under
     ``independent_xz``, ``1 - (1 - P_x)(1 - P_z)`` from the ``x_only(p_x)``
-    and ``z_only(p_z)`` rates.  Depolarizing noise correlates the axes at
-    each site and is refused, as are the grids and the ShorCode that
-    :func:`failing_counts` refuses."""
+    and ``z_only(p_z)`` rates.  Refused before any count: depolarizing
+    noise, which correlates the axes at each site, N > 1029 sites, where
+    ``C(N, N/2)`` is past a float, and what :func:`failing_counts` refuses."""
     if noise.kind == "depolarizing":
         raise ValueError(f"exact rates take x_only, z_only or independent_xz "
                          f"noise, not {noise.kind!r}")
+    p, n = noise.p, code.n
+    if math.comb(n, n // 2) > sys.float_info.max:  # each F_w becomes a float
+        raise ValueError(f"{n} sites are past the float limit N <= 1029")
     if noise.kind == "independent_xz":
         p_x = exact_rate_enumeration(code, NoiseModel.x_only(noise.p_x))
         p_z = exact_rate_enumeration(code, NoiseModel.z_only(noise.p_z))
         return p_x + p_z - p_x * p_z  # 1 - (1-P_x)(1-P_z), without cancelling
-    p, n = noise.p, code.n
     return math.fsum(f * p ** w * (1.0 - p) ** (n - w) for w, f in
                      enumerate(failing_counts(code, noise.kind)) if f)
 

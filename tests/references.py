@@ -2,7 +2,9 @@
 layout, the hit-list kernel over whole error arrays, and the failing
 patterns by weight found by walking every grid pattern through the
 kernel's lanes, which pin :func:`subqec.failing_counts` and
-:func:`subqec.exact_rate_enumeration` on grids of up to 20 sites.
+:func:`subqec.exact_rate_enumeration` on grids of up to 20 sites; past
+them, ``parity_line_counts`` gives the closed form of a grid whose line
+is a repetition code.
 
 :func:`distance_by_three_paulis` is the distance search that tries X, Z
 and Y at every site, the reference for
@@ -16,8 +18,11 @@ layer over :mod:`subqec.gf2`'s one packed-row elimination loop; and two
 matrices written out the slow way, a code's ``codewords`` and the
 ``symplectic_rows`` of a list of Pauli grids; ``walked_leaders``, a code's
 coset leaders found weight by weight, the reference for
-:attr:`subqec.LinearCode.leaders`; and ``random_pauli``."""
+:attr:`subqec.LinearCode.leaders`; ``random_pauli``; and three codes past
+20 bits built once for the tests: ``golay_23_12``, ``reed_muller_2_5``
+and ``hamming(r)``."""
 
+import itertools
 import math
 from typing import NamedTuple, Optional
 
@@ -73,6 +78,25 @@ def walked_exact_rate(code, noise) -> float:
     return math.fsum(int(count) * p ** w * (1.0 - p) ** (n - w) for w, count
                      in enumerate(walked_failing_counts(code, noise.kind))
                      if count)
+
+
+def parity_line_counts(n1: int, n2: int, leaders_by_weight) -> tuple:
+    """x_only failing counts of an n1-bit decoding factor with
+    ``leaders_by_weight[j]`` leaders of weight j, times rep(n2).  A row's
+    signature is its parity, so a pattern fails iff its word of row
+    parities is no leader: F = sum_j (C(n1, j) - L_j) O**j E**(n1-j), with
+    O and E the odd- and even-weight patterns of a row.  The sum over all
+    j is (1 + x)**N, so only the few leaders' terms are multiplied out."""
+    odd, even = (np.array([math.comb(n2, i) * (i % 2 == parity)
+                           for i in range(n2 + 1)], object)
+                 for parity in (1, 0))
+    passing = np.zeros(n1 * n2 + 1, object)
+    for j, count in enumerate(leaders_by_weight):
+        term = np.array([count], object)
+        for factor in [odd] * j + [even] * (n1 - j):
+            term = np.convolve(term, factor)
+        passing += term
+    return tuple(math.comb(n1 * n2, w) - c for w, c in enumerate(passing))
 
 
 def distance_by_three_paulis(code, w_max: int):
@@ -205,6 +229,29 @@ def gram_rows(a, b) -> list:
             v = v << 1 | (u & w).bit_count() & 1
         out.append(v)
     return out
+
+
+def reed_muller_2_5():
+    """The [32, 16, 8] Reed-Muller code RM(2,5): the all-ones row, the 5
+    coordinate rows over the points of GF(2)^5 and their 10 pairwise
+    products."""
+    from subqec import LinearCode
+
+    points = np.array(list(itertools.product([0, 1], repeat=5)), np.uint8).T
+    pairs = itertools.combinations(range(5), 2)
+    rows = [np.ones(32, np.uint8), *points,
+            *(points[i] & points[j] for i, j in pairs)]
+    return LinearCode.from_generator(np.array(rows), name="rm25")
+
+
+def hamming(r: int):
+    """The [2**r - 1, 2**r - 1 - r, 3] Hamming code, whose check columns
+    are the nonzero r-bit words."""
+    from subqec import LinearCode
+
+    columns = np.arange(1, 1 << r)
+    return LinearCode.from_parity((columns >> np.arange(r)[:, None] & 1)
+                                  .astype(np.uint8), name=f"hamming{r}")
 
 
 def golay_23_12():

@@ -14,7 +14,8 @@ from subqec import (LinearCode, builtin, classical, gf2, hamming_7_4,
                     repetition)
 from subqec.classical import _codeword_rule, _syndrome_rule
 
-from references import codewords, golay_23_12, rref, walked_leaders
+from references import (codewords, golay_23_12, reed_muller_2_5, rref,
+                        walked_leaders)
 
 
 def same_row_space(a, b):
@@ -421,11 +422,7 @@ def test_reed_muller_2_5_leaders_reach_its_covering_radius():
     # RM(2,5) [32,16,8]: its n-k = 16 syndromes fit a table, and its
     # leaders reach weight 6, the code's covering radius, past 2**20 words
     # of a walk weight by weight.
-    points = np.array(list(itertools.product([0, 1], repeat=5)), np.uint8).T
-    pairs = itertools.combinations(range(5), 2)
-    rows = [np.ones(32, np.uint8), *points,
-            *(points[i] & points[j] for i, j in pairs)]
-    rm25 = LinearCode.from_generator(np.array(rows))
+    rm25 = reed_muller_2_5()
     assert (rm25.n, rm25.k) == (32, 16)
     leaders = rm25.leaders
     assert np.array_equal(leaders, walked_leaders(rm25))

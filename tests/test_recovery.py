@@ -16,6 +16,7 @@ from subqec import (
     recover,
     repetition,
 )
+from subqec import recovery
 
 from references import distance_by_three_paulis, random_pauli
 
@@ -297,14 +298,18 @@ def test_distance_guard_triggers(code49):
         distance_bruteforce(code49, 9)
 
 
-def test_distance_guard_counts_one_operator_per_type_and_subset(code9):
+def test_distance_guard_counts_one_operator_per_type_and_subset(
+        code9, monkeypatch):
     # rep3^2 has 3 distinct site signatures of each type, so the search
     # visits 2 * (C(3, 1) + C(3, 2)) = 12 candidates: an X-type and a
-    # Z-type operator on each set of at most 2 signatures.
+    # Z-type operator on each set of at most 2 signatures.  The guard is
+    # read at call time.
+    monkeypatch.setattr(recovery, "DISTANCE_CANDIDATE_GUARD", 11)
     with pytest.raises(ValueError, match=r"^12 candidates exceed the guard "
-                                         r"of 11;"):
-        distance_bruteforce(code9, 2, candidate_guard=11)
-    assert distance_bruteforce(code9, 2, candidate_guard=12) is None
+                                         r"of 11; lower w_max$"):
+        distance_bruteforce(code9, 2)
+    monkeypatch.setattr(recovery, "DISTANCE_CANDIDATE_GUARD", 12)
+    assert distance_bruteforce(code9, 2) is None
 
 
 def test_distance_guard_counts_signatures_not_sites():
@@ -372,10 +377,3 @@ def test_distance_rejects_bound_below_one(code9, w_max):
     with pytest.raises(ValueError, match="^w_max must be >= 1$"):
         distance_bruteforce(code9, w_max)
 
-
-@pytest.mark.parametrize("guard", [True, 1e9, 90.0, "90"])
-def test_distance_rejects_non_integer_guard(code9, guard):
-    # True ran as a guard of 1, and 1e9 was accepted as a float.
-    with pytest.raises(ValueError, match="candidate_guard must be an integer"):
-        distance_bruteforce(code9, 2, candidate_guard=guard)
-    assert distance_bruteforce(code9, 2, candidate_guard=np.int64(90)) is None

@@ -5,7 +5,7 @@ import concurrent.futures
 import itertools
 import json
 from fractions import Fraction
-from math import comb
+from math import comb, fsum
 
 import numpy as np
 import pytest
@@ -33,7 +33,8 @@ from subqec.simulate import (
     _count_chunk,
 )
 
-from references import batch_failures, golay_23_12, trial_uniforms
+from references import (batch_failures, golay_23_12, hamming,
+                        parity_line_counts, reed_muller_2_5, trial_uniforms)
 
 
 @pytest.fixture(scope="module")
@@ -750,6 +751,51 @@ def test_exact_rate_failing_every_nonzero_pattern():
                                                    for w in range(1, 21)))
 
 
+def test_failing_counts_on_a_wide_line():
+    # rep2 x [20,20]: each row's 20 bits are its signature, and rep2's two
+    # leaders, 00 and 01, are 0 on row 0, so a pattern passes iff row 0 is
+    # clear: F_w = C(40, w) - C(20, w).  The 2**20 signatures fall into 21
+    # classes of equal A, one per weight.
+    code = SubsystemCode(repetition(2),
+                         LinearCode.from_generator(np.eye(20, dtype=np.uint8)))
+    assert failing_counts(code, "x_only") == tuple(
+        comb(40, w) - comb(20, w) for w in range(41))
+
+
+@pytest.mark.parametrize("make,n2,leaders_by_weight", [
+    # rep21 leads each coset with its word of weight <= 10, the perfect
+    # Golay code with its word of weight <= 3, and the Hamming code with
+    # 0 and the 63 words of weight 1.  RM(2,5)'s leaders reach its
+    # covering radius 6; with rep1 lines the grid is one RM(2,5) word, so
+    # F_w = C(32, w) less the leaders of weight w.
+    (lambda: repetition(21), 3, [comb(21, j) for j in range(11)]),
+    (golay_23_12, 3, [comb(23, j) for j in range(4)]),
+    (lambda: hamming(6), 16, [1, 63]),
+    (reed_muller_2_5, 1, [1, 32, 496, 4960, 17515, 27776, 14756]),
+], ids=["rep21 x rep3", "golay x rep3", "hamming63 x rep16", "rm25 x rep1"])
+def test_failing_counts_past_20_bits_match_closed_forms(make, n2,
+                                                        leaders_by_weight):
+    code = SubsystemCode(make(), repetition(n2))
+    assert failing_counts(code, "x_only") == parity_line_counts(
+        code.n1, n2, leaders_by_weight)
+
+
+def test_exact_rate_past_20_bits_matches_binomial_tails():
+    # Each row parity of rep3 is odd with probability q.  rep21 x rep3 is
+    # majority decoding of the 21 parities, and the perfect Golay code
+    # corrects exactly the parity words of weight <= 3.
+    p = 0.01
+    q = (1 - (1 - 2 * p) ** 3) / 2
+    rep = SubsystemCode(repetition(21), repetition(3))
+    assert exact_rate_enumeration(rep, NoiseModel.x_only(p)) == pytest.approx(
+        majority_failure(21, q), rel=1e-12)
+    golay = SubsystemCode(golay_23_12(), repetition(3))
+    tail = fsum(comb(23, j) * q ** j * (1 - q) ** (23 - j)
+                for j in range(4, 24))
+    assert exact_rate_enumeration(golay, NoiseModel.x_only(p)) == (
+        pytest.approx(tail, rel=1e-12))
+
+
 HAMMING_SQUARED_COUNTS = (0, 0, 651, 15827, 202559, 1886535)
 
 
@@ -827,13 +873,12 @@ def test_exact_rate_refuses_mixed_channels(code9):
 
 def test_exact_rate_refuses_large_grids():
     # Each bound of the count is checked before any table is built: rep11
-    # x hamming's bit-flip stage has 2**(10*4) syndromes, rep21 decodes
-    # words of 21 bits, and rep1 x rep21's single row has 2**21 patterns.
+    # x hamming's bit-flip stage has 2**(10*4) syndromes, and rep1 x
+    # rep21's single row has 2**21 patterns.
     ham, rep21 = hamming_7_4(), repetition(21)
     for c1, c2, match in (
             (repetition(11), ham,
              r"2\*\*40 syndromes; the limit is 2\*\*20"),
-            (rep21, repetition(3), r"2\*\*21 words"),
             (repetition(1), rep21, r"2\*\*21 line patterns")):
         with pytest.raises(ValueError, match=match):
             exact_rate_enumeration(SubsystemCode(c1, c2),
@@ -857,6 +902,32 @@ def test_exact_rate_refuses_large_grids():
         assert report.logical_failures == report.bit_flip_failures == 0
         assert report.rate == 0.0
     assert not {"fails", "leaders"} & set(vars(rep64))
+
+
+def test_exact_rate_refuses_counts_past_a_float():
+    # Hamming [63,57] x rep17 has 1071 sites, and C(1071, 535) is past a
+    # float: the rate is refused before any count, while the counts stay
+    # exact ints.  Two hits fail iff they sit in two rows.
+    code = SubsystemCode(hamming(6), repetition(17))
+    for noise in (NoiseModel.x_only(0.01), NoiseModel.independent_xz(0, 0)):
+        with pytest.raises(ValueError, match=r"^1071 sites are past the "
+                                             r"float limit N <= 1029$"):
+            exact_rate_enumeration(code, noise)
+    assert "leaders" not in vars(code.c1)
+    counts = failing_counts(code, "x_only")
+    assert len(counts) == 1072 and all(type(c) is int for c in counts)
+    assert counts[:3] == (0, 0, comb(63, 2) * 17 ** 2)
+
+
+def test_failing_counts_refuses_a_factor_without_leader_table():
+    # A [64,63] decoding factor has no leader table, so the count is
+    # refused at its first step and nothing is cached.
+    wide = LinearCode.from_parity(np.ones((1, 64), np.uint8))
+    code = SubsystemCode(wide, repetition(1))
+    with pytest.raises(ValueError, match=r"no leader table for the "
+                                         r"\[64,63\] code"):
+        failing_counts(code, "x_only")
+    assert not {"fails", "leaders"} & set(vars(wide))
 
 
 # -- failure-rate scaling ---------------------------------------------------------

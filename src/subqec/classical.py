@@ -22,13 +22,12 @@ syndrome trellis.  :attr:`LinearCode.fails` is the code's one per-word
 failure rule, all a grid code's Monte Carlo kernel needs (see
 :mod:`subqec.simulate`): int64 words in, whether decoding leaves a logical
 error (``C_c (v xor leader(P v)) != 0``) out: whether v is not its coset's
-leader, as ``v xor leader(P v)`` is a codeword and ``C_c G^T = I``.  The
-route evaluating it is picked from (n, k); any other code, n > 63
-included, raises ValueError:
+leader, as ``v xor leader(P v)`` is a codeword and ``C_c G^T = I``.  Its
+route is the first row (n, k) fits, and any other code raises ValueError:
 
     n <= 20                     a table of all 2**n words
-    n <= 63, k <= min(16, n-k)  v fails iff some codeword c != 0 gives
-                                (wt(v^c), v^c) < (wt(v), v)
+    n <= 63, k <= 1, or         v fails iff some codeword c != 0 gives
+      n-k > 20 and k <= 16      (wt(v^c), v^c) < (wt(v), v)
     n <= 63, n-k <= 20          v fails iff leader(P v) != v
 """
 
@@ -289,8 +288,7 @@ class LinearCode:
 
     def decode(self, s) -> np.ndarray:
         """Coset-leader decoding of syndrome s: a row of :attr:`leaders`,
-        or the least of the coset's 2**k words for a code decoded by its
-        codewords.  ValueError for a code no route covers."""
+        or the coset's least word on the codeword route, else ValueError."""
         s = _as_word(s)
         n, m = self.n, self.n - self.k
         if s.shape[0] != m:
@@ -306,9 +304,10 @@ class LinearCode:
 
     @property
     def _by_codewords(self) -> bool:
-        """Whether the route is the codeword rule (module docstring)."""
-        n, k = self.n, self.k
-        return _TABLE_MAX_N < n <= _WORD_MAX_N and k <= min(16, n - k)
+        """Whether the route is the codeword rule (module docstring): one
+        comparison decodes k <= 1, and k >= 2 takes a leader table if any."""
+        return _TABLE_MAX_N < self.n <= _WORD_MAX_N and self.k <= (
+            16 if self.n - self.k > _TABLE_MAX_N else 1)
 
     @functools.cached_property
     def _codewords(self) -> np.ndarray:

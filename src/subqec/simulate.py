@@ -363,8 +363,9 @@ def failing_counts(code: SubsystemCode, kind: str) -> tuple:
     key = np.minimum(_span_words(_bit_weights(line.generator)), held)
     table = np.bincount(key * (m + 1) + _popcount(np.arange(1 << m)),
                         minlength=(held + 1) * (m + 1)).reshape(-1, m + 1)
-    if k > 1:  # classes of equal A, keyed as 32 bits: every count is < 2**20
-        _, first, cls = np.unique(_row_keys(table.astype(np.uint32)),
+    if k > 1:  # classes of equal A, held as 32 bits: every count is < 2**20
+        table = table.astype(np.uint32)  # frees the int64 table first
+        _, first, cls = np.unique(_row_keys(table),
                                   return_index=True, return_inverse=True)
         table, cls = table[first], cls.astype(np.min_scalar_type(len(first)))
         bits = (dec.leaders[:, None] >> np.arange(dec.n) & 1).astype(

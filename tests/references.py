@@ -18,9 +18,9 @@ layer over :mod:`subqec.gf2`'s one packed-row elimination loop; and two
 matrices written out the slow way, a code's ``codewords`` and the
 ``symplectic_rows`` of a list of Pauli grids; ``walked_leaders``, a code's
 coset leaders found weight by weight, the reference for
-:attr:`subqec.LinearCode.leaders`; ``random_pauli``; and three codes past
-20 bits built once for the tests: ``golay_23_12``, ``reed_muller_2_5``
-and ``hamming(r)``."""
+:attr:`subqec.LinearCode.leaders`; ``random_pauli``; and four codes past
+20 bits built once for the tests: ``golay_23_12``, ``golay_24_12``,
+``reed_muller_2_5`` and ``hamming(r)``."""
 
 import itertools
 import math
@@ -263,6 +263,16 @@ def golay_23_12():
     for i in range(12):
         g[i, [i + e for e in (0, 2, 4, 5, 6, 10, 11)]] = 1
     return LinearCode.from_generator(g, name="golay23")
+
+
+def golay_24_12():
+    """The [24, 12, 8] extended Golay code: ``golay_23_12`` with an overall
+    parity position appended to each generator row."""
+    from subqec import LinearCode
+
+    g = golay_23_12().generator
+    return LinearCode.from_generator(
+        np.hstack([g, g.sum(axis=1, keepdims=True) & 1]), name="golay24")
 
 
 def walked_leaders(code) -> np.ndarray:

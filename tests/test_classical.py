@@ -1,5 +1,6 @@
 """Tests for classical linear codes and coset-leader decoding."""
 
+import functools
 import itertools
 import logging
 import math
@@ -14,8 +15,8 @@ from subqec import (LinearCode, builtin, classical, gf2, hamming_7_4,
                     repetition)
 from subqec.classical import _codeword_rule, _syndrome_rule
 
-from references import (codewords, golay_23_12, reed_muller_2_5, rref,
-                        walked_leaders)
+from references import (codewords, golay_23_12, golay_24_12,
+                        reed_muller_2_5, rref, walked_leaders)
 
 
 def same_row_space(a, b):
@@ -621,6 +622,82 @@ def test_codes_no_route_covers_are_refused(make, match):
                 lambda: code.decode(np.zeros(code.n - code.k, np.uint8))):
         with pytest.raises(ValueError, match=match):
             use()
+
+
+def seeded_code(n, k):
+    """A systematic [n, k] code with seeded random parity columns, its
+    positions shuffled."""
+    rng = np.random.default_rng(n * 64 + k)
+    g = np.hstack([np.eye(k, dtype=np.uint8),
+                   rng.integers(0, 2, (k, n - k), dtype=np.uint8)])
+    return LinearCode.from_generator(g[:, rng.permutation(n)])
+
+
+CODEWORD_ROUTE = {
+    "rep21": lambda: repetition(21),
+    "rep63": lambda: repetition(63),
+    "[25,0]": lambda: LinearCode.from_parity(np.eye(25, dtype=np.uint8)),
+    "[40,4]": lambda: seeded_code(40, 4),
+}
+LEADER_ROUTE = {
+    "[22,2]": lambda: seeded_code(22, 2),
+    "rm25": reed_muller_2_5,
+    "[40,20]": lambda: seeded_code(40, 20),
+    "golay24": golay_24_12,
+}
+
+
+@pytest.mark.parametrize("name", [*CODEWORD_ROUTE, *LEADER_ROUTE])
+def test_fails_past_twenty_bits_caches_one_table(name):
+    # Past 20 bits, a code with at most one nonzero codeword compares each
+    # word with it, and so does a code with no leader table (n-k > 20);
+    # every other code reads its leader table and never lists codewords.
+    by_codewords = name in CODEWORD_ROUTE
+    code = (CODEWORD_ROUTE if by_codewords else LEADER_ROUTE)[name]()
+    code.fails(np.array([0, 1, (1 << code.n) - 1], np.int64))
+    cached = {"leaders", "_codewords"} & set(vars(code))
+    assert cached == ({"_codewords"} if by_codewords else {"leaders"})
+
+
+def test_extended_golay_code_has_distance_eight():
+    code = golay_24_12()
+    assert (code.n, code.k, code.min_distance()) == (24, 12, 8)
+
+
+def least_coset_word(code, s, rows):
+    """The least word of syndrome s's coset in (weight, lexicographic)
+    order, from ``rows``, every codeword as a row of bits."""
+    coset = rows ^ (s @ code.generator_complement & 1)  # s G_c has syndrome s
+    numeral = coset.astype(np.int64) @ (
+        1 << np.arange(code.n - 1, -1, -1, dtype=np.int64))
+    return coset[np.lexsort((numeral, coset.sum(axis=1)))[0]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: seeded_code(22, 2), lambda: seeded_code(26, 6),
+    reed_muller_2_5, golay_24_12,
+], ids=["[22,2]", "[26,6]", "rm25", "golay24"])
+def test_leader_route_agrees_with_the_codewords(make):
+    # Codes that once compared words with their 2**k codewords: the leader
+    # table gives the same failures on seeded words of four densities, and
+    # decode the least word of each coset among all its words.
+    code = make()
+    rng = np.random.default_rng(code.n)
+    words = np.concatenate([functools.reduce(np.bitwise_and, rng.integers(
+        0, 1 << code.n, (j, 1000), dtype=np.int64)) for j in range(1, 5)])
+    assert np.array_equal(code.fails(words), _codeword_rule(code)(words))
+    rows = codewords(code)
+    for s in rng.integers(0, 2, (50, code.n - code.k), dtype=np.uint8):
+        assert np.array_equal(code.decode(s), least_coset_word(code, s, rows))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: repetition(3), lambda: repetition(21), golay_23_12,
+], ids=["fail table", "codewords", "leaders"])
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+def test_fails_on_empty_word_arrays(make, shape):
+    out = make().fails(np.zeros(shape, np.int64))
+    assert out.shape == shape and out.dtype == bool
 
 
 @pytest.mark.parametrize("s", [[2, 0], [3, 0], [0.9, 0], [-1, 0]])

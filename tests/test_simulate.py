@@ -33,7 +33,7 @@ from subqec.simulate import (
     _count_chunk,
 )
 
-from references import (batch_failures, golay_23_12, hamming,
+from references import (batch_failures, golay_23_12, golay_24_12, hamming,
                         parity_line_counts, reed_muller_2_5, trial_uniforms)
 
 
@@ -441,6 +441,18 @@ def test_golay_grid_fails_from_weight_four():
                      for w in range(4))
     report = run_trials(code, NoiseModel.x_only(p), 20000, seed=23)
     assert report.ci_low <= expect <= report.ci_high
+
+
+@pytest.mark.parametrize("make, n2, want", [
+    (golay_24_12, 3, 7516), (reed_muller_2_5, 1, 906),
+], ids=["golay24 x rep3", "rm25 x rep1"])
+def test_run_trials_pinned_where_the_leader_table_replaced_codewords(
+        make, n2, want):
+    # Both factors compared each word with their 4095 and 65535 codewords
+    # before they took their leader tables; the counts are the same.
+    code = SubsystemCode(make(), repetition(n2))
+    report = run_trials(code, NoiseModel.x_only(0.05), 20000, seed=1)
+    assert report.logical_failures == report.bit_flip_failures == want
 
 
 def test_forty_bit_grid_decodes_by_its_leader_table():
@@ -869,6 +881,24 @@ def test_exact_rate_refuses_mixed_channels(code9):
     with pytest.raises(ValueError, match=r"x_only, z_only or independent_xz"
                                          r" noise, not 'depolarizing'"):
         exact_rate_enumeration(code9, NoiseModel.depolarizing(0.1))
+
+
+def test_failing_counts_refuses_other_kinds(code9):
+    for kind in ("depolarizing", "independent_xz", "y_only"):
+        with pytest.raises(ValueError, match=r"^exact counts take x_only or "
+                                             rf"z_only, not '{kind}'$"):
+            failing_counts(code9, kind)
+
+
+def test_recover_is_read_lazily_from_simulate():
+    # No code in the module calls recover; perfbench's smoke check reads it
+    # as simulate.recover, loaded on first access.
+    from subqec import recovery
+
+    assert simulate.recover is recovery.recover
+    with pytest.raises(AttributeError, match=r"module 'subqec.simulate' has "
+                                             r"no attribute 'decode'"):
+        simulate.decode
 
 
 def test_exact_rate_refuses_large_grids():

@@ -33,7 +33,6 @@ import importlib
 import math
 import numbers
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -393,25 +392,26 @@ def _row_keys(a: np.ndarray) -> np.ndarray:
 
 
 def exact_rate_enumeration(code: SubsystemCode, noise: NoiseModel) -> float:
-    """Exact logical failure rate for a channel whose axes are independent:
-    under ``x_only`` or ``z_only``, ``math.fsum`` of the terms ``F_w p**w
-    (1-p)**(N-w)`` of the :func:`failing_counts`, none negative; under
-    ``independent_xz``, ``1 - (1 - P_x)(1 - P_z)`` from the ``x_only(p_x)``
-    and ``z_only(p_z)`` rates.  Refused before any count: depolarizing
-    noise, which correlates the axes at each site, N > 1029 sites, where
-    ``C(N, N/2)`` is past a float, and what :func:`failing_counts` refuses."""
+    """Exact logical failure rate for a channel whose axes are independent,
+    correctly rounded at any N.  A float p is m/d, so an axis fails with
+    ``sum(F_w m**w (d-m)**(N-w)) / d**N`` over its :func:`failing_counts`,
+    by Horner in ints; ``independent_xz`` takes ``1 - (1 - P_x)(1 - P_z)``
+    over its x_only(p_x) and z_only(p_z) axes, in ints too, so one division
+    rounds.  Refused before any count: depolarizing noise, which correlates
+    the axes at each site, and what :func:`failing_counts` refuses."""
     if noise.kind == "depolarizing":
         raise ValueError(f"exact rates take x_only, z_only or independent_xz "
                          f"noise, not {noise.kind!r}")
-    p, n = noise.p, code.n
-    if math.comb(n, n // 2) > sys.float_info.max:  # each F_w becomes a float
-        raise ValueError(f"{n} sites are past the float limit N <= 1029")
-    if noise.kind == "independent_xz":
-        p_x = exact_rate_enumeration(code, NoiseModel.x_only(noise.p_x))
-        p_z = exact_rate_enumeration(code, NoiseModel.z_only(noise.p_z))
-        return p_x + p_z - p_x * p_z  # 1 - (1-P_x)(1-P_z), without cancelling
-    return math.fsum(f * p ** w * (1.0 - p) ** (n - w) for w, f in
-                     enumerate(failing_counts(code, noise.kind)) if f)
+    axes = ((("x_only", noise.p_x), ("z_only", noise.p_z))
+            if noise.kind == "independent_xz" else ((noise.kind, noise.p),))
+    passing, whole = 1, 1  # the rate is 1 - passing / whole
+    for kind, p in axes:
+        m, d = p.as_integer_ratio()
+        failing, power = 0, 1  # sum of F_w m**w (d-m)**(N-w) by Horner
+        for f in failing_counts(code, kind):
+            failing, power = failing * (d - m) + f * power, power * m
+        passing, whole = passing * (d ** code.n - failing), whole * d ** code.n
+    return (whole - passing) / whole
 
 
 def _classical_summary(c: LinearCode) -> dict:

@@ -5,10 +5,11 @@ two bases, the generator lists as views of the generator stacks, the
 construction check on the factors against the Gram check on the stacks,
 the brute-force distance against the paper's min(d1, d2) (found at d and
 not below it) and against the search over all three Paulis per site, the
-exact failing counts and rate against walking every grid pattern, and the
-distance search on grids whose sites share signatures against the
-three-Pauli search."""
+exact failing counts and rate against walking every grid pattern, the
+exact rate against its correctly rounded value, and the distance search
+on grids whose sites share signatures against the three-Pauli search."""
 
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -317,6 +318,36 @@ def test_exact_rate_line_route_matches_pattern_walk(code, kind, p):
         assert got == want
     else:
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def axis_rate(code, kind, p):
+    """The exact rate of one axis as a Fraction: a float p is m/d, so it is
+    the sum of F_w m**w (d-m)**(N-w) over d**N, with direct powers."""
+    m, d = p.as_integer_ratio()
+    return Fraction(sum(f * m ** w * (d - m) ** (code.n - w) for w, f in
+                        enumerate(failing_counts(code, kind))), d ** code.n)
+
+
+probabilities = st.one_of(st.sampled_from([0.0, 1.0, 5e-324]),
+                          st.floats(0.0, 1.0))
+
+
+@PROPERTY_SETTINGS
+@given(code=small_grids(),
+       kind=st.sampled_from(["x_only", "z_only", "independent_xz"]),
+       p_x=probabilities, p_z=probabilities)
+def test_exact_rate_is_correctly_rounded(code, kind, p_x, p_z):
+    """Every exact rate is the float nearest its exact value from the
+    failing counts, and independent_xz is 1 - (1 - P_x)(1 - P_z) of the
+    two exact axis rates, rounded once."""
+    if kind == "independent_xz":
+        noise = NoiseModel.independent_xz(p_x, p_z)
+        exact = 1 - ((1 - axis_rate(code, "x_only", p_x))
+                     * (1 - axis_rate(code, "z_only", p_z)))
+    else:
+        noise = getattr(NoiseModel, kind)(p_x)
+        exact = axis_rate(code, kind, p_x)
+    assert exact_rate_enumeration(code, noise) == float(exact)
 
 
 @PROPERTY_SETTINGS

@@ -750,15 +750,11 @@ def test_exact_rate_repetition_grids_match_closed_form(p, n1, n2):
 def test_exact_rate_failing_every_nonzero_pattern():
     # rep1 x the [20,20] code: the one row's 2**20 patterns are its
     # signatures, and all but the zero one fail, so the rate is
-    # 1 - (1-p)**20, here within 5 ulps of its correctly rounded value.
-    # The sum runs over the 21 failing counts by weight, so the float is
-    # pinned exactly.
+    # 1 - (1-p)**20, here its correctly rounded value bit for bit.
     code = SubsystemCode(repetition(1),
                          LinearCode.from_generator(np.eye(20, dtype=np.uint8)))
     got = exact_rate_enumeration(code, NoiseModel.x_only(0.05))
-    assert got == 0.6415140775914573
-    exact = 1 - (1 - Fraction(0.05)) ** 20
-    assert abs(Fraction(got) - exact) <= 5 * Fraction(np.spacing(float(exact)))
+    assert got == float(1 - (1 - Fraction(0.05)) ** 20) == 0.6415140775914577
     assert failing_counts(code, "x_only") == (0, *(comb(20, w)
                                                    for w in range(1, 21)))
 
@@ -934,16 +930,24 @@ def test_exact_rate_refuses_large_grids():
     assert not {"fails", "leaders"} & set(vars(rep64))
 
 
-def test_exact_rate_refuses_counts_past_a_float():
-    # Hamming [63,57] x rep17 has 1071 sites, and C(1071, 535) is past a
-    # float: the rate is refused before any count, while the counts stay
-    # exact ints.  Two hits fail iff they sit in two rows.
+def test_exact_rate_past_a_float_is_correctly_rounded():
+    # Hamming [63,57] x rep17 has 1071 sites, so C(1071, 535) is past a
+    # float, yet the rate is the correctly rounded ratio of exact ints: a
+    # float p is m/d, and the oracle sums the closed-form counts with
+    # direct powers.  Two hits fail iff they sit in two rows.
     code = SubsystemCode(hamming(6), repetition(17))
-    for noise in (NoiseModel.x_only(0.01), NoiseModel.independent_xz(0, 0)):
-        with pytest.raises(ValueError, match=r"^1071 sites are past the "
-                                             r"float limit N <= 1029$"):
-            exact_rate_enumeration(code, noise)
-    assert "leaders" not in vars(code.c1)
+    want = parity_line_counts(63, 17, [1, 63])
+    for p in (0.001, 1 / 64):
+        m, d = p.as_integer_ratio()
+        exact = Fraction(sum(f * m ** w * (d - m) ** (1071 - w)
+                             for w, f in enumerate(want)), d ** 1071)
+        assert exact_rate_enumeration(code, NoiseModel.x_only(p)) == float(
+            exact)
+    # z_only decodes with rep17 along Hamming lines of 2**63 patterns.
+    with pytest.raises(ValueError, match=r"^exact z_only counts would walk "
+                                         r"2\*\*63 line patterns; the limit "
+                                         r"is 2\*\*20$"):
+        exact_rate_enumeration(code, NoiseModel.independent_xz(0, 0))
     counts = failing_counts(code, "x_only")
     assert len(counts) == 1072 and all(type(c) is int for c in counts)
     assert counts[:3] == (0, 0, comb(63, 2) * 17 ** 2)

@@ -171,14 +171,7 @@ class LinearCode:
         n = check.shape[1]
         if n < 1:
             raise ValueError("block length must be at least 1")
-        # A kernel is full rank, so a derived matrix never trips these.
-        if len(g) + len(check) != n:
-            if gf2.rank_rows(g) != len(g):
-                raise ValueError("generator rows are linearly dependent")
-            if gf2.rank_rows(gf2._pack(check)) != len(check):
-                raise ValueError("check rows are linearly dependent")
-            raise ValueError("generator and check ranks do not add up to n")
-        h_c, g_c = gf2.dual_complete_columns(p_cols, g, n)
+        h_c, g_c = gf2.dual_complete_columns(p_cols, g, n, len(check))
 
         k = len(g)
         # E = [G_c; G] and D = [P; C_c] are the two halves of one array,

@@ -15,8 +15,11 @@ along.  Back-substitution clears from each pivot row, lowest first, only
 the lower pivot bits it holds.  :func:`kernel_columns` and
 :func:`dual_complete_columns` eliminate the columns of a matrix packed the
 same way (``pack_rows(m.T)``) tagged with their unit rows, so ``LinearCode``
-builds a code without a transpose in Python.  :func:`rank` packs a matrix
-once and eliminates.
+builds a code without a transpose in Python; the latter's two
+eliminations also name the first fault of a pair: dependent generator
+rows, dependent check rows, ranks that do not add up to n, or a check
+that does not annihilate the generator.  :func:`rank` packs a matrix once
+and eliminates.
 
 :func:`mat_mul` keeps small products on a uint8 ``@`` masked to the low
 bit, which is exact because uint8 wraps modulo 256, an even number.  Larger
@@ -172,38 +175,41 @@ def kernel_columns(cols, n: int) -> list:
                        for c, v in enumerate(cols)], n)[1]
 
 
-def dual_complete_columns(p_cols, g, n: int) -> tuple:
-    """Complete a full-rank check p and generator g with ``p g^T = 0`` to
-    a dual basis: ``(p_c, g_c)`` with ``p_c g^T = I``, ``p g_c^T = I`` and
-    ``p_c g_c^T = 0``.  Takes the n columns of p packed as ints with row 0
-    the top bit (``pack_rows(p.T)``) and the packed rows of g, where p has
-    n - len(g) rows; returns the packed rows of ``(p_c, g_c)``, and raises
-    ValueError for dependent rows or a p that does not annihilate g.
+def dual_complete_columns(p_cols, g, n: int, m: int) -> tuple:
+    """Complete a check p and generator g with ``p g^T = 0`` to a dual
+    basis: ``(p_c, g_c)`` with ``p_c g^T = I``, ``p g_c^T = I`` and
+    ``p_c g_c^T = 0``.  Takes the n columns of the m-row p packed as ints
+    with row 0 the top bit (``pack_rows(p.T)``) and the packed rows of g;
+    returns the packed rows of ``(p_c, g_c)``.  Raises ValueError naming
+    the first fault of four: dependent rows of g, dependent rows of p,
+    ``m + len(g) != n``, and a p that does not annihilate g.
 
     It eliminates the columns of p once, last column first, each tagged
     with its own unit row.  Column c reduces to a bare tag exactly when it
     lies in the span of the columns after it, which is exactly when the
     unit row c does not extend the rows of p and the unit rows before c:
-    so the columns N that vanish are the greedy unit-row extension, and the
-    other columns C hold the pivots.  Three things follow:
+    so the columns N that vanish are the greedy unit-row extension, the
+    other columns C hold the pivots, and there are as many pivots as p
+    has rank.  Three things follow:
 
     - the tags of the pivot rows are ``g_c``: supported on C with
       ``p g_c^T = I``, the transpose of the inverse of p restricted to C;
     - the bare tags form the generator of the code systematic on N, so
-      each row of g must equal the sum of the tags at its own bits in N;
+      p annihilates g exactly when each row of g equals the sum of the
+      tags at its own bits in N;
     - eliminating the columns of g at N, tagged the same way, gives
-      ``p_c``: supported on N with ``p_c g^T = I``.
+      ``p_c``: supported on N with ``p_c g^T = I``.  Their pivots count
+      g's rank when p annihilates g, since g's other columns are then
+      sums of them; otherwise every column of g joins them to count it.
     """
     k = len(g)
     g_c, codewords = _solve_tagged(
         [v << n | 1 << (n - 1 - c)
          for c, v in zip(range(n - 1, -1, -1), reversed(p_cols))], n)
-    if len(g_c) != n - k:
-        _reject(g, "check rows are linearly dependent")
     # A bare tag's top bit is its own column.  For each row of g, w sums
     # the tags at its bits in N, and g_free gathers g's columns at N.
     free = [n - t.bit_length() for t in codewords]
-    g_free = [0] * k
+    g_free = [0] * len(free)
     annihilated = True
     for j, v in enumerate(g):
         w = 0
@@ -212,21 +218,20 @@ def dual_complete_columns(p_cols, g, n: int) -> tuple:
                 w ^= t
                 g_free[i] |= 1 << (k - 1 - j)
         annihilated = annihilated and w == v
-    p_c, singular = _solve_tagged(
-        [v << n | 1 << (n - 1 - c) for c, v in zip(free, g_free)], n)
-    # g at N is singular only when g is dependent or p does not annihilate
-    # it.
-    if singular or not annihilated:
-        _reject(g, "check matrix does not annihilate the generator")
-    return p_c, g_c
-
-
-def _reject(g, reason: str):
-    """Raise ValueError for a failed dual completion, naming a dependent
-    generator first whatever else is wrong."""
-    if rank_rows(g) != len(g):
+    cols = [v << n | 1 << (n - 1 - c) for c, v in zip(free, g_free)]
+    if not annihilated:
+        cols += [sum((v >> c & 1) << (k - 1 - j) for j, v in enumerate(g))
+                 << n for c in range(n)]
+    p_c, _ = _solve_tagged(cols, n)
+    if len(p_c) != k:
         raise ValueError("generator rows are linearly dependent")
-    raise ValueError(reason)
+    if len(g_c) != m:
+        raise ValueError("check rows are linearly dependent")
+    if m + k != n:
+        raise ValueError("generator and check ranks do not add up to n")
+    if not annihilated:
+        raise ValueError("check matrix does not annihilate the generator")
+    return p_c, g_c
 
 
 # -- matrix functions --------------------------------------------------------

@@ -215,7 +215,7 @@ def dual_complete(p, g) -> tuple:
         raise ValueError(f"row counts {p.shape[0]} + {g.shape[0]} do not "
                          f"add up to {n} columns")
     p_c, g_c = gf2.dual_complete_columns(gf2.pack_rows(p.T),
-                                         gf2.pack_rows(g), n)
+                                         gf2.pack_rows(g), n, p.shape[0])
     return gf2.unpack_rows(p_c, n), gf2.unpack_rows(g_c, n)
 
 

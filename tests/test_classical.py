@@ -67,7 +67,43 @@ def test_from_generator_rejects_dependent_rows():
     ({"check": [[1, 1, 0], [1, 1, 0]]}, "check rows are linearly dependent"),
     ({"generator": [[1, 1, 1]], "check": [[1, 1, 0]]},
      "ranks do not add up to n"),
-], ids=["columns", "empty", "dependent-check", "ranks"])
+    # Two or more faults at once: a dependent generator is named first,
+    # then a dependent check, then ranks that do not add up to n, then a
+    # check that does not annihilate the generator.  A matrix given alone
+    # has a full-rank kernel for its partner, so its dependent rows also
+    # leave the row counts short of adding up to n.
+    ({"generator": [[1, 1, 0], [1, 1, 0]]},
+     "generator rows are linearly dependent"),
+    ({"generator": [[0, 0, 0]]}, "generator rows are linearly dependent"),
+    ({"check": [[0, 0, 0]]}, "check rows are linearly dependent"),
+    ({"generator": [[1, 1, 0], [1, 1, 0]], "check": [[1, 0, 0]]},
+     "generator rows are linearly dependent"),
+    ({"generator": [[1, 1, 1, 1], [1, 1, 1, 1]],
+      "check": [[1, 1, 0, 0], [1, 1, 0, 0]]},
+     "generator rows are linearly dependent"),
+    ({"generator": [[1, 0, 0]], "check": [[1, 1, 0], [1, 1, 0]]},
+     "check rows are linearly dependent"),
+    ({"generator": [[1, 1, 1]], "check": [[1, 1, 0], [1, 1, 0], [0, 1, 1]]},
+     "check rows are linearly dependent"),
+    ({"generator": [[1, 1, 1], [1, 1, 1]], "check": [[1, 1, 0], [1, 1, 0]]},
+     "generator rows are linearly dependent"),
+    ({"generator": [[1, 1, 1], [1, 1, 1]],
+      "check": [[1, 0, 0], [1, 0, 0], [0, 1, 1]]},
+     "generator rows are linearly dependent"),
+    ({"generator": [[1, 0, 0], [0, 1, 0]], "check": [[0, 0, 1], [1, 1, 0]]},
+     "ranks do not add up to n"),
+    ({"generator": [[1, 0, 0]], "check": [[1, 0, 0]]},
+     "ranks do not add up to n"),
+    ({"generator": [[1, 0, 0]], "check": [[1, 1, 0], [0, 0, 1]]},
+     "check matrix does not annihilate the generator"),
+], ids=["columns", "empty", "dependent-check", "ranks",
+        "generator-dependent", "generator-zero-row", "check-zero-row",
+        "dependent-generator-unannihilated",
+        "dependent-generator-dependent-check",
+        "dependent-check-unannihilated", "dependent-check-mismatch",
+        "dependent-both-mismatch", "dependent-both-mismatch-unannihilated",
+        "full-ranks-over-n-unannihilated",
+        "full-ranks-under-n-unannihilated", "unannihilated"])
 def test_inconsistent_matrices_are_refused(kwargs, message):
     with pytest.raises(ValueError, match=message):
         LinearCode(**kwargs)

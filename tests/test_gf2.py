@@ -448,6 +448,19 @@ def test_dual_complete_rejects_non_orthogonal():
         dual_complete(p, g)
 
 
+@pytest.mark.parametrize("p, g", [
+    ([[1, 1, 0]], [[1, 1, 1]]),
+    ([[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [1, 1, 0]]),
+], ids=["under", "over-unannihilated"])
+def test_dual_complete_columns_words_ranks_that_do_not_add_up(p, g):
+    """The package names the fault itself, with no row count checked
+    before it is called, and ahead of a p that does not annihilate g."""
+    p = np.array(p, np.uint8)
+    with pytest.raises(ValueError, match="ranks do not add up to n"):
+        gf2.dual_complete_columns(gf2.pack_rows(p.T), gf2.pack_rows(g),
+                                  p.shape[1], p.shape[0])
+
+
 # -- dual completion against the earlier construction ---------------------
 
 def reference_dual_complete_rows(p, g, n):
@@ -523,8 +536,8 @@ def test_dual_completion_matches_earlier_construction(n, data):
                           check=check if given_by == "both" else None)
     p, g = gf2.pack_rows(check), gf2.pack_rows(generator)
     want_p_c, want_g_c = reference_dual_complete_rows(p, g, n)
-    assert gf2.dual_complete_columns(gf2.pack_rows(check.T), g, n) == (
-        want_p_c, want_g_c)
+    assert gf2.dual_complete_columns(gf2.pack_rows(check.T), g, n,
+                                     n - k) == (want_p_c, want_g_c)
     p_c, g_c = gf2.unpack_rows(want_p_c, n), gf2.unpack_rows(want_g_c, n)
     want = {"generator": generator, "check": check, "check_complement": p_c,
             "generator_complement": g_c,

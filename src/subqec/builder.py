@@ -39,14 +39,19 @@ These are the quadrants of the two bases above.  The public lists of
 :class:`PauliGrid` are views of the stacks' rows, also built on first
 access, so construction builds no stack at all.
 
-The constructors check the group structure on the factors (see
-:meth:`SubsystemCode._verify`): ``D_i E_i^T = I`` for each factor, plus
-every stack already built against its definition.  The symplectic
-product of outer(u, v) and outer(u', v') is (u . u')(v . v'), so the
-commutation matrix of the Z-type and X-type bases is
-(D1 E1^T) x (E2 D2^T) = I, and the generators are rows of the invertible
-D1 x E2 and E1 x D2.  The Gram check on the stacks themselves,
-:meth:`SubsystemCode._verify_gram`, stays as the reference.
+The group structure follows from ``D_i E_i^T = I`` for each factor,
+which a :class:`LinearCode` checks when it is built, so the constructors
+check nothing.  The symplectic product of a Z-type outer(u, v) with an
+X-type outer(u', v') is (u . u')(v . v'): the parity of their overlap.
+So the commutation matrix of the Z-type basis outer(D1, E2) with the
+X-type basis outer(E1, D2) is (D1 E1^T) x (E2 D2^T) = I, and each Z-type
+basis element anticommutes with its own X-type partner alone: the
+stabilizers have their partners outside the generators and commute with
+everything, and the gauge and logical operators pair off in order.  The
+generators are rows of the invertible D1 x E2 and E1 x D2, so they are
+independent, and the counts fill the grid.  The Gram check on the stacks
+themselves, ``gram_check`` in ``tests/references.py``, is the tests'
+reference.
 
 The ``PauliGrid`` annotations name a class this module imports only where
 it is used, so ``typing.get_type_hints`` resolves them with
@@ -57,13 +62,14 @@ for every column j instead of spreading checks over codewords of code 2
 (the argument above holds with the identity as code 2's basis); it
 encodes the same logical qubits with the same logical operators and no
 gauge qubits, but needs (n1-k1)*n2 + k1*(n2-k2) stabilizers instead of
-(n1-k1)*k2 + k1*(n2-k2).
+(n1-k1)*k2 + k1*(n2-k2).  Its Z stabilizers span P1 x I, which meets the
+span of its logical Z outer(C1_c, G2) only in 0 as D1 is invertible, and
+they commute with every X-type generator outer(G1, .) as P1 G1^T = 0.
 """
 
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -125,7 +131,7 @@ def _stabilizer_counts(n1: int, k1: int, n2: int, k2: int,
 
 def _bits(define, doc: str) -> functools.cached_property:
     """A stack attribute, ``define(c1, c2)`` made read-only, built on first
-    access.  :meth:`SubsystemCode._verify` rebuilds it through ``func``."""
+    access."""
     def bits(self) -> np.ndarray:
         return _stack(define(self.c1, self.c2))
     bits.__doc__ = doc
@@ -156,19 +162,14 @@ def _family(bits: str, x_type: bool, doc: str) -> functools.cached_property:
     return functools.cached_property(views)
 
 
-# The generator stacks, Z-type first, in the order of _verify_gram's rows.
-_STACKS = ("z_stabilizer_bits", "z_gauge_bits", "logical_z_bits",
-           "x_stabilizer_bits", "x_gauge_bits", "logical_x_bits")
-
-
 class SubsystemCode:
     """Subsystem code on an n1 x n2 grid built from two classical codes.
 
-    The constructor verifies the group structure on the two factors (see
-    :meth:`_verify`): the generators are independent and form a
-    symplectic basis of the grid's Paulis, with the stabilizers commuting
-    with everything and the gauge and logical operators in canonically
-    conjugate (Z, X) pairs.
+    The generators are independent and form a symplectic basis of the
+    grid's Paulis, with the stabilizers commuting with everything and the
+    gauge and logical operators in canonically conjugate (Z, X) pairs:
+    this follows from the factors' own dual bases (module docstring), so
+    the constructor checks only that both factors are LinearCodes.
     """
 
     shor = False
@@ -184,7 +185,10 @@ class SubsystemCode:
         self.n = c1.n * c2.n
         self.k = c1.k * c2.k
         self.gauge_qubits = 0 if self.shor else (c1.n - c1.k) * (c2.n - c2.k)
-        self._verify()
+        s_z, s_x = self.stabilizer_counts
+        _log_debug(__name__, "built %r: %d Z + %d X stabilizers, %d gauge "
+                   "pairs, %d logical pairs", self, s_z, s_x,
+                   self.gauge_qubits, self.k)
 
     # -- generator access ------------------------------------------------
 
@@ -318,96 +322,6 @@ class SubsystemCode:
         both Z blocks of rows ``[:r1]`` and detect any X gauge block."""
         dec = self.decompose(op)
         return dec.is_gauge() and not (self.shor and dec.x_gauge.any())
-
-    # -- verification ----------------------------------------------------
-
-    def _verify(self):
-        """Check the construction on the two factors.
-
-        Every generator is an outer product of factor rows, and the
-        symplectic product of a Z-type outer(u, v) with an X-type
-        outer(u', v') is (u . u')(v . v'): the parity of their overlap.  So
-        the commutation matrix of the Z-type basis outer(D1, E2) with the
-        X-type basis outer(E1, D2) is (D1 E1^T) x (E2 D2^T), which is I
-        when ``D_i E_i^T = I`` for each factor.  Then each Z-type basis
-        element anticommutes with its own X-type partner alone: the
-        stabilizers (Z-type quadrant [:r1, r2:], X-type [r1:, :r2]) have
-        their partners outside the generators and commute with
-        everything, and the gauge and logical operators pair off in
-        order.  D1 x E2 and E1 x D2 are invertible, so all generators are
-        independent, and the counts fill the grid.  ``ShorCode``'s Z
-        stabilizers outer(P1[a], e_j) span P1 x I, which meets the span of
-        its logical Z outer(C1_c, G2) only in 0 as D1 is invertible, and
-        they commute with every X-type generator outer(G1, .) as
-        P1 G1^T = 0.
-
-        The factor identity is :attr:`LinearCode.bases_are_dual`, which
-        each factor object multiplies out once however many grids use it
-        (a factor is immutable, so the answer cannot go stale), and each
-        stack already built (held in ``vars(self)``) is checked against
-        its definition.  On any mismatch the Gram check on the stacks,
-        :meth:`_verify_gram`, words the error; if even that passes, the
-        stacks still differ from the factor bases, which is raised too.
-        """
-        start = time.perf_counter()
-        c1, c2 = self.c1, self.c2
-        held = vars(self)
-        intact = (c1.bases_are_dual and c2.bases_are_dual and all(
-            np.array_equal(held[name], getattr(type(self), name).func(self))
-            for name in _STACKS if name in held))
-        if not intact:
-            self._verify_gram()
-            raise ValueError("internal error: generator stacks do not match "
-                             "the factor bases")
-        s_z, s_x = self.stabilizer_counts
-        _log_debug(__name__, "verified %r: %d Z + %d X stabilizers, %d gauge "
-                   "pairs, %d logical pairs in %.2f ms", self, s_z, s_x,
-                   self.gauge_qubits, self.k,
-                   1e3 * (time.perf_counter() - start))
-
-    def _verify_gram(self):
-        """Check the generator stacks with one GF(2) product and two ranks:
-        the reference for :meth:`_verify`, which words its errors.
-
-        Z-type generators carry only z bits and X-type ones only x bits, so
-        the whole commutation matrix of the generators is fixed by one
-        block: with the Z rows ``[Z stabilizers; Z gauges; logical Z]`` and
-        the X rows ``[X stabilizers; X gauges; logical X]`` flattened over
-        the grid's n sites, ``B = Z X^T``.  It must be ``[[0, 0], [0, I_p]]``:
-        the stabilizers commute with everything, and the p gauge and
-        logical operators pair off in order into conjugate (Z, X) pairs.
-        The counts must fill the grid, ``s_z + s_x + p = n``.
-
-        All rows are then independent exactly when the stabilizers of each
-        type are: in any dependency among the rows, the symplectic product
-        with a paired operator's partner reads off that operator's
-        coefficient, which must therefore be 0, and what is left splits
-        into a Z-type and an X-type sum of stabilizers.  So only
-        ``rank(Z stabilizers) = s_z`` and ``rank(X stabilizers) = s_x`` are
-        checked, and the rows form a symplectic basis of the grid's Paulis.
-        """
-        n = self.n
-        z_stab = self.z_stabilizer_bits.reshape(-1, n)
-        x_stab = self.x_stabilizer_bits.reshape(-1, n)
-        z_rows = np.concatenate([z_stab, self.z_gauge_bits.reshape(-1, n),
-                                 self.logical_z_bits.reshape(-1, n)])
-        x_rows = np.concatenate([x_stab, self.x_gauge_bits.reshape(-1, n),
-                                 self.logical_x_bits.reshape(-1, n)])
-        s_z, s_x = len(z_stab), len(x_stab)
-        p = len(z_rows) - s_z
-        if s_z + s_x + p != n:
-            raise ValueError(
-                "internal error: stabilizer and partner counts do not fill "
-                "the grid")
-        b = gf2.mat_mul(z_rows, x_rows.T)
-        want = np.zeros((s_z + p, s_x + p), np.uint8)
-        want[s_z:, s_x:] = np.eye(p, dtype=np.uint8)
-        if not np.array_equal(b, want):
-            raise ValueError(
-                "internal error: commutation relations break the stabilizer "
-                "/ conjugate-pair pattern")
-        if gf2.rank(z_stab) != s_z or gf2.rank(x_stab) != s_x:
-            raise ValueError("internal error: generators are dependent")
 
 
 class ShorCode(SubsystemCode):

@@ -135,12 +135,13 @@ class LinearCode:
     """An [n, k] binary linear code.
 
     Construct via :meth:`from_generator`, :meth:`from_parity`, or directly
-    with both matrices.  Instances are immutable: the matrices are
-    read-only, and rebinding or deleting an attribute raises
-    ``AttributeError``, so ``basis``/``dual_basis`` and the four matrices
-    they stack cannot get out of step.  What is derived later (the
-    distance, the lookup tables, :attr:`bases_are_dual`) is computed once
-    and cached in the instance ``__dict__``.
+    with both matrices.  Construction multiplies out ``D E^T`` once and
+    raises ValueError unless it is I, so every instance holds dual bases
+    from the start.  Instances are immutable: the matrices are read-only,
+    and rebinding or deleting an attribute raises ``AttributeError``, so
+    ``basis``/``dual_basis`` and the four matrices they stack cannot get
+    out of step.  What is derived later (the distance, the lookup tables)
+    is computed once and cached in the instance ``__dict__``.
     """
 
     def __init__(self, generator=None, check=None, distance: Optional[int] = None,
@@ -181,6 +182,14 @@ class LinearCode:
         bases = np.concatenate([unpacked[:n], check, unpacked[n:]])
         bases.setflags(write=False)
         basis, dual_basis = bases[:n], bases[n:]
+        # D E^T = I is all that a grid built on this code relies on (see
+        # subqec.builder), so it is checked once, here.  A 0/1 matrix is I
+        # iff it has n ones, all on the diagonal.
+        product = gf2._mat_mul(dual_basis, basis.T)
+        if not (np.count_nonzero(product) == n
+                == np.count_nonzero(product.diagonal())):
+            raise ValueError("internal error: the dual completion does not "
+                             "give D E^T = I")
         # Written once here; __setattr__ refuses every later binding.
         vars(self).update(
             n=n, k=k, generator=basis[n - k:], check=dual_basis[:n - k],
@@ -250,19 +259,6 @@ class LinearCode:
                 best = weight
         vars(self)["_distance"] = best
         return best
-
-    @functools.cached_property
-    def bases_are_dual(self) -> bool:
-        """Whether ``D E^T = I`` for D = [check; check_complement] and
-        E = [generator_complement; generator], the rows grid codes are
-        built from.  Multiplied out once per code, however many grids
-        read it."""
-        d = np.concatenate([self.check, self.check_complement])
-        e = np.concatenate([self.generator_complement, self.generator])
-        product = gf2._mat_mul(d, e.T)
-        # A 0/1 matrix is I iff it has n ones, all on the diagonal.
-        return (np.count_nonzero(product) == self.n
-                == np.count_nonzero(product.diagonal()))
 
     def distance_if_enumerable(self) -> Optional[int]:
         """:meth:`min_distance` (cached like it), or None when the code is

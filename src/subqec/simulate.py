@@ -165,8 +165,8 @@ class TrialReport:
     code_params: tuple  # (n, k, gauge_qubits, stabilizer_count)
     ci_low: float
     ci_high: float
-    bit_flip_failures: int | None = None
-    phase_flip_failures: int | None = None
+    bit_flip_failures: int
+    phase_flip_failures: int
 
 
 def _wilson_interval(failures: int, trials: int) -> tuple:
@@ -199,8 +199,8 @@ class _Kernel:
     route covers raises ValueError before any trial.  A stage whose partner
     has k = 0 packs no word, never fails, and builds no rule."""
 
-    def __init__(self, code: SubsystemCode, width: int = 0, z_offset: int = 0):
-        self.width = width or code.n
+    def __init__(self, code: SubsystemCode, width: int, z_offset: int):
+        self.width = width
         lanes, used, self.words = [np.zeros((4, self.width), np.int64)], 0, []
         for axis, (own, other) in enumerate(code._stages):
             if not other.k:

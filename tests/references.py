@@ -18,7 +18,9 @@ layer over :mod:`subqec.gf2`'s one packed-row elimination loop; and two
 matrices written out the slow way, a code's ``codewords`` and the
 ``symplectic_rows`` of a list of Pauli grids; ``walked_leaders``, a code's
 coset leaders found weight by weight, the reference for
-:attr:`subqec.LinearCode.leaders`; ``random_pauli``; and four codes past
+:attr:`subqec.LinearCode.leaders`; ``random_pauli``; ``gram_check``, the
+group structure of a grid code checked on its generator stacks, the
+reference for the factors' own ``D E^T = I``; and four codes past
 20 bits built once for the tests: ``golay_23_12``, ``golay_24_12``,
 ``reed_muller_2_5`` and ``hamming(r)``."""
 
@@ -50,7 +52,7 @@ def batch_failures(code, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     leaves a logical error."""
     pauli = x.reshape(-1).astype(bool) + 2 * z.reshape(-1).astype(bool)
     idx = np.flatnonzero(pauli)
-    trials, bit, phase = _Kernel(code)(idx, pauli[idx])
+    trials, bit, phase = _Kernel(code, code.n, 0)(idx, pauli[idx])
     failed = np.zeros(len(pauli) // code.n, bool)
     failed[trials] = bit | phase
     return failed
@@ -61,7 +63,7 @@ def walked_failing_counts(code, kind: str) -> np.ndarray:
     all 2**n grid patterns through the kernel's stage: doubling over the
     sites gives the stage's lanes and the weight of every pattern."""
     n = code.n
-    axis, kernel = int(kind == "z_only"), _Kernel(code)
+    axis, kernel = int(kind == "z_only"), _Kernel(code, code.n, 0)
     sites = kernel.lanes[:, (1 + axis) * n:][:, :n]  # X or Z hits, (lanes, n)
     lanes = np.zeros((len(sites), 1 << n), np.int64)
     weights = np.zeros(1 << n, np.uint8)
@@ -322,3 +324,48 @@ def symplectic_rows(ops, n: int) -> np.ndarray:
     by row."""
     return np.array([np.concatenate([op.z.ravel(), op.x.ravel()])
                      for op in ops], np.uint8).reshape(len(ops), 2 * n)
+
+
+def gram_check(code) -> None:
+    """Check a grid code's generator stacks with one GF(2) product and two
+    ranks, raising ValueError on a fault.
+
+    Z-type generators carry only z bits and X-type ones only x bits, so
+    the whole commutation matrix of the generators is fixed by one
+    block: with the Z rows ``[Z stabilizers; Z gauges; logical Z]`` and
+    the X rows ``[X stabilizers; X gauges; logical X]`` flattened over
+    the grid's n sites, ``B = Z X^T``.  It must be ``[[0, 0], [0, I_p]]``:
+    the stabilizers commute with everything, and the p gauge and
+    logical operators pair off in order into conjugate (Z, X) pairs.
+    The counts must fill the grid, ``s_z + s_x + p = n``.
+
+    All rows are then independent exactly when the stabilizers of each
+    type are: in any dependency among the rows, the symplectic product
+    with a paired operator's partner reads off that operator's
+    coefficient, which must therefore be 0, and what is left splits
+    into a Z-type and an X-type sum of stabilizers.  So only
+    ``rank(Z stabilizers) = s_z`` and ``rank(X stabilizers) = s_x`` are
+    checked, and the rows form a symplectic basis of the grid's Paulis.
+    """
+    n = code.n
+    z_stab = code.z_stabilizer_bits.reshape(-1, n)
+    x_stab = code.x_stabilizer_bits.reshape(-1, n)
+    z_rows = np.concatenate([z_stab, code.z_gauge_bits.reshape(-1, n),
+                             code.logical_z_bits.reshape(-1, n)])
+    x_rows = np.concatenate([x_stab, code.x_gauge_bits.reshape(-1, n),
+                             code.logical_x_bits.reshape(-1, n)])
+    s_z, s_x = len(z_stab), len(x_stab)
+    p = len(z_rows) - s_z
+    if s_z + s_x + p != n:
+        raise ValueError(
+            "internal error: stabilizer and partner counts do not fill "
+            "the grid")
+    b = gf2.mat_mul(z_rows, x_rows.T)
+    want = np.zeros((s_z + p, s_x + p), np.uint8)
+    want[s_z:, s_x:] = np.eye(p, dtype=np.uint8)
+    if not np.array_equal(b, want):
+        raise ValueError(
+            "internal error: commutation relations break the stabilizer "
+            "/ conjugate-pair pattern")
+    if gf2.rank(z_stab) != s_z or gf2.rank(x_stab) != s_x:
+        raise ValueError("internal error: generators are dependent")

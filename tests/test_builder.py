@@ -2,7 +2,6 @@
 and the coefficient-block decomposition."""
 
 import logging
-import re
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from subqec import (
     repetition,
 )
 
-from references import random_pauli, solve, symplectic_rows
+from references import gram_check, random_pauli, solve, symplectic_rows
 
 
 def random_full_rank_code(rng, n_max=8):
@@ -258,34 +257,17 @@ def shor_stabilizer_is_logical(rep3):
 def test_verification_catches_corruption(rep3, corrupt, message):
     code = corrupt(rep3)
     with pytest.raises(ValueError, match=message):
-        code._verify()
-
-
-@pytest.mark.parametrize("cls", [SubsystemCode, ShorCode])
-def test_verification_catches_a_broken_factor(cls, rep3):
-    """A factor whose complements are not dual to its own rows fails
-    D E^T = I, and the Gram check words the error.  The factor is
-    corrupted before any grid reads it, and the False it caches fails
-    every grid built on it."""
-    broken = repetition(3)
-    object.__setattr__(broken, "check_complement",
-                       np.zeros_like(broken.check_complement))
-    for c1, c2 in ((broken, rep3), (rep3, broken), (broken, broken)):
-        with pytest.raises(ValueError, match="internal error"):
-            cls(c1, c2)
+        gram_check(code)
 
 
 def test_shor_verify_accepts_intact_code(rep3):
-    ShorCode(rep3, rep3)._verify()
+    gram_check(ShorCode(rep3, rep3))
 
 
 def test_construction_wraps_stacks_and_verifies_one_block(monkeypatch):
-    """No PauliGrid is built, not even on first access of the lists; the
-    check is one D E^T product per distinct factor on the first grid and
-    none on a later grid over the same factors, and nothing is ranked.
-    The factors are built here, as the shared fixtures may have been
-    checked already."""
-    rep3, ham = repetition(3), hamming_7_4()
+    """Each factor checks itself with one (n, n) product D E^T when it is
+    built; a grid built on factors does no product and no rank, and no
+    PauliGrid is built, not even on first access of the lists."""
     inits, products, ranked = [], [], []
     init, mat_mul, rank = PauliGrid.__init__, gf2._mat_mul, gf2.rank
 
@@ -305,38 +287,36 @@ def test_construction_wraps_stacks_and_verifies_one_block(monkeypatch):
     # The unchecked product, which gf2.mat_mul also ends in.
     monkeypatch.setattr(gf2, "_mat_mul", counting_mat_mul)
     monkeypatch.setattr(gf2, "rank", counting_rank)
-    for cls, c1, c2, checked in ((SubsystemCode, rep3, ham, (rep3, ham)),
-                                 (ShorCode, ham, rep3, ()),
-                                 (SubsystemCode, ham, ham, ())):
+    rep3, ham = repetition(3), hamming_7_4()
+    assert products == [((3, 3), (3, 3)), ((7, 7), (7, 7))]
+    assert ranked == []
+    for cls, c1, c2 in ((SubsystemCode, rep3, ham), (ShorCode, ham, rep3),
+                        (SubsystemCode, ham, ham)):
         products.clear()
-        ranked.clear()
         code = cls(c1, c2)
-        assert products == [((c.n, c.n), (c.n, c.n)) for c in checked]
-        assert ranked == []
+        assert products == [] and ranked == []
         code.stabilizers, code.gauge_pairs, code.logicals
     assert inits == []
-    rep4 = repetition(4)
-    products.clear()
-    SubsystemCode(rep4, rep4)
-    assert products == [((4, 4), (4, 4))]
 
 
 def test_verify_logs_at_debug_only(rep3, caplog):
+    """Construction logs one record of its counts, and no timing, as it
+    checks nothing."""
     SubsystemCode(rep3, rep3)
     assert not caplog.records
     with caplog.at_level(logging.DEBUG, logger="subqec"):
         SubsystemCode(rep3, repetition(4))
         ShorCode(rep3, rep3)
     assert [r.name for r in caplog.records] == ["subqec.builder"] * 2
-    patterns = (r"verified <SubsystemCode \[\[12,1,3\]\] on 3x4>: 2 Z \+ 3 X "
-                r"stabilizers, 6 gauge pairs, 1 logical pairs in \d+\.\d\d ms",
-                r"verified <ShorCode \[\[9,1,3\]\] on 3x3>: 6 Z \+ 2 X "
-                r"stabilizers, 0 gauge pairs, 1 logical pairs in \d+\.\d\d ms")
-    for record, pattern in zip(caplog.records, patterns):
-        assert re.fullmatch(pattern, record.getMessage())
-        # Attributed to the verification, not to the logging helper.
+    messages = ("built <SubsystemCode [[12,1,3]] on 3x4>: 2 Z + 3 X "
+                "stabilizers, 6 gauge pairs, 1 logical pairs",
+                "built <ShorCode [[9,1,3]] on 3x3>: 6 Z + 2 X "
+                "stabilizers, 0 gauge pairs, 1 logical pairs")
+    for record, message in zip(caplog.records, messages):
+        assert record.getMessage() == message
+        # Attributed to the constructor, not to the logging helper.
         assert (record.levelno, record.funcName, record.filename) == (
-            logging.DEBUG, "_verify", "builder.py")
+            logging.DEBUG, "__init__", "builder.py")
 
 
 # -- decomposition -------------------------------------------------------------

@@ -109,6 +109,27 @@ def test_inconsistent_matrices_are_refused(kwargs, message):
         LinearCode(**kwargs)
 
 
+@pytest.mark.parametrize("given", ["generator", "check", "both"])
+def test_a_dual_completion_that_is_not_dual_is_refused(given, monkeypatch):
+    """The code multiplies out D E^T when it is built, so a check
+    complement that is not dual to the generator is refused before any
+    grid reads it, whichever matrices were given."""
+    rep3 = repetition(3)
+    kwargs = {"generator": rep3.generator, "check": rep3.check}
+    if given != "both":
+        kwargs = {given: kwargs[given]}
+    complete = gf2.dual_complete_columns
+
+    def zeroed_check_complement(*args):
+        p_c, g_c = complete(*args)
+        return [0] * len(p_c), g_c
+
+    LinearCode(**kwargs)
+    monkeypatch.setattr(gf2, "dual_complete_columns", zeroed_check_complement)
+    with pytest.raises(ValueError, match="internal error"):
+        LinearCode(**kwargs)
+
+
 @pytest.mark.parametrize("kwargs", [{"generator": [[257, 1, 1]]},
                                     {"check": [[1, 256, 1]]},
                                     {"generator": [[1, 0.5, 1]]}])
@@ -375,13 +396,15 @@ def test_attributes_cannot_be_rebound_or_deleted():
     code = LinearCode.from_parity(hamming_7_4().check)
     assert code.d is None
     assert code.min_distance() == 3 and code.d == 3
-    code.fails, code.bases_are_dual
+    code.fails
     for name in [*vars(code), "leaders", "min_distance", "unset"]:
         with pytest.raises(AttributeError, match="immutable: cannot set"):
             setattr(code, name, None)
         with pytest.raises(AttributeError, match="immutable: cannot delete"):
             delattr(code, name)
-    assert code.params == (7, 4, 3) and code.bases_are_dual
+    assert code.params == (7, 4, 3)
+    assert np.array_equal(gf2.mat_mul(code.dual_basis, code.basis.T),
+                          np.eye(7, dtype=np.uint8))
     for part, whole in (("generator_complement", "basis"),
                         ("check_complement", "dual_basis")):
         assert np.shares_memory(getattr(code, part), getattr(code, whole))

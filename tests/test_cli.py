@@ -460,7 +460,8 @@ def test_simulate_keeps_tiny_rates(capsys, monkeypatch):
         return TrialReport(trials=trials, logical_failures=1, rate=3e-7,
                            std_error=3.0000004e-7, seed=seed,
                            code_params=(9, 1, 4, 4), ci_low=5.2961e-8,
-                           ci_high=1.6994e-6)
+                           ci_high=1.6994e-6, bit_flip_failures=1,
+                           phase_flip_failures=0)
 
     monkeypatch.setattr(cli, "run_trials", fake_run_trials)
     code, out, _ = run_cli(capsys, "simulate", "--c1", "rep:3", "--c2", "rep:3",

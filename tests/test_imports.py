@@ -82,8 +82,8 @@ def test_logging_imported_after_a_construction_still_gets_records():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert [line.split(" in ")[0] for line in lines] == [
-        "subqec.builder:_verify:verified <SubsystemCode [[12,1,3]] on 3x4>: "
+    assert lines == [
+        "subqec.builder:__init__:built <SubsystemCode [[12,1,3]] on 3x4>: "
         "2 Z + 3 X stabilizers, 6 gauge pairs, 1 logical pairs"]
 
 

@@ -8,10 +8,7 @@ comparable Shor-style subspace code needs (n1-k1)*n2 + k1*(n2-k2).
 Importing the package loads ``gf2``, ``classical``, ``builder`` and
 ``simulate``, which are all that construction and a Monte Carlo run need.
 The reference recovery path and the Pauli operator class are loaded on
-first access (PEP 562): the ``recovery`` and ``pauli`` submodules,
-``PauliGrid``, and ``Syndrome``, ``RecoveryOutcome``, ``extract_syndrome``,
-``decode_bitflip``, ``decode_phaseflip``, ``recover`` and
-``distance_bruteforce``.
+first access (PEP 562): ``_LAZY`` maps each such name to its submodule.
 """
 
 __version__ = "0.1.0"
@@ -42,31 +39,13 @@ _LAZY = {
     "distance_bruteforce": "recovery",
 }
 
+# The eager names, then every lazy name that is not a submodule.
 __all__ = [
-    "__version__",
-    "gf2",
-    "LinearCode",
-    "builtin",
-    "hamming_7_4",
-    "repetition",
-    "PauliGrid",
-    "PauliDecomposition",
-    "SubsystemCode",
-    "ShorCode",
-    "Syndrome",
-    "RecoveryOutcome",
-    "extract_syndrome",
-    "decode_bitflip",
-    "decode_phaseflip",
-    "recover",
-    "distance_bruteforce",
-    "NoiseModel",
-    "TrialReport",
-    "run_trials",
-    "exact_rate_enumeration",
-    "failing_counts",
+    "__version__", "gf2", "LinearCode", "builtin", "hamming_7_4", "repetition",
+    "PauliDecomposition", "SubsystemCode", "ShorCode", "NoiseModel",
+    "TrialReport", "run_trials", "exact_rate_enumeration", "failing_counts",
     "compare_report",
-]
+] + [name for name, module in _LAZY.items() if name != module]
 
 
 def __getattr__(name: str):

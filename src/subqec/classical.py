@@ -198,7 +198,8 @@ class LinearCode:
             check_complement=dual_basis[n - k:],
             _generator_rows=g, _distance=None)
         if distance is not None:
-            if self.min_distance() != gf2._require_int("distance", distance):
+            distance = gf2._require_int("distance", distance)
+            if self.min_distance() != distance:
                 raise ValueError(
                     f"claimed distance {distance} but true distance is "
                     f"{self._distance}")
@@ -375,8 +376,12 @@ def hamming_7_4() -> LinearCode:
     return LinearCode(check=p, distance=3, name="hamming7_4")
 
 
+# The spec of each named code family that builtin reads.
+_BUILTIN_SPECS = ("rep:<n>", "hamming:7-4")
+
+
 def builtin(spec: str) -> LinearCode:
-    """Look up a named code family: ``rep:<n>`` or ``hamming:7-4``."""
+    """Look up a named code family, one of ``_BUILTIN_SPECS``."""
     spec = spec.strip()
     if spec.startswith("rep:"):
         # int() would also read "٣", "３", "1_1", "+3" and " 3".
@@ -385,4 +390,5 @@ def builtin(spec: str) -> LinearCode:
         return repetition(int(spec[4:]))
     if spec == "hamming:7-4":
         return hamming_7_4()
-    raise ValueError(f"unknown code family {spec!r} (try rep:<n> or hamming:7-4)")
+    raise ValueError(f"unknown code family {spec!r} "
+                     f"(try {' or '.join(_BUILTIN_SPECS)})")

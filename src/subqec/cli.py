@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .classical import LinearCode, builtin
+from .classical import _BUILTIN_SPECS, LinearCode, builtin
 from .builder import ShorCode, SubsystemCode
 from .simulate import (RNG_LAYOUT, _NOISE_KINDS, NoiseModel,
                        _classical_summary, _reads, compare_report, run_trials)
@@ -208,17 +208,21 @@ def _cmd_decode(args) -> dict:
     }
 
 
+# NoiseModel field -> the simulate flag that sets it.
+_RATE_FLAGS = {"p": "--p", "p_x": "--px", "p_z": "--pz"}
+
+
 def _cmd_simulate(args) -> dict:
     code = _build(args)
     kind, read = args.noise, _reads(args.noise)
-    flag = {"p": "--p", "p_x": "--px", "p_z": "--pz"}
-    unread = [flag[f] for f in flag
+    unread = [flag for f, flag in _RATE_FLAGS.items()
               if f not in read and getattr(args, f) is not None]
     if unread:
         raise ValueError(f"{kind} noise does not read {', '.join(unread)}")
     fields = {f: getattr(args, f) for f in read}
     if None in fields.values():
-        raise ValueError(f"{kind} needs {' and '.join(map(flag.get, read))}")
+        raise ValueError(
+            f"{kind} needs {' and '.join(map(_RATE_FLAGS.get, read))}")
     noise = NoiseModel(kind, **fields)
     report = run_trials(code, noise, args.trials, args.seed,
                         workers=args.workers)
@@ -248,9 +252,9 @@ def _cmd_compare(args) -> dict:
 
 
 def _add_pair(sub):
+    specs = (*_BUILTIN_SPECS, "generator:<path>", "parity:<path>")
     sub.add_argument("--c1", required=True,
-                     help="first classical code (rep:<n>, hamming:7-4, "
-                          "generator:<path>, parity:<path>)")
+                     help=f"first classical code ({', '.join(specs)})")
     sub.add_argument("--c2", required=True, help="second classical code")
 
 
@@ -288,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo logical failure rate")
     _add_pair(p)
     p.add_argument("--noise", required=True, choices=_NOISE_KINDS)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--px", dest="p_x", metavar="PX", type=float, default=None)
-    p.add_argument("--pz", dest="p_z", metavar="PZ", type=float, default=None)
+    for field, flag in _RATE_FLAGS.items():
+        p.add_argument(flag, dest=field, metavar=flag[2:].upper(), type=float,
+                       default=None)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)

@@ -29,7 +29,6 @@ hits alone; :func:`subqec.recovery.recover` stays its reference.
 from __future__ import annotations
 
 import functools
-import importlib
 import math
 import numbers
 import os
@@ -48,15 +47,16 @@ _RAW_WORDS = 1 << 17  # most raw words drawn per batch, to stay in cache
 _EXACT_MAX_BITS = 20  # exact counts: most line bits and syndrome bits
 _NOISE_KINDS = ("depolarizing", "x_only", "z_only", "independent_xz")
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
-# No code here calls recover; it stays readable as an attribute of this
-# module, loaded on first access, because perfbench's smoke check reads it.
-_LAZY = {"recover": "recovery"}
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    """``recover``, loaded on first access.  No code here calls it; it stays
+    readable as an attribute of this module because perfbench's smoke check
+    reads it."""
+    if name != "recover":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__package__}.{_LAZY[name]}"), name)
+    from .recovery import recover
+    return recover
 
 
 def _reads(kind: str) -> tuple:
@@ -428,8 +428,8 @@ def compare_report(c1: LinearCode, c2: LinearCode) -> dict:
     order) the report also lists the composed schemes that trade extra
     qubits for distance, with their stabilizer counts split inner + outer.
     """
+    grid = SubsystemCode(c1, c2)  # refuses a factor that is no LinearCode
     code1, code2 = _classical_summary(c1), _classical_summary(c2)
-    grid = SubsystemCode(c1, c2)
     sub = sum(grid.stabilizer_counts)
     shor = sum(ShorCode(c1, c2).stabilizer_counts)
     report = {

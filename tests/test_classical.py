@@ -244,12 +244,22 @@ def test_wrong_claimed_distance_rejected():
         LinearCode(generator=[[1, 1, 1]], distance=2)
 
 
+def _seeded_systematic(n, k):
+    rng = np.random.default_rng(n)
+    return np.hstack([np.eye(k, dtype=np.uint8),
+                      rng.integers(0, 2, (k, n - k), dtype=np.uint8)])
+
+
 @pytest.mark.parametrize("generator,distance", [
     ([[1, 1, 1]], "3"), ([[1, 1, 1]], 3.0), ([[1, 1, 1]], True),
-    ([[1]], True)])
+    ([[1]], True),
+    *((_seeded_systematic(n, k), d) for n, k in ((40, 30), (30, 20))
+      for d in (2.5, True))])
 def test_claimed_distance_must_be_an_integer(generator, distance):
     # "3" was reported as "claimed distance 3 but true distance is 3", and
-    # True was taken as 1.
+    # True was taken as 1.  The type is checked before the codewords are
+    # enumerated: [40,30] was refused as too large to enumerate, and
+    # [30,20] walked its 2**20 codewords first.
     with pytest.raises(ValueError,
                        match=r"^distance must be an integer, not "):
         LinearCode(generator=generator, distance=distance)

@@ -994,6 +994,15 @@ def test_compare_rep3(rep3):
     assert "composed_schemes" not in report
 
 
+@pytest.mark.parametrize("position", ["c1", "c2"])
+def test_compare_refuses_a_factor_that_is_no_linear_code(rep3, position):
+    # A spec string was read as a code and failed with AttributeError.
+    pair = {"c1": rep3, "c2": rep3, position: "rep:3"}
+    with pytest.raises(ValueError,
+                       match=rf"^{position} must be a LinearCode, not str$"):
+        compare_report(pair["c1"], pair["c2"])
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_compare_repetition_formulas(n):
     rep = repetition(n)
